@@ -1,26 +1,26 @@
 """Hot loops: Hadamard butterflies and the per-scale trilinear sum.
 
-Both kernels have a numba @njit build and a pure-numpy build.  Set
-WALSHLAB_NO_NUMBA=1 before import to force the numpy path; USING_NUMBA
-records which one is active.  Outputs of the two paths agree to the last
-bit for the butterfly and to reduction-order rounding for the sum.
+The trilinear sum rests on one identity.  Inside a scale of 2^shift cells
+per interval, write each cell as its interval's offset plus a local index
+a < 2^shift and let hs(a) = -1 on the upper half of the interval, +1 on
+the lower.  Top bits add under XOR, so the Haar sign of the offset s with
+i1 = i0 ^ i2 ^ s factors as hs(a0) hs(a1) hs(a2).  The sum over one
+interval triple (I0, I1, I2) is then a trace of block products,
+
+    sum_{a0,a2} hs(a0) hs(a2) (F2[I0,I1] diag(hs) F0[I1,I2])[a0,a2] F1[I2,I0][a2,a0],
+
+and one batched contraction over the interval pairs evaluates a scale.
+The contractions use np.einsum, which does not call BLAS, so the result
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-_want_numba = not os.environ.get("WALSHLAB_NO_NUMBA")
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-USING_NUMBA = _want_numba
+USING_NUMBA = False  # a single numpy build; perfbench records this flag with its results
 
 
 @lru_cache(maxsize=None)
@@ -38,7 +38,8 @@ def bit_reversal(resolution: int) -> np.ndarray:
     return rev
 
 
-def _wht_rows_numpy(a: np.ndarray) -> None:
+def wht_rows(a: np.ndarray) -> None:
+    """In-place Hadamard butterfly along the last axis of a (rows, n) array."""
     rows, n = a.shape
     h = 1
     while h < n:
@@ -50,73 +51,30 @@ def _wht_rows_numpy(a: np.ndarray) -> None:
         h *= 2
 
 
-def _triform_scale_numpy(F0, F1, F2, epsk, shift) -> float:
-    n = F0.shape[0]
+def haar_signs(shift: int) -> np.ndarray:
+    """hs over the 2^shift local cells of one interval: +1 lower, -1 upper half."""
     block = 1 << shift
-    idx = np.arange(n)
-    weight = np.kron(epsk, np.ones((block, block)))
-    F1T = np.ascontiguousarray(F1.T)  # F1T[i0, i2] = F1[i2, i0]
-    parts = []
-    for s in range(block):
-        sign = -1.0 if (s >> (shift - 1)) & 1 else 1.0
-        i1 = idx[:, None] ^ idx[None, :] ^ s  # [i0, i2]
-        term = F0[i1, idx[None, :]] * F1T * F2[idx[:, None], i1]
-        parts.append(sign * float((term * weight).sum()))
-    return float(np.sum(parts))
+    out = np.ones(block)
+    out[block // 2 :] = -1.0
+    return out
 
 
-if USING_NUMBA:
+def pair_blocks(F: np.ndarray, shift: int, rows, cols) -> np.ndarray:
+    """Blocks F[I_rows[p], I_cols[p]] of side B = 2^shift, stacked as (P, B, B).
 
-    @njit(cache=True)
-    def _wht_rows_nb(a):  # pragma: no cover - exercised via wht_rows
-        rows, n = a.shape
-        for r in range(rows):
-            h = 1
-            while h < n:
-                i = 0
-                while i < n:
-                    for j in range(i, i + h):
-                        x = a[r, j]
-                        y = a[r, j + h]
-                        a[r, j] = x + y
-                        a[r, j + h] = x - y
-                    i += 2 * h
-                h *= 2
-
-    @njit(cache=True)
-    def _triform_scale_nb(F0, F1, F2, epsk, shift):  # pragma: no cover
-        n = F0.shape[0]
-        block = 1 << shift
-        total = 0.0
-        comp = 0.0  # Kahan compensation: ~1e6 unit-size terms per call
-        for i0 in range(n):
-            m0 = i0 >> shift
-            for i2 in range(n):
-                e = epsk[m0, i2 >> shift]
-                if e == 0.0:
-                    continue
-                f1 = F1[i2, i0]
-                if f1 == 0.0:
-                    continue
-                base = i0 ^ i2
-                for s in range(block):
-                    i1 = base ^ s
-                    t = e * f1 * F0[i1, i2] * F2[i0, i1]
-                    if (s >> (shift - 1)) & 1:
-                        t = -t
-                    y = t - comp
-                    u = total + y
-                    comp = (u - total) - y
-                    total = u
-        return total
-
-
-def wht_rows(a: np.ndarray) -> None:
-    """In-place Hadamard butterfly along the last axis of a (rows, n) array."""
-    if USING_NUMBA:
-        _wht_rows_nb(a)
-    else:
-        _wht_rows_numpy(a)
+    `rows` and `cols` hold interval indices at that side, one pair p per
+    entry.  The stack is a copy, contiguous in memory with the pair axis
+    outermost when P < B^2 and innermost otherwise: einsum keeps that
+    layout and runs its inner loop along the last axis in memory, so many
+    small blocks would otherwise cost one short loop each.
+    """
+    block = 1 << shift
+    nb = F.shape[0] >> shift
+    tiles = F.reshape(nb, block, nb, block)
+    if len(rows) < block * block:
+        return np.ascontiguousarray(tiles.transpose(0, 2, 1, 3)[rows, cols])
+    stack = np.ascontiguousarray(tiles.transpose(1, 3, 0, 2)[:, :, rows, cols])
+    return stack.transpose(2, 0, 1)
 
 
 def triform_scale_sum(F0, F1, F2, epsk, shift) -> float:
@@ -125,8 +83,20 @@ def triform_scale_sum(F0, F1, F2, epsk, shift) -> float:
         eps[i0 >> shift, i2 >> shift] * r(s) * F0[i1,i2] F1[i2,i0] F2[i0,i1]
 
     with i1 = i0 ^ i2 ^ s and r(s) the Haar sign of the offset (bit
-    shift-1).  The caller applies the scale weight and the grid measure.
+    shift-1).  With local indices a = i mod 2^shift, r(s) = hs(a0) hs(a1)
+    hs(a2), so each interval pair (m0, m2), m1 = m0 ^ m2, contributes
+
+        eps[m0, m2] sum_{a0,a2} (diag(hs) F2[I0,I1] diag(hs) F0[I1,I2])[a0,a2]
+                                * hs(a2) F1[I2,I0][a2,a0],
+
+    one product of 2^shift blocks per pair with eps nonzero.  The caller
+    applies the scale weight and the grid measure.
     """
-    if USING_NUMBA:
-        return float(_triform_scale_nb(F0, F1, F2, epsk, shift))
-    return _triform_scale_numpy(F0, F1, F2, epsk, shift)
+    m0, m2 = np.nonzero(epsk)
+    m1 = m0 ^ m2
+    hs = haar_signs(shift)
+    left = pair_blocks(F2, shift, m0, m1) * np.outer(hs, hs)
+    prod = np.einsum("pij,pjk->pik", left, pair_blocks(F0, shift, m1, m2))
+    right = pair_blocks(F1.T, shift, m0, m2) * hs  # [p, a0, a2] = F1[i2, i0] hs(a2)
+    right *= epsk[m0, m2][:, None, None]
+    return float(np.sum(prod * right))

@@ -15,7 +15,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ._kernels import triform_scale_sum
+from ._kernels import haar_signs, pair_blocks, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from .tiles import Bitile
 from .walsh import DyadicInterval
@@ -148,14 +148,6 @@ def telescoping_profile(resolution: int, coarsest: int):
 # -- bitile decomposition ----------------------------------------------------
 
 
-def _haar_signs(scale: int, resolution: int) -> np.ndarray:
-    """Signs of the Haar function over the cells of one scale-k interval."""
-    block = 1 << (resolution + scale)
-    out = np.ones(block)
-    out[block // 2 :] = -1.0
-    return out
-
-
 def lambda_bitile(
     P: Bitile, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
 ) -> float:
@@ -173,7 +165,7 @@ def lambda_bitile(
     sl0 = _interval_slice(P.time_interval(0), K)
     sl1 = _interval_slice(P.time_interval(1), K)
     sl2 = _interval_slice(P.time_interval(2), K)
-    h = _haar_signs(P.scale, K)
+    h = haar_signs(K + P.scale)
     total = 0.0
     for j in (1, -1):
         w = wave_packet(WavePacketSpec(P.time_interval(1).half(j), P.freq), K)
@@ -189,44 +181,32 @@ def lambda_bitile_sum(
 ) -> float:
     """Sum of eps-weighted bitile contributions over all localized bitiles.
 
-    Shares one batched half-block transform per scale; agrees with
-    summing lambda_bitile but runs in one pass.
+    Per scale, the packet coefficients of every half-block come from one
+    batched transform.  Over the interval pairs (m0, m2) with eps nonzero,
+    the rows (half j, n) of U_p = C0[I1, I2] and V_p = C2[I1, I0] pair
+    against the Haar-signed block F1[I2, I0] in one contraction, which
+    gives every bitile of the scale at once; agrees with summing
+    lambda_bitile.
     """
     K = F0.resolution
     n = 1 << K
     parts = []
     for k in eps.scales:
-        if k < -K + 1:
-            continue
-        bk = K + k - 1  # log2 cells per half interval
-        halves = 1 << (1 - k)
-        # C0[i2, b, nu] ~ packet coefficients of F0 fibers on half-blocks
-        C0 = coefficient_rows(
-            np.ascontiguousarray(F0.values.T).reshape(n, halves, 1 << bk), bk
-        )
-        C2 = coefficient_rows(F2.values.reshape(n, halves, 1 << bk), bk)
-        h = _haar_signs(k, K)
-        epsk = eps.data[k]
-        block = 1 << (K + k)
-        scale_parts = []
-        for m0 in range(1 << -k):
-            s0 = slice(m0 * block, (m0 + 1) * block)
-            for m2 in range(1 << -k):
-                e = epsk[m0, m2]
-                if e == 0.0:
-                    continue
-                s2 = slice(m2 * block, (m2 + 1) * block)
-                F1blk = F1.values[s2, s0]
-                m1 = m0 ^ m2
-                for n_idx in range(1 << (K + k - 1)):
-                    acc = 0.0
-                    for j, b in ((1, 2 * m1), (-1, 2 * m1 + 1)):
-                        u = h * C0[s2, b, n_idx]
-                        v = h * C2[s0, b, n_idx]
-                        acc += j * float(u @ F1blk @ v)
-                    scale_parts.append(e * acc)
+        shift = K + k
+        half = 1 << (shift - 1)  # cells per half interval
+        m0, m2 = np.nonzero(eps.data[k])
+        m1 = m0 ^ m2
+        # C0[i2, b * half + nu] ~ packet coefficients of F0 fibers on half-blocks
+        C0 = coefficient_rows(F0.values.T.reshape(n, -1, half), shift - 1)
+        C2 = coefficient_rows(F2.values.reshape(n, -1, half), shift - 1)
+        U = pair_blocks(C0.reshape(n, n).T, shift, m1, m2)  # [p, (j, nu), a2]
+        V = pair_blocks(C2.reshape(n, n).T, shift, m1, m0)  # [p, (j, nu), a0]
+        hs = haar_signs(shift)
+        F1blk = pair_blocks(F1.values, shift, m2, m0) * np.outer(hs, hs)
+        rows = np.einsum("prb,prb->pr", np.einsum("pra,pab->prb", U, F1blk), V)
+        values = eps.data[k][m0, m2][:, None] * (rows[:, :half] - rows[:, half:])
         # packet-coefficient scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k
-        parts.append(math.fsum(scale_parts) * 2.0 ** (k - 1) * 2.0 ** (-k))
+        parts.append(math.fsum(values.ravel()) * 2.0 ** (k - 1) * 2.0 ** (-k))
     return math.fsum(parts) * 4.0 ** (-K)
 
 
@@ -253,7 +233,7 @@ def haar_multiplier(weights: ScaleWeights, f: GridFunction1D) -> GridFunction1D:
         block = 1 << (K + k)
         v = f.values.reshape(-1, 2, block // 2).sum(axis=2)
         coeff = (v[:, 0] - v[:, 1]) * 2.0 ** (-K)  # <f, h_I> per interval
-        contrib = (w * coeff * 2.0 ** (-k))[:, None] * _haar_signs(k, K)[None, :]
+        contrib = (w * coeff * 2.0 ** (-k))[:, None] * haar_signs(K + k)[None, :]
         out += contrib.reshape(-1)
     return GridFunction1D(K, out)
 
@@ -357,6 +337,7 @@ def offset_form(
         cf = coefficient_rows(f.values.reshape(blocks, B), K + k)
         cg = coefficient_rows(g.values.reshape(blocks, B), K + k)
         ch = coefficient_rows(h.values.reshape(blocks, B), K + k)
+        chars = np.stack([walsh_fn(nu, K + k).values for nu in range(B)])
         for I in range(blocks):
             eI = w[I]
             if eI == 0.0:
@@ -382,24 +363,15 @@ def offset_form(
                     continue
                 coef_acc += cf[I, jf] * terms
                 # projection route: build the three projected functions
-                pf = cf[I, jf] * _local_character(jf, K + k)
+                pf = cf[I, jf] * chars[jf]
                 pg = np.zeros(B)
                 for jg in cells_g:
-                    pg += cg[I, jg] * _local_character(jg, K + k)
+                    pg += cg[I, jg] * chars[jg]
                 ph = np.zeros(B)
                 for jh in cells_h:
-                    ph += ch[I, jh] * _local_character(jh, K + k)
+                    ph += ch[I, jh] * chars[jh]
                 proj_acc += float((pf * pg * ph).sum()) * 2.0 ** (-K)
             route_proj.append(eI * proj_acc)
             route_coef.append(eI * coef_acc * 2.0 ** k)
     return math.fsum(route_proj), math.fsum(route_coef)
 
-
-_char_cache: dict = {}
-
-
-def _local_character(nu: int, bk: int) -> np.ndarray:
-    key = (nu, bk)
-    if key not in _char_cache:
-        _char_cache[key] = walsh_fn(nu, bk).values
-    return _char_cache[key]
