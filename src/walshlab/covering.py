@@ -205,12 +205,12 @@ def density(r: Parallelogram, u: SlopeField) -> float:
     return good / total
 
 
-def vertical_superlevel(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Cells where the vertical maximal function reaches the threshold.
+def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Best sum of values minus threshold over vertical intervals through each cell.
 
-    A cell passes when some vertical cell interval through it has average
-    at least the threshold; that is a best-subarray question for values
-    minus threshold, solved by forward and backward running sums.
+    A best-subarray question per column, solved by forward and backward
+    running sums; the vertical maximal function reaches the threshold
+    exactly where the margin is nonnegative.
     """
     g = np.asarray(values, dtype=np.float64) - threshold
     n = g.shape[1]
@@ -220,8 +220,16 @@ def vertical_superlevel(values: np.ndarray, threshold: float) -> np.ndarray:
     bwd = g.copy()
     for j in range(n - 2, -1, -1):
         bwd[:, j] += np.maximum(bwd[:, j + 1], 0.0)
-    best = fwd + bwd - g
-    return best >= 0.0
+    return fwd + bwd - g
+
+
+def vertical_superlevel(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Cells where the vertical maximal function reaches the threshold.
+
+    A cell passes when some vertical cell interval through it has average
+    at least the threshold.
+    """
+    return _vertical_margin(values, threshold) >= 0.0
 
 
 def vertical_maximal(values: np.ndarray) -> np.ndarray:
@@ -297,14 +305,7 @@ def greedy_cover(
         cols, y_lo, y_hi = parallelograms[pick].height_dilate(7.0).grid_cells(n)
         for c, a, b in zip(cols, y_lo, y_hi):
             field[c, a:b] += 1.0
-        g = field - VERTICAL_THRESHOLD
-        fwd = g.copy()
-        for j in range(1, n):
-            fwd[:, j] += np.maximum(fwd[:, j - 1], 0.0)
-        bwd = g.copy()
-        for j in range(n - 2, -1, -1):
-            bwd[:, j] += np.maximum(bwd[:, j + 1], 0.0)
-        best = fwd + bwd - g
+        best = _vertical_margin(field, VERTICAL_THRESHOLD)
         outside = np.zeros((n, n + 1))
         outside[:, 1:] = np.cumsum(best < 0.0, axis=1)
         removed = []

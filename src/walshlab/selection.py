@@ -8,7 +8,10 @@ satisfy a Carleson-type counting bound with constant 9 * 2^(2n) over
 every dyadic test box.  Certificates carry enough data to re-check all
 of this independently.
 
-The partial-order work is done on packed integer arrays; per-tile
+The partial-order work runs on one array per scale (see `tiles`): the
+size functional, the selection phases and the disjointness checks are
+down-set or up-set sums, one pass across the scales each, and a tree is
+cut out of the remaining arrays one spatial block per scale.  Per-tile
 projection norms come from local coefficient tables, not from forming
 any projection explicitly.
 """
@@ -27,7 +30,14 @@ from .tiles import (
     Tile,
     _diag_image_cell,
     _require_half_tile_regions,
+    convex_scales,
+    down_sums,
+    half_down_sums,
+    is_convex,
     le,
+    scale_arrays,
+    scale_members,
+    up_sums,
 )
 from .walsh import DyadicInterval
 from .wavelets import coefficient_rows
@@ -91,84 +101,7 @@ class SelectionCertificate:
         return tuple(t for forest in self.forests for t in forest)
 
 
-# -- packed pool arrays and vectorized order ---------------------------------
-
-
-_CANON = lambda b: (-b.scale, b.m0, b.m2, b.n)  # noqa: E731
-
-
-def _pool(bitiles):
-    pool = sorted(set(bitiles), key=_CANON)
-    k = np.array([b.scale for b in pool], dtype=np.int64)
-    m0 = np.array([b.m0 for b in pool], dtype=np.int64)
-    m2 = np.array([b.m2 for b in pool], dtype=np.int64)
-    n = np.array([b.n for b in pool], dtype=np.int64)
-    return pool, k, m0, m2, n
-
-
-def _le_matrix(k, m0, m2, n):
-    """LE[p, q] == le(pool[p], pool[q]), all pairs at once."""
-    d = k[None, :] - k[:, None]
-    up = d >= 0
-    ds = np.where(up, d, 0)
-    sp = (m0[:, None] >> ds == m0[None, :]) & (m2[:, None] >> ds == m2[None, :])
-    fr = n[None, :] >> ds == n[:, None]
-    return up & sp & fr
-
-
-def _le_half_matrix(k, m0, m2, n, j):
-    """LEJ[p, q] == le(pool[p].half(j), pool[q])."""
-    delta = 0 if j == 1 else 1
-    d = k[None, :] - k[:, None]
-    up = d >= 1
-    ds = np.where(up, d, 1)
-    sp = (m0[:, None] >> ds == m0[None, :]) & (m2[:, None] >> ds == m2[None, :])
-    fr = n[None, :] >> (ds - 1) == 2 * n[:, None] + delta
-    return up & sp & fr
-
-
-def _keys(k, m0, m2, n):
-    # scales fit in 6 bits after offsetting; indices are < 2^20 in practice
-    return (((k + 32).astype(np.int64) << 60) | (m0 << 40) | (m2 << 20) | n)
-
-
-def _convex_arrays(k, m0, m2, n, LE) -> bool:
-    """Convexity via one intermediate per comparable pair.
-
-    If the level scale_p + 1 intermediate of every strictly comparable
-    pair with gap >= 2 is present, induction up the gap supplies all the
-    others.
-    """
-    member = np.sort(_keys(k, m0, m2, n))
-    gap = k[None, :] - k[:, None]
-    pairs = np.argwhere(LE & (gap >= 2))
-    if pairs.size == 0:
-        return True
-    p, q = pairs[:, 0], pairs[:, 1]
-    ik = k[p] + 1
-    im0 = m0[p] >> 1
-    im2 = m2[p] >> 1
-    inn = n[q] >> (k[q] - ik)
-    inter = (((ik + 32) << 60) | (im0 << 40) | (im2 << 20) | inn)
-    pos = np.searchsorted(member, inter)
-    pos = np.minimum(pos, len(member) - 1)
-    return bool(np.all(member[pos] == inter))
-
-
-def _require_convex(k, m0, m2, n, LE):
-    if not _convex_arrays(k, m0, m2, n, LE):
-        raise ValueError("collection is not convex")
-
-
 # -- projection norm tables --------------------------------------------------
-
-
-def _block_coeffs(rows2d: np.ndarray, block_log: int) -> np.ndarray:
-    """Local coefficients of every length-2^block_log row segment."""
-    nrows, width = rows2d.shape
-    nb = width >> block_log
-    segs = rows2d.reshape(nrows * nb, 1 << block_log)
-    return coefficient_rows(segs, block_log).reshape(nrows, nb, 1 << block_log)
 
 
 def tile_norm_table(
@@ -176,13 +109,14 @@ def tile_norm_table(
     slot: int,
     mode: ProjectionMode | None,
     scales,
-) -> dict[tuple[int, int, int, int], float]:
+) -> dict[int, np.ndarray]:
     """Squared projection norms of every scale-k tile, k in scales.
 
-    Keys are (scale, m0, m2, n).  Packet slots reduce to one local
-    coefficient per tile; slot 1 reduces to masked row-energy sums.  In
-    diagonal mode these group each dual cell under the one tile its image
-    lands in, which needs |a| < 2; larger multipliers raise ValueError.
+    Scale k maps to an array [m0, m2, nu] of shape (2^-k, 2^-k, 2^(K+k)).
+    Packet slots reduce to one local coefficient per tile; slot 1 reduces
+    to masked row-energy sums.  In diagonal mode these group each dual
+    cell under the one tile its image lands in, which needs |a| < 2;
+    larger multipliers raise ValueError.
     """
     if slot == 1 and mode is None:
         raise ValueError("slot 1 requires a projection mode")
@@ -190,88 +124,84 @@ def tile_norm_table(
         _require_half_tile_regions(mode.multiplier)
     K = F.resolution
     ngrid = 1 << K
-    table: dict[tuple[int, int, int, int], float] = {}
+    table: dict[int, np.ndarray] = {}
     for k in sorted(set(scales)):
         if not -K <= k <= 0:
             raise ValueError("scale outside resolution range")
         B = 1 << (K + k)
         nb = 1 << -k
+        g0, g2 = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
         if slot == 0:
-            C = _block_coeffs(F.values.T, K + k)  # [i2, m1, nu]
-            S = (C**2).reshape(nb, B, nb, B).sum(axis=1)  # [m2, m1, nu]
-            scale_f = 2.0 ** (k - K)
-            for m0 in range(nb):
-                for m2 in range(nb):
-                    row = S[m2, m0 ^ m2]
-                    for nu in range(B):
-                        table[(k, m0, m2, nu)] = scale_f * row[nu]
+            # C[i2, m1, nu] -> S[m2, m1, nu]
+            C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
+            S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
+            table[k] = 2.0 ** (k - K) * S[g2, g0 ^ g2]
         elif slot == 2:
-            C = _block_coeffs(F.values, K + k)  # [i0, m1, nu]
-            S = (C**2).reshape(nb, B, nb, B).sum(axis=1)  # [m0, m1, nu]
-            scale_f = 2.0 ** (k - K)
-            for m0 in range(nb):
-                for m2 in range(nb):
-                    row = S[m0, m0 ^ m2]
-                    for nu in range(B):
-                        table[(k, m0, m2, nu)] = scale_f * row[nu]
+            # C[i0, m1, nu] -> S[m0, m1, nu]
+            C = coefficient_rows(F.values.reshape(ngrid, nb, B), K + k)
+            S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
+            table[k] = 2.0 ** (k - K) * S[g0, g0 ^ g2]
         elif mode.kind == "fiberwise":
             labels = np.asarray(mode.labels, dtype=np.int64)
             if labels.shape != (ngrid,):
                 raise ValueError("fiberwise labels must give one frequency per cell")
             R = (F.values**2).reshape(ngrid, nb, B).sum(axis=2)  # [i2, m0]
-            acc = np.zeros((nb, nb, B))
-            for i2 in range(ngrid):
-                acc[i2 >> (K + k), :, labels[i2] >> -k] += R[i2]
-            scale_f = 2.0 ** (-2 * K)
-            for m0 in range(nb):
-                for m2 in range(nb):
-                    for nu in range(B):
-                        table[(k, m0, m2, nu)] = scale_f * acc[m2, m0, nu]
+            acc = np.zeros((nb, nb, B))  # [m2, m0, nu]
+            rows = np.arange(ngrid) >> (K + k)
+            np.add.at(acc, (rows, slice(None), labels >> -k), R)
+            table[k] = 2.0 ** (-2 * K) * acc.transpose(1, 0, 2)
         else:
-            C = _block_coeffs(F.values.T, K + k)  # [i0, m2, nu]
+            # C[i0, m2, nu] -> D[i0, m2, image cell] -> S[m0, m2, nu]
+            C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
             img = np.array(
                 [_diag_image_cell(mode.multiplier, nu, k, K) for nu in range(B)],
                 dtype=np.int64,
             )
             D = np.zeros((ngrid, nb, B))
-            Csq = C**2
-            for nu in range(B):
-                D[:, :, img[nu]] += Csq[:, :, nu]
-            S = D.reshape(nb, B, nb, B).sum(axis=1)  # [m0, m2, nu]
-            scale_f = 2.0 ** (k - K)
-            for m0 in range(nb):
-                for m2 in range(nb):
-                    for nu in range(B):
-                        table[(k, m0, m2, nu)] = scale_f * S[m0, m2, nu]
+            np.add.at(D, (slice(None), slice(None), img), C**2)
+            S = D.reshape(nb, B, nb, B).sum(axis=1)
+            table[k] = 2.0 ** (k - K) * S
     return table
 
 
-def _half_norms(pool, ks, m0s, m2s, ns, F, slot, mode):
-    """Per-bitile squared norms of the lower (2n) and upper (2n+1) halves."""
-    table = tile_norm_table(F, slot, mode, set(int(v) for v in ks))
-    lower = np.array(
-        [table[(int(k), int(a), int(b), 2 * int(c))] for k, a, b, c in zip(ks, m0s, m2s, ns)]
-    )
-    upper = np.array(
-        [table[(int(k), int(a), int(b), 2 * int(c) + 1)] for k, a, b, c in zip(ks, m0s, m2s, ns)]
-    )
+def _half_norms(F, slot, mode, member):
+    """Squared norms of the lower (2n) and upper (2n+1) half of every bitile.
+
+    Only the scales holding a member are tabulated; the others read zero.
+    """
+    table = tile_norm_table(F, slot, mode, [k for k, m in member.items() if m.any()])
+    lower, upper = {}, {}
+    for k, m in member.items():
+        t = table.get(k, np.zeros(m.shape[:2] + (2 * m.shape[2],)))
+        lower[k], upper[k] = t[:, :, 0::2], t[:, :, 1::2]
     return lower, upper
 
 
-def _tree_energy(LE, LEJ, lower, upper, restrict=None):
-    """Squared tree projection norm for every potential top.
+def _tree_energy(member, lower, upper):
+    """Squared tree projection norm below every potential top.
 
     Orthogonal decomposition: both halves of the top plus, for each
-    member whose j-half sits below the top, the opposite half.
+    member whose j-half sits below the top, the opposite half.  The value
+    is meaningful on members only.
     """
-    N = len(lower)
-    mask = np.ones(N, dtype=bool) if restrict is None else restrict
-    maskf = mask.astype(float)
-    top_part = (lower + upper) * maskf
-    # member P with P^{+1} <= top contributes its upper half and vice versa
-    contrib_plus = (LEJ[1] & mask[:, None]).astype(float).T @ upper
-    contrib_minus = (LEJ[-1] & mask[:, None]).astype(float).T @ lower
-    return top_part + (contrib_plus + contrib_minus) * maskf
+    plus = half_down_sums({k: upper[k] * m for k, m in member.items()}, 1)
+    minus = half_down_sums({k: lower[k] * m for k, m in member.items()}, -1)
+    return {k: lower[k] + upper[k] + (plus[k] + minus[k]) for k in member}
+
+
+def _size(member, F, slot, mode) -> float:
+    """Size of the members, whose convexity the caller has settled."""
+    energy = _tree_energy(member, *_half_norms(F, slot, mode, member))
+    worst = max(
+        float(np.max(energy[k][m] / 4.0**k)) for k, m in member.items() if m.any()
+    )
+    return float(np.sqrt(worst))
+
+
+def _members(bitiles, resolution):
+    """Per-scale membership arrays, or None for an empty collection."""
+    member = {k: x > 0 for k, x in scale_arrays(bitiles, resolution).items()}
+    return member if any(m.any() for m in member.values()) else None
 
 
 def size(
@@ -286,19 +216,12 @@ def size(
     because the tree tiling refines monotonically, so only tops need to
     be scanned.
     """
-    pool, ks, m0s, m2s, ns = _pool(bitiles)
-    if not pool:
+    member = _members(bitiles, F.resolution)
+    if member is None:
         return 0.0
-    LE = _le_matrix(ks, m0s, m2s, ns)
-    _require_convex(ks, m0s, m2s, ns, LE)
-    LEJ = {
-        1: _le_half_matrix(ks, m0s, m2s, ns, 1),
-        -1: _le_half_matrix(ks, m0s, m2s, ns, -1),
-    }
-    lower, upper = _half_norms(pool, ks, m0s, m2s, ns, F, slot, mode)
-    energy = _tree_energy(LE, LEJ, lower, upper)
-    areas = 4.0**ks
-    return float(np.sqrt(np.max(energy / areas)))
+    if not convex_scales(member):
+        raise ValueError("collection is not convex")
+    return _size(member, F, slot, mode)
 
 
 # -- the selection algorithm -------------------------------------------------
@@ -362,36 +285,40 @@ def select_trees(
     endpoint among those whose half-sums are heavy.  Every removal is a
     down-set, so the remainder and all removed collections stay convex.
     """
-    pool, ks, m0s, m2s, ns = _pool(bitiles)
-    collection = tuple(pool)
-    if not pool:
+    K = F.resolution
+    member = _members(bitiles, K)
+    if member is None:
         return SelectionCertificate(
             (), (), ((), (), ()), slot, level, mode, _counting_tables([], F, slot, level)
         )
-    LE = _le_matrix(ks, m0s, m2s, ns)
-    _require_convex(ks, m0s, m2s, ns, LE)
-    LEJ = {
-        1: _le_half_matrix(ks, m0s, m2s, ns, 1),
-        -1: _le_half_matrix(ks, m0s, m2s, ns, -1),
-    }
-    lower, upper = _half_norms(pool, ks, m0s, m2s, ns, F, slot, mode)
-    areas = 4.0**ks
+    if not convex_scales(member):
+        raise ValueError("collection is not convex")
+    collection = tuple(scale_members(member))
+    lower, upper = _half_norms(F, slot, mode, member)
     threshold = 4.0 ** (-level) / 3.0
-    remaining = np.ones(len(pool), dtype=bool)
+    remaining = {k: m.copy() for k, m in member.items()}
 
-    def take_tree(q: int) -> Tree:
-        members_mask = LE[:, q] & remaining
-        members = tuple(pool[p] for p in np.nonzero(members_mask)[0])
-        remaining[members_mask] = False
-        return Tree(pool[q], members)
+    def take_tree(q: Bitile) -> Tree:
+        # down(q) at scale q.scale - d: the 2^d x 2^d spatial block under
+        # q at frequency index n_q >> d
+        members = []
+        for d in range(q.scale + K):
+            a0, a2, n = q.m0 << d, q.m2 << d, q.n >> d
+            block = remaining[q.scale - d][a0 : a0 + (1 << d), a2 : a2 + (1 << d), n]
+            members.extend(
+                Bitile(q.scale - d, a0 + i, a2 + i2, n)
+                for i, i2 in np.argwhere(block).tolist()
+            )
+            block[...] = False
+        return Tree(q, tuple(members))
 
     # phase 1: heavy bitiles, maximal ones first, coarsest to finest
-    heavy = (lower + upper) > threshold * areas
-    strict = LE.copy()
-    np.fill_diagonal(strict, False)
-    has_heavy_above = (strict & heavy[None, :]).any(axis=1)
-    tops1 = np.nonzero(heavy & ~has_heavy_above)[0]
-    forest1 = tuple(take_tree(int(q)) for q in tops1)
+    heavy = {
+        k: m & ((lower[k] + upper[k]) > threshold * 4.0**k) for k, m in member.items()
+    }
+    heavy_above = up_sums({k: h.astype(np.int64) for k, h in heavy.items()})
+    tops1 = {k: h & (heavy_above[k] == 1) for k, h in heavy.items()}
+    forest1 = tuple(take_tree(q) for q in scale_members(tops1))
 
     # phases 2 and 3: heavy half-tile sums over T_j, extremal endpoint first
     half_forests = []
@@ -399,29 +326,25 @@ def select_trees(
         contrib = upper if j == 1 else lower  # norm of P^{-j}
         picked = []
         while True:
-            scores = (LEJ[j] & remaining[:, None]).astype(float).T @ contrib
-            violating = remaining & (scores > threshold * areas)
-            if not violating.any():
+            weights = {k: contrib[k] * r for k, r in remaining.items()}
+            scores = half_down_sums(weights, j)
+            cand = []
+            for k, r in remaining.items():
+                idx = np.argwhere(r & (scores[k] > threshold * 4.0**k))
+                cand.append(np.column_stack((np.full(len(idx), k), idx)))
+            cand = np.concatenate(cand)
+            if not len(cand):
                 break
-            cand = np.nonzero(violating)[0]
+            ks, m0s, m2s, ns = cand.T
             if j == -1:
-                key = lambda q: (  # noqa: E731
-                    int(ns[q]) << (1 - int(ks[q])),
-                    int(ks[q]),
-                    int(m0s[q]),
-                    int(m2s[q]),
-                )
+                endpoint = ns << (1 - ks)
             else:
-                key = lambda q: (  # noqa: E731
-                    -((int(ns[q]) + 1) << (1 - int(ks[q]))),
-                    int(ks[q]),
-                    int(m0s[q]),
-                    int(m2s[q]),
-                )
-            picked.append(take_tree(int(min(cand, key=key))))
+                endpoint = -((ns + 1) << (1 - ks))
+            k, m0, m2, n = cand[np.lexsort((m2s, m0s, ks, endpoint))[0]].tolist()
+            picked.append(take_tree(Bitile(k, m0, m2, n)))
         half_forests.append(tuple(picked))
 
-    remainder = tuple(pool[p] for p in np.nonzero(remaining)[0])
+    remainder = tuple(scale_members(remaining))
     forests = (forest1, half_forests[0], half_forests[1])
     all_trees = [t for forest in forests for t in forest]
     counting = _counting_tables(all_trees, F, slot, level)
@@ -433,23 +356,11 @@ def select_trees(
 # -- verification ------------------------------------------------------------
 
 
-def _pairwise_disjoint_tiles(tiles: list[Tile]) -> bool:
-    """Tiles are phase-space disjoint exactly when no two are comparable."""
-    if not tiles:
-        return True
-    k = np.array([t.scale for t in tiles], dtype=np.int64)
-    m0 = np.array([t.m0 for t in tiles], dtype=np.int64)
-    m2 = np.array([t.m2 for t in tiles], dtype=np.int64)
-    n = np.array([t.n for t in tiles], dtype=np.int64)
-    d = k[None, :] - k[:, None]
-    up = d >= 0
-    ds = np.where(up, d, 0)
-    sp = (m0[:, None] >> ds == m0[None, :]) & (m2[:, None] >> ds == m2[None, :])
-    # spatially finer side must have the containing frequency interval
-    fr = n[None, :] >> ds == n[:, None]
-    cmp_ = up & sp & fr
-    np.fill_diagonal(cmp_, False)
-    return not bool(cmp_.any())
+def _incomparable(objs, resolution: int) -> bool:
+    """No two comparable and none repeated: each own down-set count is 1."""
+    X = scale_arrays(objs, resolution)
+    below = down_sums(X)
+    return all((below[k][x > 0] == 1).all() for k, x in X.items())
 
 
 def _tree_selected_halves(tree: Tree, j: int) -> list[Tile]:
@@ -491,39 +402,31 @@ def verify_certificate(
     check("partition-union", seen == set(cert.collection))
 
     # convexity of remainder and of each tree, tree tops dominate members
-    def convex_ok(coll):
-        if not coll:
-            return True
-        _, k, a, b, c = _pool(coll)
-        return _convex_arrays(k, a, b, c, _le_matrix(k, a, b, c))
-
-    check("remainder-convex", convex_ok(cert.remainder))
+    check("remainder-convex", is_convex(cert.remainder))
     trees_ok = all(
         t.top in t.members
         and all(le(P, t.top) for P in t.members)
-        and convex_ok(t.members)
+        and is_convex(t.members)
         for t in cert.trees
     )
     check("trees-convex-with-top", trees_ok)
 
     # phase 1 tops pairwise disjoint (as bitiles: no two comparable)
-    tops1 = [t.top for t in cert.forests[0]]
-    top_tiles = [Tile(b.scale, b.m0, b.m2, b.n) for b in tops1]
-    # bitile comparability matches tile comparability on the shared data
-    check("phase1-tops-disjoint", _pairwise_disjoint_tiles(top_tiles))
+    K = F.resolution
+    check("phase1-tops-disjoint", _incomparable([t.top for t in cert.forests[0]], K))
 
-    # phases 2, 3: selected opposite halves pairwise disjoint per phase
+    # phases 2, 3: selected opposite halves pairwise disjoint per phase; a
+    # tile at resolution K orders like the bitile with its indices at K + 1
     for forest, j, name in (
         (cert.forests[1], -1, "phase2-halves-disjoint"),
         (cert.forests[2], 1, "phase3-halves-disjoint"),
     ):
-        halves: list[Tile] = []
-        for t in forest:
-            halves.extend(_tree_selected_halves(t, j))
-        check(name, _pairwise_disjoint_tiles(halves))
+        halves = [h for t in forest for h in _tree_selected_halves(t, j)]
+        check(name, _incomparable(halves, K + 1))
 
-    # remainder size
-    rem_size = size(slot, cert.remainder, F, cert.mode) if cert.remainder else 0.0
+    # remainder size, read on any remainder (its convexity is checked above)
+    rem_member = _members(cert.remainder, K)
+    rem_size = 0.0 if rem_member is None else _size(rem_member, F, slot, cert.mode)
     target = 2.0 ** (-level)
     check(
         "remainder-size",
@@ -566,23 +469,21 @@ def verify_certificate(
 
 def _threshold_readings(cert, F, slot, level):
     """Max remainder half-sum ratios, linear and squared area readings."""
-    if not cert.remainder:
+    member = _members(cert.remainder, F.resolution)
+    if member is None:
         return {"halfsum_ratio_linear": 0.0, "halfsum_ratio_squared": 0.0}
-    pool, ks, m0s, m2s, ns = _pool(cert.remainder)
-    LEJ = {
-        1: _le_half_matrix(ks, m0s, m2s, ns, 1),
-        -1: _le_half_matrix(ks, m0s, m2s, ns, -1),
-    }
-    lower, upper = _half_norms(pool, ks, m0s, m2s, ns, F, slot, cert.mode)
-    areas = 4.0**ks
+    lower, upper = _half_norms(F, slot, cert.mode, member)
     threshold = 4.0 ** (-level) / 3.0
     worst_lin = 0.0
     worst_sq = 0.0
     for j in (-1, 1):
         contrib = upper if j == 1 else lower
-        scores = LEJ[j].astype(float).T @ contrib
-        worst_lin = max(worst_lin, float(np.max(scores / (threshold * areas))))
-        worst_sq = max(worst_sq, float(np.max(scores / (threshold * areas**2))))
+        scores = half_down_sums({k: contrib[k] * m for k, m in member.items()}, j)
+        for k, m in member.items():
+            if m.any():
+                s, area = scores[k][m], 4.0**k
+                worst_lin = max(worst_lin, float(np.max(s / (threshold * area))))
+                worst_sq = max(worst_sq, float(np.max(s / (threshold * area**2))))
     return {"halfsum_ratio_linear": worst_lin, "halfsum_ratio_squared": worst_sq}
 
 

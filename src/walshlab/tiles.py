@@ -6,6 +6,14 @@ frequency interval of length 2^-k, so each spatial/frequency pair has
 area one.  A bitile doubles the frequency side; its two half-tiles split
 that interval, j = +1 taking the lower half.
 
+At resolution K a bitile collection is one array per scale: scale k
+(1-K <= k <= 0) holds X[k][m0, m2, n], of shape (2^-k, 2^-k, 2^(K+k-1)).
+The bitiles one scale below a top q are exactly its four spatial children
+with frequency index n_q >> 1, and their down-sets partition
+down(q) minus q; dually the bitiles one scale above P are its spatial
+parent with index 2 n_P or 2 n_P + 1, and their up-sets partition up(P)
+minus P.  So every down-set or up-set sum is one pass across the scales.
+
 Slot projections act on one argument slot of a trilinear form: slots 0
 and 2 project a fiber onto the wave packet of the tile, slot 1 localizes
 the data fiber in frequency according to the mode (a fixed carry-less
@@ -21,7 +29,7 @@ import numpy as np
 
 from .gridfn import GridFunction2D, _interval_slice
 from .walsh import DyadicInterval, WalshNumber, _clmul
-from .wavelets import coefficient_rows, synthesis_rows
+from .wavelets import project_rows, synthesis_rows
 
 
 @dataclass(frozen=True)
@@ -114,21 +122,93 @@ def all_bitiles(resolution: int) -> list[Bitile]:
     return out
 
 
+def scale_arrays(bitiles: Iterable[Bitile], resolution: int) -> dict[int, np.ndarray]:
+    """Multiplicity of every bitile at the resolution, one array per scale.
+
+    A bitile that does not fit the resolution (scale below 1 - K, not
+    localized, or frequency beyond 2^K) raises ValueError.
+    """
+    K = resolution
+    X = {
+        k: np.zeros((1 << -k, 1 << -k, 1 << (K + k - 1)), dtype=np.int64)
+        for k in range(1 - K, 1)
+    }
+    for p in bitiles:
+        if p.scale < 1 - K or not p.is_localized() or p.n >> (K + p.scale - 1):
+            raise ValueError("bitile does not fit the resolution")
+        X[p.scale][p.m0, p.m2, p.n] += 1
+    return X
+
+
+def scale_members(X: dict[int, np.ndarray]) -> list[Bitile]:
+    """Bitiles with a nonzero entry, coarsest scale first, then m0, m2, n."""
+    return [
+        Bitile(k, m0, m2, n)
+        for k in sorted(X, reverse=True)
+        for m0, m2, n in np.argwhere(X[k]).tolist()
+    ]
+
+
+def down_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """D[q] = sum of X[p] over the bitiles p <= q, finest scale first."""
+    D: dict[int, np.ndarray] = {}
+    for k in sorted(X):
+        D[k] = X[k].copy()
+        if k - 1 in D:
+            nb = D[k].shape[0]
+            children = D[k - 1].reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
+            D[k] += np.repeat(children, 2, axis=2)
+    return D
+
+
+def up_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """U[p] = sum of X[q] over the bitiles q >= p, coarsest scale first."""
+    U: dict[int, np.ndarray] = {}
+    for k in sorted(X, reverse=True):
+        U[k] = X[k].copy()
+        if k + 1 in U:
+            nb, _, nf = U[k + 1].shape
+            parents = U[k + 1].reshape(nb, nb, nf // 2, 2).sum(axis=3)
+            U[k] += np.repeat(np.repeat(parents, 2, axis=0), 2, axis=1)
+    return U
+
+
+def half_down_sums(X: dict[int, np.ndarray], j: int) -> dict[int, np.ndarray]:
+    """S[q] = sum of X[p] over the bitiles p with p.half(j) <= q.
+
+    p.half(j) <= q exactly when the bitile r one scale above p with index
+    n_r = 2 n_p + (0 if j == 1 else 1) satisfies r <= q; so each value is
+    lifted onto that r before the down-set recursion.
+    """
+    lifted = {k: np.zeros_like(x) for k, x in X.items()}
+    for k, x in X.items():
+        if k + 1 in lifted:
+            nb = x.shape[0] // 2
+            parent = x.reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
+            lifted[k + 1][:, :, (0 if j == 1 else 1) :: 2] = parent
+    return down_sums(lifted)
+
+
+def convex_scales(X: dict[int, np.ndarray]) -> bool:
+    """No bitile outside the support lies both above and below a member."""
+    member = {k: (x > 0).astype(np.int64) for k, x in X.items()}
+    below, above = down_sums(member), up_sums(member)
+    return not any(
+        ((below[k] > 0) & (above[k] > 0) & (member[k] == 0)).any() for k in X
+    )
+
+
 def is_convex(bitiles: Iterable[Bitile]) -> bool:
-    """Closed under the unique intermediates of every comparable pair."""
+    """Closed under the intermediates of every comparable pair.
+
+    Evaluated on the per-scale arrays of the smallest resolution that
+    holds every member, so the members must be localized.
+    """
     coll = set(bitiles)
-    for p in coll:
-        for q in coll:
-            if p.scale >= q.scale or not le(p, q):
-                continue
-            for mid in range(p.scale + 1, q.scale):
-                d = mid - p.scale
-                inter = Bitile(
-                    mid, p.m0 >> d, p.m2 >> d, q.n >> (q.scale - mid)
-                )
-                if inter not in coll:
-                    return False
-    return True
+    if not coll:
+        return True
+    K = max(p.n.bit_length() + 1 - p.scale for p in coll)
+    return convex_scales(scale_arrays(coll, K))
 
 
 def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
@@ -311,12 +391,6 @@ def diagonal_region(p: TileLike, a: WalshNumber, resolution: int) -> np.ndarray:
     )
 
 
-def _project_rows(rows: np.ndarray, bk: int, mask: np.ndarray) -> np.ndarray:
-    c = coefficient_rows(rows, bk)
-    c[:, ~mask] = 0.0
-    return synthesis_rows(c, bk)
-
-
 def _check_tile(p: TileLike, resolution: int) -> None:
     if p.scale < -resolution:
         raise ValueError("interval below resolution")
@@ -335,7 +409,7 @@ def _proj_diagonal_region(
     sl0 = _interval_slice(p.time_interval(0), K)
     mask = diagonal_region(p, a, K)
     out = GridFunction2D.zeros(K)
-    out.values[sl2, sl0] = _project_rows(F.values[sl2, sl0].T, K + p.scale, mask).T
+    out.values[sl2, sl0] = project_rows(F.values[sl2, sl0].T, K + p.scale, mask).T
     return out
 
 
@@ -358,14 +432,14 @@ def proj_tile(
         sl2 = _interval_slice(tile.time_interval(2), K)
         mask = np.zeros(1 << bk, dtype=bool)
         mask[tile.n] = True
-        out.values[sl1, sl2] = _project_rows(F.values[sl1, sl2].T, bk, mask).T
+        out.values[sl1, sl2] = project_rows(F.values[sl1, sl2].T, bk, mask).T
         return out
     if slot == 2:
         sl0 = _interval_slice(tile.time_interval(0), K)
         sl1 = _interval_slice(tile.time_interval(1), K)
         mask = np.zeros(1 << bk, dtype=bool)
         mask[tile.n] = True
-        out.values[sl0, sl1] = _project_rows(F.values[sl0, sl1], bk, mask)
+        out.values[sl0, sl1] = project_rows(F.values[sl0, sl1], bk, mask)
         return out
     if slot != 1:
         raise ValueError("slot must be 0, 1, or 2")
@@ -430,9 +504,9 @@ def _proj_diagonal_span(
             p = bitiles[i]
             bk = K + p.scale
             sl2 = _interval_slice(p.time_interval(2), K)
-            gram[sl2, sl2] += _project_rows(
-                np.eye(1 << bk), bk, diagonal_region(p, a, K)
-            )
+            # the region projector: 2^-bk times the sum of its packets' outer products
+            packets = synthesis_rows(np.eye(1 << bk)[diagonal_region(p, a, K)], bk)
+            gram[sl2, sl2] += 2.0**-bk * (packets.T @ packets)
         # a zero diagonal entry of a positive semidefinite matrix is a zero row
         rows = np.flatnonzero(np.diagonal(gram) > 0.0)
         if rows.size == 0:

@@ -121,20 +121,19 @@ def fwht_synthesis(coeffs: GridFunction1D) -> GridFunction1D:
 # -- blockwise projections ---------------------------------------------------
 
 
-def _block_project_rows(
-    rows: np.ndarray, sl: slice, mask: np.ndarray, block_resolution: int
+def project_rows(
+    rows: np.ndarray, block_resolution: int, mask: np.ndarray
 ) -> np.ndarray:
-    """Project each row onto span{area-1 packets over the block} in mask.
+    """Project each row onto span{area-1 packets over its block} in mask.
 
-    `rows` is (count, 2^K); the block slice has length 2^block_resolution.
-    Phases of the left endpoint cancel between analysis and synthesis, so
-    the masked local transform needs no global phase bookkeeping.
+    `rows` is (count, 2^block_resolution), one block per row: analyse,
+    zero the coefficients outside the mask, synthesise.  Phases of the
+    left endpoint cancel between analysis and synthesis, so the masked
+    local transform needs no global phase bookkeeping.
     """
-    out = np.zeros_like(rows, dtype=np.float64)
-    local = coefficient_rows(rows[:, sl], block_resolution)
-    local[:, ~mask] = 0.0
-    out[:, sl] = synthesis_rows(local, block_resolution)
-    return out
+    c = coefficient_rows(rows, block_resolution)
+    c[:, ~mask] = 0.0
+    return synthesis_rows(c, block_resolution)
 
 
 def _local_cells(time: DyadicInterval, freq: DyadicInterval, resolution: int):
@@ -174,7 +173,9 @@ def project_tile_1d(
         return out
     mask = np.zeros(1 << bk, dtype=bool)
     mask[lo:hi] = True
-    return GridFunction1D(K, _block_project_rows(f.values[None, :], sl, mask, bk)[0])
+    out = GridFunction1D.zeros(K)
+    out.values[sl] = project_rows(f.values[None, sl], bk, mask)[0]
+    return out
 
 
 def project_region_1d(
@@ -199,4 +200,6 @@ def project_region_1d(
         if coset_membership(xi, multiplier, freq, granularity=-K):
             mask[nu] = True
     sl = _interval_slice(time, K)
-    return GridFunction1D(K, _block_project_rows(f.values[None, :], sl, mask, bk)[0])
+    out = GridFunction1D.zeros(K)
+    out.values[sl] = project_rows(f.values[None, sl], bk, mask)[0]
+    return out

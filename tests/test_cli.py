@@ -1,6 +1,10 @@
 """Command line harness: config handling, reports, transforms, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,29 @@ class TestTransform:
     def test_wrong_input_count(self, tmp_path):
         src = write_matrix(tmp_path / "f.csv", np.ones(8))
         assert run_main(["transform", "lambda", src, "--out", tmp_path]) == 2
+
+
+class TestTopResolution:
+    def test_certificates_at_k8_fit_in_memory(self, tmp_path):
+        # a dense order over the 32640 bitiles of K = 8 needs about 8 GiB
+        cfg = write_config(tmp_path, "resolution=8\ntrials=1\n")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "walshlab.cli", "verify", "--config", cfg,
+                 "--suite", "certificates", "--out", str(tmp_path)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+            )
+            _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, (tmp_path / "stderr.txt").read_text()
+        assert usage.ru_maxrss < 1024 * 1024  # kilobytes: under 1 GB
+        summary = (tmp_path / "verify_summary.txt").read_text()
+        assert "certificates: 2/2 passed" in summary
 
 
 class TestCover:

@@ -1,10 +1,10 @@
 """Tree selection tests.
 
 Projection-norm tables are checked against explicitly formed projections,
-the vectorized partial order against the scalar one, and the size
-functional against exhaustive enumeration of every sub-tree of small
-collections.  Selection certificates are validated end to end, then
-mutated to confirm the verifier rejects.
+the per-scale down-set, up-set and half-tile sums against the scalar
+order, and the size functional against exhaustive enumeration of every
+sub-tree of small collections.  Selection certificates are validated end
+to end, then mutated to confirm the verifier rejects, one check at a time.
 """
 
 import dataclasses
@@ -17,10 +17,7 @@ from walshlab.gridfn import GridFunction2D
 from walshlab.selection import (
     SelectionCertificate,
     Tree,
-    _convex_arrays,
-    _le_half_matrix,
-    _le_matrix,
-    _pool,
+    _counting_tables,
     select_trees,
     single_tree_report,
     size,
@@ -33,11 +30,16 @@ from walshlab.tiles import (
     Tile,
     all_bitiles,
     down_set,
+    down_sums,
+    half_down_sums,
     is_convex,
     le,
     proj_bitile,
     proj_collection,
     proj_tile,
+    scale_arrays,
+    scale_members,
+    up_sums,
 )
 from walshlab.walsh import WalshNumber
 
@@ -81,7 +83,7 @@ class TestNormTables:
                     int(rng.integers(1 << (K + k))),
                 )
                 want = proj_tile(t, slot, F, mode).norm(2) ** 2
-                got = table[(t.scale, t.m0, t.m2, t.n)]
+                got = table[t.scale][t.m0, t.m2, t.n]
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_slot1_requires_mode(self):
@@ -100,34 +102,87 @@ class TestNormTables:
 
 
 class TestVectorizedOrder:
-    def test_le_matrices_match_scalar(self):
+    def test_scale_sums_match_scalar(self):
         K = 4
-        pool, k, m0, m2, n = _pool(all_bitiles(K))
+        pool = all_bitiles(K)
         rng = np.random.default_rng(4)
-        idx = rng.integers(0, len(pool), size=(300, 2))
-        LE = _le_matrix(k, m0, m2, n)
-        LEp = _le_half_matrix(k, m0, m2, n, 1)
-        LEm = _le_half_matrix(k, m0, m2, n, -1)
-        for p, q in idx:
-            assert LE[p, q] == le(pool[p], pool[q])
-            assert LEp[p, q] == le(pool[p].half(1), pool[q])
-            assert LEm[p, q] == le(pool[p].half(-1), pool[q])
+        value = {p: float(v) for p, v in zip(pool, rng.normal(size=len(pool)))}
+        X = {k: x.astype(float) for k, x in scale_arrays([], K).items()}
+        for p, v in value.items():
+            X[p.scale][p.m0, p.m2, p.n] = v
+        sums = {
+            "down": (down_sums(X), le),
+            "up": (up_sums(X), lambda p, q: le(q, p)),
+            "half+1": (half_down_sums(X, 1), lambda p, q: le(p.half(1), q)),
+            "half-1": (half_down_sums(X, -1), lambda p, q: le(p.half(-1), q)),
+        }
+        for name, (got, rel) in sums.items():
+            for q in pool:
+                want = sum(value[p] for p in pool if rel(p, q))
+                assert got[q.scale][q.m0, q.m2, q.n] == pytest.approx(
+                    want, rel=1e-12, abs=1e-12
+                ), (name, q)
+
+    def test_scale_members_order_and_multiplicity(self):
+        K = 4
+        pool = all_bitiles(K)
+        rng = np.random.default_rng(6)
+        picks = [pool[i] for i in rng.integers(len(pool), size=40)]
+        X = scale_arrays(picks, K)
+        for p in set(picks):
+            assert X[p.scale][p.m0, p.m2, p.n] == picks.count(p)
+        assert scale_members(X) == sorted(
+            set(picks), key=lambda b: (-b.scale, b.m0, b.m2, b.n)
+        )
+        assert sum(int(x.sum()) for x in X.values()) == len(picks)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Bitile(-4, 0, 0, 0),  # below the finest bitile scale
+            Bitile(-1, 2, 0, 0),  # not localized
+            Bitile(-1, 0, 0, 4),  # frequency beyond 2^K
+            Bitile(0, 0, 0, 8),
+        ],
+    )
+    def test_scale_arrays_rejects_misfits(self, bad):
+        with pytest.raises(ValueError, match="does not fit"):
+            scale_arrays([bad], 4)
 
     def test_convexity_matches_reference(self):
         K = 4
         full = all_bitiles(K)
+
+        def brute(coll):
+            # convex: no outside b with p <= b <= q for members p, q
+            return not any(
+                b not in coll
+                and any(le(p, b) for p in coll)
+                and any(le(b, q) for q in coll)
+                for b in full
+            )
+
         rng = np.random.default_rng(5)
-        for trial in range(12):
-            tops = [full[rng.integers(len(full))] for _ in range(2)]
-            coll = set()
-            for t in tops:
-                coll |= down_set(full, t)
-            if trial % 3 == 0 and len(coll) > 2:
-                # puncture to (usually) break convexity
-                coll = set(sorted(coll, key=lambda b: (b.scale, b.m0, b.m2, b.n))[1:])
-            _, k, a, b, c = _pool(coll)
-            fast = _convex_arrays(k, a, b, c, _le_matrix(k, a, b, c))
-            assert fast == is_convex(coll)
+        seen = set()
+        for trial in range(24):
+            if trial % 3 == 0:
+                coll = {p for p in full if rng.random() < 0.1}
+            else:
+                coll = set()
+                for _ in range(2):
+                    coll |= down_set(full, full[rng.integers(len(full))])
+            middle = [
+                b for b in coll
+                if any(le(p, b) and p != b for p in coll)
+                and any(le(b, q) and q != b for q in coll)
+            ]
+            if trial % 3 == 2 and middle:
+                # removing a member between two others breaks convexity
+                coll.discard(middle[rng.integers(len(middle))])
+            want = brute(coll)
+            seen.add(want)
+            assert is_convex(coll) == want
+        assert seen == {True, False}
 
 
 def all_trees(collection):
@@ -275,6 +330,66 @@ class TestSelectTrees:
         assert mutated is not None
         ok, _ = verify_certificate(mutated, F)
         assert not ok
+
+
+class TestCertificateChecks:
+    """Hand-built certificates, each failing exactly one named check.
+
+    F = 0.3 on the whole grid keeps every small remainder's size at most
+    0.3 < 2^-1 and every test box's bound (3.24 times the box area) above
+    the tree areas used here, so only the mutated check can fail.
+    """
+
+    F = GridFunction2D(4, np.full((16, 16), 0.3))
+
+    def failed(self, forests, remainder=()):
+        trees = [t for forest in forests for t in forest]
+        collection = tuple(remainder) + tuple(p for t in trees for p in t.members)
+        counting = _counting_tables(trees, self.F, 0, 1)
+        cert = SelectionCertificate(
+            collection, tuple(remainder), forests, 0, 1, None, counting
+        )
+        ok, report = verify_certificate(cert, self.F)
+        names = {name for name, passed, _ in report["checks"] if not passed}
+        assert ok == (not names)
+        return names
+
+    def test_remainder_convex(self):
+        p, b, q = Bitile(-2, 0, 0, 0), Bitile(-1, 0, 0, 0), Bitile(0, 0, 0, 0)
+        assert self.failed(((), (), ()), (q, b, p)) == set()
+        # b leaves the remainder although p <= b <= q stay
+        assert self.failed(((Tree(b, (b,)),), (), ()), (q, p)) == {"remainder-convex"}
+
+    def test_phase1_tops_disjoint(self):
+        q, b = Bitile(0, 0, 0, 0), Bitile(-1, 0, 0, 0)
+        assert self.failed(((Tree(q, (q,)),), (), ())) == set()
+        assert self.failed(((Tree(q, (q,)), Tree(b, (b,))), (), ())) == {
+            "phase1-tops-disjoint"
+        }
+
+    def test_phase1_repeated_top(self):
+        # a repeated top is a repeated member as well
+        b = Bitile(-1, 0, 0, 0)
+        assert self.failed(((Tree(b, (b,)), Tree(b, (b,))), (), ())) == {
+            "partition-disjoint",
+            "phase1-tops-disjoint",
+        }
+
+    def test_phase2_halves_disjoint(self):
+        # selected upper halves Tile(-1, 0, 0, 0) and Tile(-2, 0, 0, 0) nest
+        t1 = Tree(Bitile(0, 0, 0, 1), (Bitile(0, 0, 0, 1), Bitile(-1, 0, 0, 0)))
+        t2 = Tree(Bitile(-1, 0, 0, 1), (Bitile(-1, 0, 0, 1), Bitile(-2, 0, 0, 0)))
+        assert self.failed(((), (t1,), ())) == set()
+        assert self.failed(((), (t1, t2), ())) == {"phase2-halves-disjoint"}
+        assert self.failed(((), (), (t1, t2))) == set()
+
+    def test_phase3_halves_disjoint(self):
+        # selected lower halves Tile(-1, 0, 0, 3) and Tile(-2, 0, 0, 1) nest
+        t1 = Tree(Bitile(0, 0, 0, 2), (Bitile(0, 0, 0, 2), Bitile(-1, 0, 0, 1)))
+        t2 = Tree(Bitile(-1, 0, 0, 0), (Bitile(-1, 0, 0, 0), Bitile(-2, 0, 0, 0)))
+        assert self.failed(((), (), (t1,))) == set()
+        assert self.failed(((), (), (t1, t2))) == {"phase3-halves-disjoint"}
+        assert self.failed(((), (t1, t2), ())) == set()
 
 
 class TestSingleTreeReport:
