@@ -69,7 +69,6 @@ from .triform import (
     telescoping_profile,
 )
 from .walsh import WalshNumber
-from .wavelets import walsh_fn
 
 TOL = 1e-9
 REPORT_HEADER = ("suite", "case_id", "lhs", "rhs", "ratio", "pass")
@@ -677,13 +676,12 @@ def run_transform(cfg: Config, op: str, inputs: Sequence[str], out_dir: str) -> 
     elif op == "maxmod":
         _expect_inputs(op, inputs, 1)
         f = _as_1d(inputs[0], _read_matrix(inputs[0]))
-        K = f.resolution
-        weights = constant_interval_weights(K)
-        best = np.zeros(1 << K)
-        for nu in range(1 << K):  # true argmax over every frequency
-            w = walsh_fn(nu, K)
-            g = haar_multiplier(weights, w * f)
-            np.maximum(best, np.abs(w.values * g.values), out=best)
+        weights = constant_interval_weights(f.resolution)
+        n = f.values.size
+        best = np.zeros(n)
+        for nu in range(n):  # true argmax over every frequency
+            g = max_mod_haar(weights, np.full(n, nu), f)
+            np.maximum(best, np.abs(g.values), out=best)
         out = best[None, :]
     elif op == "lk":
         _expect_inputs(op, inputs, 1)

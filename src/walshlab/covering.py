@@ -94,17 +94,20 @@ class Parallelogram:
         cols = np.arange(c_lo, int(round(self.x_right * n)))
         x = (cols + 0.5) / n
         lo = self.base_y + self.slope * (x - self.x_left)
-        y_lo = np.clip(np.ceil(lo * n - 0.5), 0, n).astype(np.int64)
-        y_hi = np.clip(np.ceil((lo + self.height) * n - 0.5), 0, n).astype(
-            np.int64
-        )
+        edges = np.ceil((lo + np.array([[0.0], [self.height]])) * n - 0.5)
+        y_lo, y_hi = edges.clip(0, n).astype(np.int64)
         return cols, y_lo, np.maximum(y_hi, y_lo)
+
+    def column_mask(self, n: int):
+        """Column indices with the cells of R in each, as a (columns, n) mask."""
+        cols, y_lo, y_hi = self.grid_cells(n)
+        rows = np.arange(n)
+        return cols, (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
 
     def mask(self, n: int) -> np.ndarray:
         out = np.zeros((n, n), dtype=bool)
-        cols, y_lo, y_hi = self.grid_cells(n)
-        for c, a, b in zip(cols, y_lo, y_hi):
-            out[c, a:b] = True
+        cols, m = self.column_mask(n)
+        out[cols] = m
         return out
 
 
@@ -180,46 +183,44 @@ class SlopeField:
         return r.length * self.lipschitz <= DENSITY_SLOPE_BOUND
 
 
+def _e_cells(r: Parallelogram, u: SlopeField):
+    """Shadow columns, the cells of R in them, and those of E(R)."""
+    cols, m = r.column_mask(u.n)
+    lo, hi = r.uncertainty
+    seg = u.values[cols]
+    return cols, m, m & (seg >= lo) & (seg <= hi)
+
+
 def e_set(r: Parallelogram, u: SlopeField) -> np.ndarray:
     """Cells of R whose slope value lies in the uncertainty interval."""
-    lo, hi = r.uncertainty
     out = np.zeros((u.n, u.n), dtype=bool)
-    cols, y_lo, y_hi = r.grid_cells(u.n)
-    for c, a, b in zip(cols, y_lo, y_hi):
-        seg = u.values[c, a:b]
-        out[c, a:b] = (seg >= lo) & (seg <= hi)
+    cols, _, e = _e_cells(r, u)
+    out[cols] = e
     return out
 
 
 def density(r: Parallelogram, u: SlopeField) -> float:
     """|E(R)| / |R| in grid cells; vacuously 1 for a cell-free R."""
-    cols, y_lo, y_hi = r.grid_cells(u.n)
-    total = int((y_hi - y_lo).sum())
-    if total == 0:
-        return 1.0
-    lo, hi = r.uncertainty
-    good = 0
-    for c, a, b in zip(cols, y_lo, y_hi):
-        seg = u.values[c, a:b]
-        good += int(((seg >= lo) & (seg <= hi)).sum())
-    return good / total
+    _, m, e = _e_cells(r, u)
+    total = int(m.sum())
+    return int(e.sum()) / total if total else 1.0
 
 
 def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
     """Best sum of values minus threshold over vertical intervals through each cell.
 
-    A best-subarray question per column, solved by forward and backward
-    running sums; the vertical maximal function reaches the threshold
-    exactly where the margin is nonnegative.
+    With g = values - threshold and S its running sum along a column
+    (S[0] = 0), the best interval ending at cell y sums to
+    S[y+1] - min(S[i], i <= y) and the best one starting at y to
+    max(S[k], k > y) - S[y]; the best through y is their sum minus g[y].
+    Columns are independent.  The vertical maximal function reaches the
+    threshold exactly where the margin is nonnegative.
     """
     g = np.asarray(values, dtype=np.float64) - threshold
-    n = g.shape[1]
-    fwd = g.copy()
-    for j in range(1, n):
-        fwd[:, j] += np.maximum(fwd[:, j - 1], 0.0)
-    bwd = g.copy()
-    for j in range(n - 2, -1, -1):
-        bwd[:, j] += np.maximum(bwd[:, j + 1], 0.0)
+    s = np.zeros((g.shape[0], g.shape[1] + 1))
+    np.cumsum(g, axis=1, out=s[:, 1:])
+    fwd = s[:, 1:] - np.minimum.accumulate(s[:, :-1], axis=1)
+    bwd = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1] - s[:, :-1]
     return fwd + bwd - g
 
 
@@ -271,11 +272,13 @@ def greedy_cover(
     Repeatedly selects a remaining parallelogram of maximal shadow length
     (ties: larger height, then input order) and removes everything whose
     cells all sit where the vertical maximal function of the selection's
-    7-fold height-dilates reaches 1e-4.  The trace records, per removed
-    input, a certified lower bound on that maximal function over its
-    cells.  When delta is given, inputs failing the density condition
-    |E(R)| >= delta |R| are reported in the trace and still processed:
-    the precondition is the caller's, not repaired here.
+    7-fold height-dilates reaches 1e-4.  The margin field is kept across
+    steps: a pick changes the dilate field only on its shadow's columns,
+    and columns are independent, so only those are rescanned.  The trace
+    records, per removed input, a certified lower bound on that maximal
+    function over its cells.  When delta is given, inputs failing the
+    density condition |E(R)| >= delta |R| are reported in the trace and
+    still processed: the precondition is the caller's, not repaired here.
     """
     n = u.n
     failures: List[int] = []
@@ -287,9 +290,10 @@ def greedy_cover(
             for i, r in enumerate(parallelograms)
             if density(r, u) < delta
         ]
-    cells = [r.grid_cells(n) for r in parallelograms]
+    cells = [r.column_mask(n) for r in parallelograms]
     stock = list(range(len(parallelograms)))
     field = np.zeros((n, n))
+    best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
     selected: List[int] = []
     steps: List[CoverStep] = []
     while stock:
@@ -302,28 +306,18 @@ def greedy_cover(
             ),
         )
         selected.append(pick)
-        cols, y_lo, y_hi = parallelograms[pick].height_dilate(7.0).grid_cells(n)
-        for c, a, b in zip(cols, y_lo, y_hi):
-            field[c, a:b] += 1.0
-        best = _vertical_margin(field, VERTICAL_THRESHOLD)
-        outside = np.zeros((n, n + 1))
-        outside[:, 1:] = np.cumsum(best < 0.0, axis=1)
+        cols, m = parallelograms[pick].height_dilate(7.0).column_mask(n)
+        field[cols] += m
+        best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
         removed = []
         witnesses = []
-        for i in list(stock):
-            cols_i, lo_i, hi_i = cells[i]
-            if int((outside[cols_i, hi_i] - outside[cols_i, lo_i]).sum()):
+        for i in stock:
+            cols_i, m_i = cells[i]
+            margin = np.min(best[cols_i], where=m_i, initial=np.inf)
+            if margin < 0.0:
                 continue
             removed.append(i)
-            margin = min(
-                (
-                    best[c, a:b].min()
-                    for c, a, b in zip(cols_i, lo_i, hi_i)
-                    if b > a
-                ),
-                default=np.inf,
-            )
-            witnesses.append(VERTICAL_THRESHOLD + max(margin, 0.0) / n)
+            witnesses.append(VERTICAL_THRESHOLD + margin / n)
         stock = [i for i in stock if i not in set(removed)]
         steps.append(CoverStep(pick, tuple(removed), tuple(witnesses)))
     chosen = [parallelograms[i] for i in selected]
@@ -500,14 +494,13 @@ def lk_maximal(
     n = 1 << f.resolution
     out = np.zeros((n, n))
     for r in parallelograms:
-        cols, y_lo, y_hi = r.grid_cells(n)
-        count = int((y_hi - y_lo).sum())
+        cols, m = r.column_mask(n)
+        count = int(m.sum())
         if count == 0:
             continue
         total = 0.0
-        for c, a, b in zip(cols, y_lo, y_hi):
-            total += f.values[c, a:b].sum()
+        for c, cells in zip(cols, m):  # per-column sums fix the rounding
+            total += f.values[c, cells].sum()
         avg = total / count
-        for c, a, b in zip(cols, y_lo, y_hi):
-            np.maximum(out[c, a:b], avg, out=out[c, a:b])
+        out[cols] = np.where(m, np.maximum(out[cols], avg), out[cols])
     return GridFunction2D(f.resolution, out)

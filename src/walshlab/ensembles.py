@@ -124,13 +124,13 @@ def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeFi
     constant, and minima and clipping never increase it.
     """
     x = (np.arange(n) + 0.5) / n
-    px = x[:, None, None]
-    py = x[None, :, None]
-    ax = rng.random(anchors)[None, None, :]
-    ay = rng.random(anchors)[None, None, :]
-    base = rng.uniform(-1.0, 1.0, anchors)[None, None, :]
-    dist = np.hypot(px - ax, py - ay)
-    v = np.min(base + lipschitz * dist, axis=2)
+    ax = rng.random(anchors)
+    ay = rng.random(anchors)
+    base = rng.uniform(-1.0, 1.0, anchors)
+    v = np.full((n, n), np.inf)
+    for b, cx, cy in zip(base, ax, ay):
+        dist = np.hypot(x[:, None] - cx, x[None, :] - cy)
+        np.minimum(v, b + lipschitz * dist, out=v)
     return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
 
 

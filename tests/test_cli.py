@@ -1,6 +1,7 @@
 """Command line harness: config handling, reports, transforms, exit codes."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -189,6 +190,23 @@ class TestTransform:
         best = np.loadtxt(tmp_path / "transform_maxmod.csv", delimiter=",")
         assert np.all(best >= np.abs(plain) - 1e-12)
 
+    @pytest.mark.parametrize(
+        "op, digest",
+        [
+            ("maxmod", "ee98f954da50d2b722363436bcc3318c08144f4d2cc483fb7abb59f46bf09b7d"),
+            ("lk", "9e2611a472fb3105c320571d7ae08742b6d8bce145615e202addb69782b1a0fd"),
+        ],
+    )
+    def test_output_bytes_pinned(self, tmp_path, op, digest):
+        # pinned output bytes on a fixed input: any change in either
+        # operator's arithmetic or summation order shows here
+        rng = np.random.default_rng(12)
+        inputs = {"maxmod": rng.normal(size=32), "lk": np.abs(rng.normal(size=(16, 16)))}
+        src = write_matrix(tmp_path / f"{op}.csv", inputs[op])
+        assert run_main(["transform", op, src, "--out", tmp_path]) == 0
+        data = (tmp_path / f"transform_{op}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_lambda_matches_direct_evaluation(self, tmp_path):
         rng = np.random.default_rng(3)
         K = 3
@@ -281,6 +299,20 @@ class TestCover:
         for line in report[1:]:
             if "_uncovered" in line:
                 assert line.split(",")[2] == "0"
+
+    def test_benchmark_reports_match_reference_digests(self, tmp_path):
+        # the cover-g256 benchmark workload on seed 0, against the digests
+        # the benchmark harness checks every process's reports with
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
+        want = json.loads(ref.read_text())["cover-g256"]["0"]
+        cfg = write_config(tmp_path, "grid=256\ntrials=96\n")
+        assert run_main(["cover", "--config", cfg, "--seed", 0, "--out", tmp_path]) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in want
+        }
+        assert got == want
+        assert set(want) == {"cover_report.csv", "cover_selected.csv"}
 
     def test_bad_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "delta=0\n")

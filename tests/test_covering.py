@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from walshlab.covering import (
+    VERTICAL_THRESHOLD,
     CoverTrace,
     ExpandedParallelogram,
     Parallelogram,
@@ -19,6 +20,7 @@ from walshlab.covering import (
     uncertainty_overlap,
     vertical_maximal,
     vertical_superlevel,
+    _vertical_margin,
 )
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
@@ -91,6 +93,54 @@ class TestParallelogram:
             make(-5, 0, 0.0, 0.0, 1.0).grid_cells(16)
 
 
+def random_members(rng, n, count):
+    """Random parallelograms, among them empty ones and ones clipped at y = 0, 1."""
+    rs = []
+    for k in range(count):
+        scale = int(rng.integers(-(n.bit_length() - 1), 1))
+        height = float(rng.uniform(0.0, 0.6)) if k % 4 else 0.0
+        base = float(rng.uniform(-0.5, 1.2))
+        if k % 5 == 1:
+            base = -float(rng.uniform(0.0, 0.3))  # clipped at y = 0
+        if k % 5 == 2:
+            base = 1.0 - 0.5 * height  # clipped at y = 1
+        rs.append(
+            make(
+                scale,
+                int(rng.integers(0, 1 << -scale)),
+                base,
+                float(rng.uniform(-1, 1)),
+                height,
+            )
+        )
+    return rs
+
+
+class TestCellSetsAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mask_e_set_and_density(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 16
+        u = SlopeField(rng.uniform(-1, 1, (n, n)))
+        rs = random_members(rng, n, 40)
+        empty = clipped_lo = clipped_hi = 0
+        for r in rs:
+            m = brute_mask(r, n)
+            lo, hi = r.uncertainty
+            e = m & (u.values >= lo) & (u.values <= hi)
+            assert np.array_equal(r.mask(n), m)
+            assert np.array_equal(e_set(r, u), e)
+            want = e.sum() / m.sum() if m.any() else 1.0
+            assert density(r, u) == want
+            cols, cm = r.column_mask(n)
+            assert np.array_equal(cm, m[cols])
+            assert not m[np.setdiff1d(np.arange(n), cols)].any()
+            empty += not m.any()
+            clipped_lo += bool(m[:, 0].any()) and r.base_y < 0.0
+            clipped_hi += bool(m[:, -1].any()) and r.base_y + r.height > 1.0
+        assert empty and clipped_lo and clipped_hi
+
+
 class TestSlopeField:
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
@@ -129,6 +179,13 @@ class TestESet:
         assert not e_set(r, u).any()
         assert density(r, u) == 0.0
 
+    def test_uncertainty_endpoints_are_inside(self):
+        r = make(-1, 0, 0.1, 0.2, 0.1)
+        for end in r.uncertainty:
+            u = SlopeField.constant(16, end)
+            assert np.array_equal(e_set(r, u), r.mask(16))
+            assert density(r, u) == 1.0
+
     def test_linear_field_strip_fraction(self):
         # u(x, y) = y against a slope-0 box [0,1) x [1/4, 3/4): the
         # uncertainty interval [-1/2, 1/2] admits exactly the lower half.
@@ -158,6 +215,51 @@ class TestVerticalMaximal:
             sup = vertical_superlevel(v, t)
             clear = np.abs(mv - t) > 1e-9
             assert np.array_equal(sup[clear], (mv >= t)[clear])
+
+
+def brute_margin(values, threshold):
+    """Best sum of values minus threshold over column intervals through each cell."""
+    g = np.asarray(values, dtype=np.float64) - threshold
+    n_cols, n = g.shape
+    out = np.full(g.shape, -np.inf)
+    for c in range(n_cols):
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                out[c, a:b] = np.maximum(out[c, a:b], g[c, a:b].sum())
+    return out
+
+
+class TestVerticalMargin:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("threshold", [1e-4, 0.1, 0.8])
+    def test_matches_best_interval_oracle(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        v = rng.random((12, 16)) * (rng.random((12, 16)) < 0.4)
+        v[[1, 6]] = 0.0  # all-zero columns
+        got = _vertical_margin(v, threshold)
+        np.testing.assert_allclose(got, brute_margin(v, threshold), rtol=0, atol=1e-12)
+
+    def test_column_restricted_recompute_equals_full(self):
+        rng = np.random.default_rng(7)
+        v = rng.integers(0, 3, (32, 32)).astype(np.float64)
+        full = _vertical_margin(v, VERTICAL_THRESHOLD)
+        for cols in (np.arange(8, 16), np.arange(0, 32, 3), np.array([31])):
+            assert np.array_equal(_vertical_margin(v[cols], VERTICAL_THRESHOLD), full[cols])
+
+    def test_incremental_field_keeps_signs(self):
+        # the covering loop's bookkeeping: start every column at the empty
+        # margin and rescan only the columns a dilate touches
+        rng = np.random.default_rng(8)
+        n = 32
+        field = np.zeros((n, n))
+        best = np.full((n, n), -VERTICAL_THRESHOLD)
+        for r in random_members(rng, n, 12):
+            cols, m = r.height_dilate(7.0).column_mask(n)
+            field[cols] += m
+            best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
+            full = _vertical_margin(field, VERTICAL_THRESHOLD)
+            np.testing.assert_allclose(best, full, rtol=0, atol=1e-12)
+            assert np.array_equal(best >= 0.0, full >= 0.0)
 
 
 class TestGreedyCover:
@@ -210,6 +312,21 @@ class TestGreedyCover:
         for r in rs:
             assert np.all(sup[r.mask(n)])
         assert trace == greedy_cover(rs, u)[1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witnesses_bound_exact_maximal(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n = 32
+        rs = random_members(rng, n, 24)
+        chosen, trace = greedy_cover(rs, self.grid(n))
+        field = np.zeros((n, n))
+        for step in trace.steps:
+            field += rs[step.selected].height_dilate(7.0).mask(n)
+            mv = vertical_maximal(field)
+            for i, w in zip(step.removed, step.witnesses):
+                m = rs[i].mask(n)
+                assert w >= VERTICAL_THRESHOLD
+                assert w <= mv[m].min(initial=np.inf) + 1e-12
 
     def test_density_failures_reported(self):
         u = SlopeField.constant(32, 0.9)
