@@ -21,10 +21,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covering import greedy_cover, lemma7r_check, lk_maximal, overlap_check
+from .covering import SlopeField, greedy_cover, lemma7r_check, lk_maximal, overlap_check
 from .ensembles import (
     cone_slope_field,
-    constant_slope_field,
     dense_parallelograms,
     indicator_with_measure,
     lemma7r_pair,
@@ -32,7 +31,6 @@ from .ensembles import (
     measure_triple,
     parallelogram_ensemble,
     random_convex_collection,
-    random_epsilon,
     random_tree,
     signed_indicator,
     uniform_cells_2d,
@@ -482,7 +480,7 @@ def _probe_restricted(cfg: Config, t: int) -> List[Row]:
     j2 = int(rng.integers(0, 9))
     e0, e1, e2 = measure_triple(rng, K, (j0, j1, j2))
     F0, F1, F2 = (signed_indicator(rng, e) for e in (e0, e1, e2))
-    eps = random_epsilon(rng, K)
+    eps = EpsilonField.random(K, rng)
     a0, a1, a2 = (float(e.values.mean()) for e in (e0, e1, e2))
     lhs = abs(lambda_direct(eps, F0, F1, F2))
     rhs = math.sqrt(a1 * a2) * (1.0 + math.log2(a0 / a1))
@@ -493,7 +491,7 @@ def _probe_single_tree(cfg: Config, t: int) -> List[Row]:
     K = cfg.resolution
     rng = _rng(cfg.seed, 12, t)
     tree = random_tree(rng, K)
-    eps = random_epsilon(rng, K)
+    eps = EpsilonField.random(K, rng)
     F0, F1, F2 = (uniform_cells_2d(rng, K) for _ in range(3))
     mode = ProjectionMode.diagonal(WalshNumber.from_float(1.0))
     rep = single_tree_report(tree, eps, F0, F1, F2, mode)
@@ -712,7 +710,7 @@ def run_cover(cfg: Config, out_dir: str) -> int:
         rng = _rng(cfg.seed, 31, t)
         kind = kinds[t % 3]
         if kind == "constant":
-            u = constant_slope_field(n, float(rng.uniform(-0.5, 0.5)))
+            u = SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
         elif kind == "linear":
             u = linear_slope_field(
                 n,

@@ -12,19 +12,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .covering import Parallelogram, SlopeField
-from .gridfn import GridFunction1D, GridFunction2D
+from .gridfn import GridFunction2D
 from .selection import Tree
 from .tiles import Bitile, all_bitiles, down_set, le
-from .triform import EpsilonField
 from .walsh import DyadicInterval
-
-
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def uniform_cells_1d(rng, resolution: int) -> GridFunction1D:
-    return GridFunction1D(resolution, rng.uniform(-1.0, 1.0, 1 << resolution))
 
 
 def uniform_cells_2d(rng, resolution: int) -> GridFunction2D:
@@ -55,10 +46,6 @@ def signed_indicator(rng, e: GridFunction2D, scale: float = 1.0) -> GridFunction
     """Random signs on the support, scaled; magnitude stays below 1_E."""
     signs = rng.choice([-1.0, 1.0], size=e.values.shape)
     return GridFunction2D(e.resolution, signs * e.values * scale)
-
-
-def random_epsilon(rng, resolution: int) -> EpsilonField:
-    return EpsilonField.random(resolution, rng)
 
 
 def random_bitile(rng, resolution: int) -> Bitile:
@@ -104,10 +91,6 @@ def measure_triple(
     return tuple(
         indicator_with_measure(rng, resolution, 2.0 ** -j) for j in exponents
     )
-
-
-def constant_slope_field(n: int, value: float) -> SlopeField:
-    return SlopeField.constant(n, value)
 
 
 def linear_slope_field(n: int, gx: float, gy: float, offset: float) -> SlopeField:

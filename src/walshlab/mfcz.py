@@ -22,8 +22,8 @@ import numpy as np
 
 from .gridfn import GridFunction1D, GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
-from .tiles import Bitile, all_bitiles
-from .triform import lambda_bitile
+from .tiles import Bitile, all_bitiles, scale_arrays
+from .triform import bitile_table
 from .walsh import DyadicInterval
 from .wavelets import project_tile_1d
 
@@ -207,21 +207,18 @@ def replacement_check(
     f1: GridFunction2D,
     f2: GridFunction2D,
     good: GoodFunction,
-    mode=None,
 ) -> Tuple[float, Tuple[str, ...]]:
     """Largest change in any bitile coefficient under the replacement.
 
     Returns the max over the given bitiles of the absolute difference
     between the coefficient with the original slot-2 function and with
-    the replacement, together with the precondition violations found:
-    the slot-2 function must vanish off the directional region, and the
-    middle function must vanish on every fiber captured by an interval
-    of the region that swallows a bitile's middle interval.  Violations
-    are reported, never repaired.  `mode` is accepted for interface
-    symmetry with the structured-slot checks and is unused: the bitile
-    coefficient involves no grid-multiplier projection.
+    the replacement (two bitile tables, subtracted: a table of f2 - g would
+    change the arithmetic of the exact identity), together with the
+    precondition violations found: the slot-2 function must vanish off
+    the directional region, and the middle function must vanish on every
+    fiber captured by an interval of the region that swallows a bitile's
+    middle interval.  Violations are reported, never repaired.
     """
-    del mode
     K = f2.resolution
     mask = good.b2.values > 0.5
     violations: List[str] = []
@@ -248,11 +245,13 @@ def replacement_check(
             f"middle function alive on {bad_fibers} captured fibers"
         )
 
-    worst = 0.0
-    for p in bitiles:
-        a = lambda_bitile(p, f0, f1, f2)
-        b = lambda_bitile(p, f0, f1, good.g)
-        worst = max(worst, abs(a - b))
+    member = {k: x > 0 for k, x in scale_arrays(bitiles, K).items() if x.any()}
+    before = bitile_table(f0, f1, f2, member)
+    after = bitile_table(f0, f1, good.g, member)
+    worst = max(
+        (float(np.abs(before[k] - after[k])[m].max()) for k, m in member.items()),
+        default=0.0,
+    )
     return worst, tuple(violations)
 
 

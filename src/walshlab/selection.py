@@ -363,6 +363,19 @@ def _incomparable(objs, resolution: int) -> bool:
     return all((below[k][x > 0] == 1).all() for k, x in X.items())
 
 
+def _tree_ok(tree: Tree, resolution: int) -> bool:
+    """Convex, and every member lies below the top: its down-set counts all.
+
+    A member that does not fit the resolution fails the check.
+    """
+    try:
+        X = scale_arrays(tree.members, resolution)
+    except ValueError:
+        return False
+    q = tree.top
+    return down_sums(X)[q.scale][q.m0, q.m2, q.n] == len(tree.members) and convex_scales(X)
+
+
 def _tree_selected_halves(tree: Tree, j: int) -> list[Tile]:
     return [
         P.half(-j)
@@ -391,28 +404,17 @@ def verify_certificate(
         checks.append((name, bool(ok), detail))
 
     # partition
-    seen: set[Bitile] = set()
-    overlap = False
-    for part in (cert.remainder, *[t.members for t in cert.trees]):
-        for b in part:
-            if b in seen:
-                overlap = True
-            seen.add(b)
-    check("partition-disjoint", not overlap)
+    parts = [b for part in (cert.remainder, *[t.members for t in cert.trees]) for b in part]
+    seen = set(parts)
+    check("partition-disjoint", len(seen) == len(parts))
     check("partition-union", seen == set(cert.collection))
 
     # convexity of remainder and of each tree, tree tops dominate members
+    K = F.resolution
     check("remainder-convex", is_convex(cert.remainder))
-    trees_ok = all(
-        t.top in t.members
-        and all(le(P, t.top) for P in t.members)
-        and is_convex(t.members)
-        for t in cert.trees
-    )
-    check("trees-convex-with-top", trees_ok)
+    check("trees-convex-with-top", all(_tree_ok(t, K) for t in cert.trees))
 
     # phase 1 tops pairwise disjoint (as bitiles: no two comparable)
-    K = F.resolution
     check("phase1-tops-disjoint", _incomparable([t.top for t in cert.forests[0]], K))
 
     # phases 2, 3: selected opposite halves pairwise disjoint per phase; a

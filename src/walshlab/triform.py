@@ -6,6 +6,11 @@ intervals, weighted by signs epsilon per triple and by the inverse
 interval length.  Summing over all scales with unit signs telescopes to a
 difference of two averaging kernels; grouping by bitiles reproduces the
 form exactly, which is the identity the whole tile machinery rests on.
+
+Every bitile value comes from `bitile_table`, one array per scale laid out
+as `tiles.scale_arrays`; the bitile sum, tree sums and the replacement
+check read it.  `lambda_bitile` builds one bitile's packets explicitly and
+stays as the oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ import numpy as np
 
 from ._kernels import haar_signs, pair_blocks, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
-from .tiles import Bitile
-from .walsh import DyadicInterval
+from .tiles import Bitile, scale_arrays
 from .wavelets import WavePacketSpec, coefficient_rows, walsh_fn, wave_packet
 
 ScaleWeights = Dict[int, np.ndarray]  # per-scale 1D weight arrays
@@ -176,25 +180,25 @@ def lambda_bitile(
     return float(total)
 
 
-def lambda_bitile_sum(
-    eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
-) -> float:
-    """Sum of eps-weighted bitile contributions over all localized bitiles.
+def bitile_table(
+    F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D, scales
+) -> Dict[int, np.ndarray]:
+    """T[k][m0, m2, n] = contribution of Bitile(k, m0, m2, n), for k in scales.
 
-    Per scale, the packet coefficients of every half-block come from one
-    batched transform.  Over the interval pairs (m0, m2) with eps nonzero,
-    the rows (half j, n) of U_p = C0[I1, I2] and V_p = C2[I1, I0] pair
-    against the Haar-signed block F1[I2, I0] in one contraction, which
-    gives every bitile of the scale at once; agrees with summing
-    lambda_bitile.
+    The layout is that of `tiles.scale_arrays`.  Per scale, the packet
+    coefficients of every half-block come from one batched transform; over
+    all interval pairs (m0, m2), the rows (half j, n) of U_p = C0[I1, I2]
+    and V_p = C2[I1, I0] pair against the Haar-signed block F1[I2, I0] in
+    one contraction, lower half minus upper half.
     """
     K = F0.resolution
     n = 1 << K
-    parts = []
-    for k in eps.scales:
+    table = {}
+    for k in scales:
         shift = K + k
         half = 1 << (shift - 1)  # cells per half interval
-        m0, m2 = np.nonzero(eps.data[k])
+        nb = 1 << -k
+        m0, m2 = np.divmod(np.arange(nb * nb), nb)
         m1 = m0 ^ m2
         # C0[i2, b * half + nu] ~ packet coefficients of F0 fibers on half-blocks
         C0 = coefficient_rows(F0.values.T.reshape(n, -1, half), shift - 1)
@@ -204,18 +208,32 @@ def lambda_bitile_sum(
         hs = haar_signs(shift)
         F1blk = pair_blocks(F1.values, shift, m2, m0) * np.outer(hs, hs)
         rows = np.einsum("prb,prb->pr", np.einsum("pra,pab->prb", U, F1blk), V)
-        values = eps.data[k][m0, m2][:, None] * (rows[:, :half] - rows[:, half:])
-        # packet-coefficient scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k
-        parts.append(math.fsum(values.ravel()) * 2.0 ** (k - 1) * 2.0 ** (-k))
-    return math.fsum(parts) * 4.0 ** (-K)
+        # packet scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k, grid measure
+        # 4^-K: an exact power of two
+        weight = 2.0 ** (k - 1) * 2.0 ** (-k) * 4.0 ** (-K)
+        table[k] = (rows[:, :half] - rows[:, half:]).reshape(nb, nb, half) * weight
+    return table
+
+
+def lambda_bitile_sum(
+    eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
+) -> float:
+    """Sum of eps-weighted bitile contributions over all localized bitiles."""
+    table = bitile_table(F0, F1, F2, eps.scales)
+    return math.fsum(
+        math.fsum((eps.data[k][:, :, None] * t).ravel()) for k, t in table.items()
+    )
 
 
 def lambda_tree(
     tree, eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
 ) -> float:
-    """eps-weighted sum of bitile contributions over an explicit collection."""
+    """eps-weighted sum of bitile contributions over a collection; repeats count."""
+    tree = list(tree)
+    member = scale_arrays(tree, F0.resolution)
+    table = bitile_table(F0, F1, F2, [k for k, x in member.items() if x.any()])
     return math.fsum(
-        eps.weight(P) * lambda_bitile(P, F0, F1, F2) for P in tree
+        eps.weight(P) * table[P.scale][P.m0, P.m2, P.n] for P in tree
     )
 
 

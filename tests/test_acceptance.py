@@ -17,6 +17,7 @@ import pytest
 
 from walshlab.cli import _certificate_case, _replacement_case, build_config
 from walshlab.covering import (
+    SlopeField,
     greedy_cover,
     lemma7r_check,
     overlap_check,
@@ -24,13 +25,11 @@ from walshlab.covering import (
 )
 from walshlab.ensembles import (
     cone_slope_field,
-    constant_slope_field,
     dense_parallelograms,
     indicator_with_measure,
     lemma7r_pair,
     linear_slope_field,
     measure_triple,
-    random_epsilon,
     random_tree,
     signed_indicator,
     uniform_cells_2d,
@@ -229,7 +228,7 @@ def _tree_ratios(K: int, count: int, base_seed: int):
     for t in range(count):
         rng = np.random.default_rng(base_seed + t)
         tree = random_tree(rng, K)
-        eps = random_epsilon(rng, K)
+        eps = EpsilonField.random(K, rng)
         F0, F1, F2 = (uniform_cells_2d(rng, K) for _ in range(3))
         rep = single_tree_report(tree, eps, F0, F1, F2, mode)
         out.append(rep["ratio"])
@@ -254,7 +253,7 @@ def _restricted_ratios(K: int, count: int, base_seed: int):
         j2 = int(rng.integers(0, 9))
         e0, e1, e2 = measure_triple(rng, K, (j0, j1, j2))
         F0, F1, F2 = (signed_indicator(rng, e) for e in (e0, e1, e2))
-        eps = random_epsilon(rng, K)
+        eps = EpsilonField.random(K, rng)
         a0, a1, a2 = (float(e.values.mean()) for e in (e0, e1, e2))
         # log base 2: natural for measures that are dyadic by construction
         bound = math.sqrt(a1 * a2) * (1.0 + math.log2(a0 / a1))
@@ -307,7 +306,7 @@ def test_criterion_08_replacement_identity():
 
 def _cover_field(rng, kind: str, n: int):
     if kind == "constant":
-        return constant_slope_field(n, float(rng.uniform(-0.5, 0.5)))
+        return SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
     if kind == "linear":
         return linear_slope_field(
             n,

@@ -166,6 +166,20 @@ class TestConstants:
             if line.split(",")[1].startswith("counting_t"):
                 assert line.endswith("true")
 
+    def test_benchmark_reports_match_reference_digests(self, tmp_path):
+        # the constants-k5 benchmark workload on seed 0, against the digests
+        # the benchmark harness checks every process's reports with
+        ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
+        want = json.loads(ref.read_text())["constants-k5"]["0"]
+        cfg = write_config(tmp_path, "resolution=5\ntrials=48\n")
+        assert run_main(["constants", "--config", cfg, "--seed", 0, "--out", tmp_path]) == 0
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in want
+        }
+        assert got == want
+        assert set(want) == {"constants_report.csv"}
+
 
 def write_matrix(path, arr):
     np.savetxt(path, np.atleast_2d(arr), delimiter=",", fmt="%.12g")

@@ -13,7 +13,6 @@ from walshlab.ensembles import (
     parallelogram_ensemble,
     random_convex_collection,
     random_tree,
-    rng_from_seed,
     signed_indicator,
     uniform_cells_2d,
 )
@@ -21,27 +20,27 @@ from walshlab.tiles import is_convex, le
 
 
 def test_determinism_from_seed():
-    a = uniform_cells_2d(rng_from_seed(7), 4)
-    b = uniform_cells_2d(rng_from_seed(7), 4)
+    a = uniform_cells_2d(np.random.default_rng(7), 4)
+    b = uniform_cells_2d(np.random.default_rng(7), 4)
     assert np.array_equal(a.values, b.values)
-    ra = parallelogram_ensemble(rng_from_seed(3), 6, 10)
-    rb = parallelogram_ensemble(rng_from_seed(3), 6, 10)
+    ra = parallelogram_ensemble(np.random.default_rng(3), 6, 10)
+    rb = parallelogram_ensemble(np.random.default_rng(3), 6, 10)
     assert ra == rb
 
 
 def test_indicator_measure_is_exact():
-    e = indicator_with_measure(rng_from_seed(1), 5, 2.0 ** -3)
+    e = indicator_with_measure(np.random.default_rng(1), 5, 2.0 ** -3)
     assert e.integral() == pytest.approx(2.0 ** -3)
     assert set(np.unique(e.values)) <= {0.0, 1.0}
-    tiny = indicator_with_measure(rng_from_seed(2), 3, 1e-9)
+    tiny = indicator_with_measure(np.random.default_rng(2), 3, 1e-9)
     assert tiny.integral() == pytest.approx(2.0 ** -6)  # one cell floor
-    assert indicator_with_measure(rng_from_seed(2), 3, 0.0).integral() == 0.0
+    assert indicator_with_measure(np.random.default_rng(2), 3, 0.0).integral() == 0.0
     with pytest.raises(ValueError, match="measure"):
-        indicator_with_measure(rng_from_seed(0), 3, 1.5)
+        indicator_with_measure(np.random.default_rng(0), 3, 1.5)
 
 
 def test_signed_indicator_dominated():
-    rng = rng_from_seed(4)
+    rng = np.random.default_rng(4)
     e = indicator_with_measure(rng, 4, 0.25)
     f = signed_indicator(rng, e, scale=2.0)
     assert np.all(np.abs(f.values) <= 2.0 * e.values + 1e-15)
@@ -49,14 +48,14 @@ def test_signed_indicator_dominated():
 
 
 def test_measure_triple():
-    es = measure_triple(rng_from_seed(5), 5, (2, 4, 6))
+    es = measure_triple(np.random.default_rng(5), 5, (2, 4, 6))
     for e, j in zip(es, (2, 4, 6)):
         assert e.integral() == pytest.approx(2.0 ** -j)
 
 
 def test_random_collection_and_tree_are_convex():
     for seed in range(6):
-        rng = rng_from_seed(seed)
+        rng = np.random.default_rng(seed)
         coll = random_convex_collection(rng, 4)
         assert is_convex(coll)
         tree = random_tree(rng, 4)
@@ -69,25 +68,25 @@ def test_slope_field_certificates():
     lin = linear_slope_field(16, 0.3, -0.4, 0.1)
     assert lin.lipschitz == pytest.approx(0.5)
     assert lin.measured_lipschitz() <= lin.lipschitz + 1e-12
-    cone = cone_slope_field(rng_from_seed(6), 32, 0.8)
+    cone = cone_slope_field(np.random.default_rng(6), 32, 0.8)
     assert cone.lipschitz == 0.8
     assert cone.measured_lipschitz() <= 0.8 + 1e-9
     assert np.all(np.abs(cone.values) <= 1.0)
 
 
 def test_parallelogram_ensemble_in_window():
-    rs = parallelogram_ensemble(rng_from_seed(8), 8, 40)
+    rs = parallelogram_ensemble(np.random.default_rng(8), 8, 40)
     assert len(rs) == 40
     for r in rs:
         assert 0.0 <= r.x_left < r.x_right <= 1.0
         assert r.height > 0.0
     with pytest.raises(ValueError, match="finer"):
-        parallelogram_ensemble(rng_from_seed(0), 4, 1, scale_range=(-6, -5))
+        parallelogram_ensemble(np.random.default_rng(0), 4, 1, scale_range=(-6, -5))
 
 
 def test_dense_parallelograms_meet_density():
-    u = cone_slope_field(rng_from_seed(9), 64, 0.5)
-    rs = dense_parallelograms(rng_from_seed(10), u, 0.5, 12)
+    u = cone_slope_field(np.random.default_rng(9), 64, 0.5)
+    rs = dense_parallelograms(np.random.default_rng(10), u, 0.5, 12)
     assert rs
     for r in rs:
         assert density(r, u) >= 0.5

@@ -1,5 +1,7 @@
 """Exceptional sets, the directional replacement, and its exactness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from walshlab.selection import Tree, select_trees
 from walshlab.tiles import Bitile, all_bitiles, is_convex
 from walshlab.triform import EpsilonField, lambda_bitile, lambda_direct
 from walshlab.walsh import DyadicInterval
-from walshlab.wavelets import project_tile_1d
+from walshlab.wavelets import WavePacketSpec, project_tile_1d, wave_packet
 
 
 def indicator(K, rng, density):
@@ -285,6 +287,34 @@ class TestReplacement:
         dev, violations = replacement_check(members, f0, f1, f2, good)
         assert violations == ()
         assert dev <= 1e-9
+
+    def test_check_sees_a_changed_coefficient(self):
+        # one packet added inside a member's slot-2 box, on a row where the
+        # middle function is alive, must show up as the oracle's deviation
+        K = 5
+        sets, f0, f1, f2, forest = replacement_instance(K, 0)
+        good = build_good_function(f2, forest, sets.b2)
+        members = sorted(
+            {p for t in forest for p in t.members},
+            key=lambda b: (-b.scale, b.m0, b.m2, b.n),
+        )
+        p, row = next(
+            (p, row)
+            for p in members
+            for row in cells_of(p.time_interval(0), K)
+            if f1.values[cells_of(p.time_interval(2), K), row].any()
+        )
+        spec = WavePacketSpec(p.time_interval(1).half(1), p.freq)
+        g = good.g.values.copy()
+        g[row] += wave_packet(spec, K).values
+        bumped = dataclasses.replace(good, g=GridFunction2D(K, g))
+        dev, _ = replacement_check(members, f0, f1, f2, bumped)
+        want = max(
+            abs(lambda_bitile(q, f0, f1, f2) - lambda_bitile(q, f0, f1, bumped.g))
+            for q in members
+        )
+        assert want > 1e-6
+        assert dev == pytest.approx(want, rel=1e-12)
 
     def test_empty_bitile_list(self):
         K = 3

@@ -375,6 +375,20 @@ class TestCertificateChecks:
             "phase1-tops-disjoint",
         }
 
+    def test_member_outside_top(self):
+        q, b = Bitile(-1, 0, 0, 0), Bitile(-2, 1, 0, 0)
+        assert self.failed(((Tree(q, (q, b)),), (), ())) == set()
+        # same scale as the top, next spatial block: incomparable to it
+        out = Bitile(-1, 1, 0, 0)
+        assert self.failed(((Tree(q, (q, out)),), (), ())) == {
+            "trees-convex-with-top"
+        }
+        # below the top, but finer than the resolution 4 of F: fails, no raise
+        fine = Bitile(-4, 0, 0, 0)
+        assert self.failed(((Tree(q, (q, fine)),), (), ())) == {
+            "trees-convex-with-top"
+        }
+
     def test_phase2_halves_disjoint(self):
         # selected upper halves Tile(-1, 0, 0, 0) and Tile(-2, 0, 0, 0) nest
         t1 = Tree(Bitile(0, 0, 0, 1), (Bitile(0, 0, 0, 1), Bitile(-1, 0, 0, 0)))

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from walshlab.gridfn import GridFunction1D, GridFunction2D
-from walshlab.tiles import all_bitiles
+from walshlab.tiles import Bitile, all_bitiles
 from walshlab.triform import (
     EpsilonField,
+    bitile_table,
     constant_interval_weights,
     haar_multiplier,
     lambda_bitile,
@@ -193,9 +194,41 @@ class TestBitileDecomposition:
         want = math.fsum(eps.weight(P) * lambda_bitile(P, F0, F1, F2) for P in tree)
         assert lambda_tree(tree, eps, F0, F1, F2) == pytest.approx(want, rel=1e-12)
 
-    def test_bitile_errors(self):
-        from walshlab.tiles import Bitile
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_table_matches_explicit_packets(self, K):
+        # independent, non-symmetric data in all three slots
+        F0, F1, F2 = rand_triple(K, K + 50)
+        table = bitile_table(F0, F1, F2, range(1 - K, 1))
+        assert {k: t.shape for k, t in table.items()} == {
+            k: (1 << -k, 1 << -k, 1 << (K + k - 1)) for k in range(1 - K, 1)
+        }
+        top = max(np.abs(t).max() for t in table.values())
+        for P in all_bitiles(K):
+            want = lambda_bitile(P, F0, F1, F2)
+            assert abs(table[P.scale][P.m0, P.m2, P.n] - want) <= 1e-13 * top
 
+    def test_lambda_tree_counts_repeats(self):
+        K = 3
+        eps = EpsilonField.random(K, np.random.default_rng(44))
+        F0, F1, F2 = rand_triple(K, 45)
+        P, Q = Bitile(-1, 1, 0, 1), Bitile(0, 0, 0, 3)
+        once = lambda_tree([P, Q], eps, F0, F1, F2)
+        twice = lambda_tree([P, Q, P], eps, F0, F1, F2)
+        extra = eps.weight(P) * lambda_bitile(P, F0, F1, F2)
+        assert extra != 0.0
+        assert twice - once == pytest.approx(extra, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad", [Bitile(-3, 0, 0, 0), Bitile(0, 0, 0, 4), Bitile(-1, 2, 0, 0)]
+    )
+    def test_lambda_tree_rejects_misfits(self, bad):
+        K = 3
+        F = GridFunction2D.zeros(K)
+        eps = EpsilonField.constant(K)
+        with pytest.raises(ValueError):
+            lambda_tree([Bitile(0, 0, 0, 0), bad], eps, F, F, F)
+
+    def test_bitile_errors(self):
         F = GridFunction2D.zeros(3)
         with pytest.raises(ValueError, match="interval below resolution"):
             lambda_bitile(Bitile(-3, 0, 0, 0), F, F, F)
