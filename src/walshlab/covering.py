@@ -11,7 +11,7 @@ two; measures of single parallelograms are exact shadow times height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,6 +37,7 @@ class Parallelogram:
     base_y: float
     slope: float
     height: float
+    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 0:
@@ -99,10 +100,20 @@ class Parallelogram:
         return cols, y_lo, np.maximum(y_hi, y_lo)
 
     def column_mask(self, n: int):
-        """Column indices with the cells of R in each, as a (columns, n) mask."""
-        cols, y_lo, y_hi = self.grid_cells(n)
-        rows = np.arange(n)
-        return cols, (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
+        """Column indices with the cells of R in each, as a (columns, n) mask.
+
+        Built once per grid side and kept on the instance; both arrays are
+        read-only.
+        """
+        built = self._cells.get(n)
+        if built is None:
+            cols, y_lo, y_hi = self.grid_cells(n)
+            rows = np.arange(n)
+            m = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
+            cols.flags.writeable = False
+            m.flags.writeable = False
+            built = self._cells[n] = (cols, m)
+        return built
 
     def mask(self, n: int) -> np.ndarray:
         out = np.zeros((n, n), dtype=bool)
@@ -290,15 +301,26 @@ def greedy_cover(
             for i, r in enumerate(parallelograms)
             if density(r, u) < delta
         ]
-    cells = [r.column_mask(n) for r in parallelograms]
-    stock = list(range(len(parallelograms)))
+    # every member's cells as flat indices into best, one segment each;
+    # a member without cells reads +inf, so any step removes it
+    flat = []
+    for r in parallelograms:
+        cols, m = r.column_mask(n)
+        c, y = np.nonzero(m)
+        flat.append(cols[c] * n + y)
+    sizes = np.array([len(f) for f in flat], dtype=np.int64)
+    held = np.flatnonzero(sizes)
+    starts = (np.cumsum(sizes) - sizes)[held]
+    index = np.concatenate(flat) if flat else np.zeros(0, dtype=np.int64)
+    margins = np.full(len(parallelograms), np.inf)
+    stock = np.arange(len(parallelograms))
     field = np.zeros((n, n))
     best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
     selected: List[int] = []
     steps: List[CoverStep] = []
-    while stock:
+    while stock.size:
         pick = min(
-            stock,
+            stock.tolist(),
             key=lambda i: (
                 -parallelograms[i].length,
                 -parallelograms[i].height,
@@ -309,17 +331,13 @@ def greedy_cover(
         cols, m = parallelograms[pick].height_dilate(7.0).column_mask(n)
         field[cols] += m
         best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
-        removed = []
-        witnesses = []
-        for i in stock:
-            cols_i, m_i = cells[i]
-            margin = np.min(best[cols_i], where=m_i, initial=np.inf)
-            if margin < 0.0:
-                continue
-            removed.append(i)
-            witnesses.append(VERTICAL_THRESHOLD + margin / n)
-        stock = [i for i in stock if i not in set(removed)]
-        steps.append(CoverStep(pick, tuple(removed), tuple(witnesses)))
+        if held.size:
+            margins[held] = np.minimum.reduceat(best.ravel()[index], starts)
+        gone = margins[stock] >= 0.0
+        removed = stock[gone]
+        witnesses = VERTICAL_THRESHOLD + margins[removed] / n
+        stock = stock[~gone]
+        steps.append(CoverStep(pick, tuple(removed.tolist()), tuple(witnesses)))
     chosen = [parallelograms[i] for i in selected]
     return chosen, CoverTrace(tuple(steps), tuple(failures))
 
@@ -406,8 +424,9 @@ def overlap_check(
     e_field = np.zeros((grid, grid))
     r_field = np.zeros((grid, grid))
     for r in selected:
-        e_field += e_set(r, u)
-        r_field += r.mask(grid)
+        cols, m, e = _e_cells(r, u)
+        e_field[cols] += e
+        r_field[cols] += m
     cell = 1.0 / grid ** 2
     e_integral = float((e_field ** n).sum() * cell)
     square_integral = float((r_field ** 2).sum() * cell)
@@ -419,16 +438,17 @@ def overlap_check(
 
         def extend(chain: List[Parallelogram]):
             nonlocal overlap
-            if len(chain) == n:
-                overlap += intersection_measure(chain)
-                return
             for r in order:
                 trial = chain + [r]
                 if not uncertainty_overlap(trial):
                     continue
-                if intersection_measure(trial) <= 0.0:
+                area = intersection_measure(trial)
+                if area <= 0.0:
                     continue
-                extend(trial)
+                if len(trial) == n:
+                    overlap += area
+                else:
+                    extend(trial)
 
         extend([])
 

@@ -1,10 +1,14 @@
 """Parallelogram geometry, the covering iteration, and its certificates."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from walshlab.covering import (
     VERTICAL_THRESHOLD,
+    CoverStep,
     CoverTrace,
     ExpandedParallelogram,
     Parallelogram,
@@ -22,6 +26,7 @@ from walshlab.covering import (
     vertical_superlevel,
     _vertical_margin,
 )
+from walshlab.ensembles import cone_slope_field, linear_slope_field
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
 
@@ -139,6 +144,44 @@ class TestCellSetsAgainstBruteForce:
             clipped_lo += bool(m[:, 0].any()) and r.base_y < 0.0
             clipped_hi += bool(m[:, -1].any()) and r.base_y + r.height > 1.0
         assert empty and clipped_lo and clipped_hi
+
+
+class TestCellMemo:
+    def test_arrays_are_read_only(self):
+        cols, m = make(-2, 1, 0.3, 0.25, 0.125).column_mask(32)
+        with pytest.raises(ValueError):
+            cols[0] = 0
+        with pytest.raises(ValueError):
+            m[0, 0] = not m[0, 0]
+
+    def test_warm_instance_matches_a_fresh_equal_one(self):
+        rng = np.random.default_rng(60)
+        for r in random_members(rng, 32, 20):
+            cols, m = r.column_mask(32)
+            assert r.column_mask(32)[1] is m
+            cold_cols, cold_m = dataclasses.replace(r).column_mask(32)
+            assert np.array_equal(cols, cold_cols)
+            assert np.array_equal(m, cold_m)
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        warm = make(-1, 1, 0.2, -0.5, 0.1)
+        warm.column_mask(16)
+        cold = make(-1, 1, 0.2, -0.5, 0.1)
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert len({warm, cold}) == 1
+
+    def test_grid_sides_are_kept_apart(self):
+        r = make(-3, 5, 0.1, 0.7, 0.3)
+        first = r.column_mask(64)
+        second = r.column_mask(128)
+        assert r.column_mask(64) is first
+        for n, (cols, m) in ((64, first), (128, second)):
+            assert m.shape == (len(cols), n)
+            x = (np.arange(n) + 0.5) / n
+            assert np.array_equal(cols, np.flatnonzero((x >= r.x_left) & (x < r.x_right)))
+            assert np.array_equal(m, brute_mask(r, n)[cols])
 
 
 class TestSlopeField:
@@ -262,6 +305,52 @@ class TestVerticalMargin:
             assert np.array_equal(best >= 0.0, full >= 0.0)
 
 
+def per_member_cover(parallelograms, u, delta=None):
+    """The covering loop with one masked min per stock member; an oracle."""
+    n = u.n
+    failures = ()
+    if delta is not None:
+        failures = tuple(
+            i for i, r in enumerate(parallelograms) if density(r, u) < delta
+        )
+    stock = list(range(len(parallelograms)))
+    field = np.zeros((n, n))
+    best = np.full((n, n), -VERTICAL_THRESHOLD)
+    selected, steps = [], []
+    while stock:
+        pick = min(
+            stock,
+            key=lambda i: (-parallelograms[i].length, -parallelograms[i].height, i),
+        )
+        selected.append(pick)
+        cols, m = parallelograms[pick].height_dilate(7.0).column_mask(n)
+        field[cols] += m
+        best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
+        removed, witnesses = [], []
+        for i in stock:
+            cols_i, m_i = parallelograms[i].column_mask(n)
+            margin = np.min(best[cols_i], where=m_i, initial=np.inf)
+            if margin < 0.0:
+                continue
+            removed.append(i)
+            witnesses.append(VERTICAL_THRESHOLD + margin / n)
+        gone = set(removed)
+        stock = [i for i in stock if i not in gone]
+        steps.append(CoverStep(pick, tuple(removed), tuple(witnesses)))
+    chosen = [parallelograms[i] for i in selected]
+    return chosen, CoverTrace(tuple(steps), failures)
+
+
+def witness_bits(trace):
+    return [float(w).hex() for step in trace.steps for w in step.witnesses]
+
+
+def slope_fields(rng, n):
+    yield SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
+    yield linear_slope_field(n, *rng.uniform(-0.3, 0.3, 3))
+    yield cone_slope_field(rng, n, 0.3)
+
+
 class TestGreedyCover:
     def grid(self, n=64):
         return SlopeField.constant(n, 0.0)
@@ -327,6 +416,27 @@ class TestGreedyCover:
                 m = rs[i].mask(n)
                 assert w >= VERTICAL_THRESHOLD
                 assert w <= mv[m].min(initial=np.inf) + 1e-12
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segment_reduction_matches_per_member_loop(self, n, seed):
+        rng = np.random.default_rng(70 + seed)
+        for u in slope_fields(rng, n):
+            rs = random_members(rng, n, 30)
+            # a member between two rows of cell centres holds no cell; one
+            # member appears twice, and once more as an equal copy
+            thin = make(-2, 1, 3.1 / n, 0.0, 0.4 / n)
+            assert not thin.mask(n).any()
+            twin = rs[9]
+            rs[5:5] = [thin, twin]
+            rs.append(dataclasses.replace(twin))
+            for delta in (None, 0.5):
+                chosen, trace = greedy_cover(rs, u, delta)
+                want_chosen, want = per_member_cover(rs, u, delta)
+                assert chosen == want_chosen
+                assert trace == want
+                assert witness_bits(trace) == witness_bits(want)
+                assert "inf" in witness_bits(trace)  # the cell-free members
 
     def test_density_failures_reported(self):
         u = SlopeField.constant(32, 0.9)
@@ -401,6 +511,35 @@ class TestOverlapCheck:
         assert report["u_overlap_sum"] == pytest.approx(
             a.measure + b.measure
         )
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_overlap_sum_matches_tuple_enumeration(self, q):
+        rng = np.random.default_rng(80)
+        n = 32
+        u = cone_slope_field(rng, n, 0.3)
+        rs = [
+            make(
+                int(rng.integers(-2, 0)),
+                0,
+                float(rng.uniform(0.2, 0.5)),
+                float(rng.uniform(-0.2, 0.2)),
+                float(rng.uniform(0.05, 0.3)),
+            )
+            for _ in range(7)
+        ]
+        rs.append(rs[3])
+        report = overlap_check(rs, u, q)
+        want = 0.0
+        for chain in itertools.product(rs, repeat=q):
+            if uncertainty_overlap(chain) and intersection_measure(chain) > 0.0:
+                want += intersection_measure(chain)
+        if q > 1:  # off-diagonal tuples contribute: the family overlaps
+            assert want > sum(r.measure for r in rs)
+        assert report["u_overlap_sum"] == want
+        e_field = sum(e_set(r, u).astype(float) for r in rs)
+        r_field = sum(r.mask(n).astype(float) for r in rs)
+        assert report["e_integral"] == float((e_field ** q).sum() / n ** 2)
+        assert report["square_integral"] == float((r_field ** 2).sum() / n ** 2)
 
     def test_validation(self):
         u = SlopeField.constant(8, 0.0)
