@@ -434,23 +434,26 @@ def overlap_check(
 
     overlap = 0.0
     if selected:
-        order = list(selected)
+        order = [(r, *r.uncertainty) for r in selected]
 
-        def extend(chain: List[Parallelogram]):
+        # (lo, hi) is the intersection of the chain's uncertainty intervals:
+        # uncertainty_overlap(chain) holds exactly when lo <= hi
+        def extend(chain: List[Parallelogram], lo: float, hi: float):
             nonlocal overlap
-            for r in order:
-                trial = chain + [r]
-                if not uncertainty_overlap(trial):
+            for r, r_lo, r_hi in order:
+                t_lo, t_hi = max(lo, r_lo), min(hi, r_hi)
+                if not t_lo <= t_hi:
                     continue
+                trial = chain + [r]
                 area = intersection_measure(trial)
                 if area <= 0.0:
                     continue
                 if len(trial) == n:
                     overlap += area
                 else:
-                    extend(trial)
+                    extend(trial, t_lo, t_hi)
 
-        extend([])
+        extend([], -np.inf, np.inf)
 
     def ratio(num, den):
         if num == 0.0:

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .gridfn import GridFunction1D, GridFunction2D
+from .gridfn import GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
-from .tiles import Bitile, all_bitiles, scale_arrays
+from .tiles import Bitile, scale_arrays
 from .triform import bitile_table
 from .walsh import DyadicInterval
-from .wavelets import project_tile_1d
+from .wavelets import coefficient_rows, synthesis_rows
 
 
 def _require_cell_set(e: GridFunction2D, name: str) -> np.ndarray:
@@ -152,6 +152,28 @@ class GoodFunction:
     b2: GridFunction2D
 
 
+def _region_pieces(mask: np.ndarray):
+    """Maximal dyadic intervals of every region row, as three int arrays.
+
+    One block test per scale: an interval is a piece when its block of
+    the row is full and its dyadic parent's is not.  Returns (row, scale,
+    index) ordered by row, then left end, the order in which
+    maximal_dyadic_intervals lists each row.
+    """
+    n = len(mask)
+    K = n.bit_length() - 1
+    found = []
+    above = np.zeros((n, 1), dtype=bool)
+    for s in range(0, -K - 1, -1):
+        full = mask.reshape(n, n >> (K + s), 1 << (K + s)).all(-1)
+        row, index = np.nonzero(full & ~above)
+        found.append((row, np.full_like(row, s), index))
+        above = np.repeat(full, 2, axis=1)
+    row, scale, index = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((index << (K + scale), row))
+    return row[order], scale[order], index[order]
+
+
 def build_good_function(
     f2_tilde: GridFunction2D,
     forest,
@@ -165,40 +187,55 @@ def build_good_function(
     whose top frequency fits inside it; duplicates across trees count
     once.  The replacement on J is the sum of tile projections of the
     row fiber, so it is supported on the region by construction.
+
+    Each time scale takes one batched transform of all its pieces.  The
+    projection onto one packet is the synthesis of a one-hot coefficient
+    row, exactly +-c on every cell, so adding each piece's packets in
+    frequency order (first packets of all pieces, then second ones, ...)
+    gives every cell the float sums of a packet-by-packet projection.
     """
     K = f2_tilde.resolution
     if b2.resolution != K:
         raise ValueError("cell sets must share one resolution")
-    mask = _require_cell_set(b2, "b2")
-    tops = [t.top for t in forest]
+    n = 1 << K
+    row, scale, index = _region_pieces(_require_cell_set(b2, "b2"))
+
+    # (piece, dual cell nu) pairs, keyed piece * n + nu: nu < 2^(K + scale) <= n
+    keys = [np.zeros(0, dtype=np.int64)]
+    for top in (t.top for t in forest):
+        k = top.scale
+        hit = np.nonzero(
+            (row >> (K + k) == top.m0)
+            & (scale < k)
+            & (index >> np.maximum(k - scale, 0) == top.m1)
+        )[0]
+        keys.append(hit * n + (top.n >> (k - 1 - scale[hit])))
+    piece, nu = np.divmod(np.unique(np.concatenate(keys)), n)
+    rank = np.arange(len(piece)) - np.searchsorted(piece, piece)
+
     g = np.zeros_like(f2_tilde.values)
-    pieces: List[GoodPiece] = []
-    for cell0 in range(1 << K):
-        row = mask[cell0]
-        if not row.any():
-            continue
-        for time in maximal_dyadic_intervals(row):
-            freqs = set()
-            for top in tops:
-                if cell0 >> (K + top.scale) != top.m0:
-                    continue
-                if time.scale > top.scale - 1:
-                    continue
-                if not top.time_interval(1).contains(time):
-                    continue
-                freqs.add(
-                    DyadicInterval(
-                        -time.scale, top.n >> (top.scale - 1 - time.scale)
-                    )
-                )
-            ordered = tuple(sorted(freqs, key=lambda w: w.index))
-            pieces.append(GoodPiece(cell0, time, ordered))
-            if not ordered:
-                continue
-            fiber = GridFunction1D(K, f2_tilde.values[cell0].copy())
-            for freq in ordered:
-                g[cell0] += project_tile_1d(fiber, time, freq).values
-    return GoodFunction(GridFunction2D(K, g), tuple(pieces), b2)
+    for s in np.unique(scale[piece]).tolist():
+        bk = K + s
+        at = scale[piece] == s
+        blocks = np.unique(piece[at])
+        cells = (index[blocks] << bk)[:, None] + np.arange(1 << bk)
+        coef = coefficient_rows(f2_tilde.values[row[blocks][:, None], cells], bk)
+        local, nu_s, rank_s = np.searchsorted(blocks, piece[at]), nu[at], rank[at]
+        for r in range(rank_s.max() + 1):
+            j, v = local[rank_s == r], nu_s[rank_s == r]
+            hot = np.zeros((len(j), 1 << bk))
+            hot[np.arange(len(j)), v] = coef[j, v]
+            g[row[blocks[j]][:, None], cells[j]] += synthesis_rows(hot, bk)
+
+    scales = scale.tolist()
+    freqs: List[List[DyadicInterval]] = [[] for _ in scales]
+    for p, v in zip(piece.tolist(), nu.tolist()):
+        freqs[p].append(DyadicInterval(-scales[p], v))
+    pieces = tuple(
+        GoodPiece(r, DyadicInterval(s, i), tuple(f))
+        for r, s, i, f in zip(row.tolist(), scales, index.tolist(), freqs)
+    )
+    return GoodFunction(GridFunction2D(K, g), pieces, b2)
 
 
 def replacement_check(
@@ -220,32 +257,30 @@ def replacement_check(
     middle interval.  Violations are reported, never repaired.
     """
     K = f2.resolution
+    n = 1 << K
     mask = good.b2.values > 0.5
     violations: List[str] = []
     if np.any(f2.values[~mask] != 0.0):
         violations.append("slot-2 function does not vanish off the region")
 
-    by_row: Dict[int, List[DyadicInterval]] = {}
-    for piece in good.pieces:
-        by_row.setdefault(piece.cell0, []).append(piece.time)
-
+    # A region interval of row x0 swallows I1 exactly when the block
+    # b2[x0, I1] is full (the pieces are the maximal intervals of b2).
+    X = {k: x for k, x in scale_arrays(bitiles, K).items() if x.any()}
+    alive_cells = f1.values != 0.0
     bad_fibers = 0
-    for p in bitiles:
-        width = 1 << (K + p.scale)
-        t1 = p.time_interval(1)
-        rows = slice(p.m2 * width, (p.m2 + 1) * width)
-        for cell0 in range(p.m0 * width, (p.m0 + 1) * width):
-            for time in by_row.get(cell0, ()):
-                if time.contains(t1):
-                    if np.any(f1.values[rows, cell0] != 0.0):
-                        bad_fibers += 1
-                    break
+    for k, x in X.items():
+        nb, w = 1 << -k, 1 << (K + k)
+        captured = mask.reshape(n, nb, w).all(-1).reshape(nb, w, nb)  # [m0, a, m1]
+        alive = alive_cells.reshape(nb, w, n).any(1).reshape(nb, nb, w)  # [m2, m0, a]
+        m0, m2 = np.indices((nb, nb))
+        hits = captured[m0, :, m0 ^ m2] & alive[m2, m0]  # [m0, m2, a]
+        bad_fibers += int((x.sum(-1) * hits.sum(-1)).sum())
     if bad_fibers:
         violations.append(
             f"middle function alive on {bad_fibers} captured fibers"
         )
 
-    member = {k: x > 0 for k, x in scale_arrays(bitiles, K).items() if x.any()}
+    member = {k: x > 0 for k, x in X.items()}
     before = bitile_table(f0, f1, f2, member)
     after = bitile_table(f0, f1, good.g, member)
     worst = max(
@@ -263,12 +298,14 @@ def admissible_bitiles(b1: GridFunction2D) -> List[Bitile]:
     in the tile order, hence convex.
     """
     K = b1.resolution
+    if K < 2:
+        raise ValueError("resolution too small for bitiles")
     out = []
-    for p in all_bitiles(K):
-        w = 1 << (K + p.scale)
-        sub = b1.values[p.m2 * w : (p.m2 + 1) * w, p.m0 * w : (p.m0 + 1) * w]
-        if not sub.all():
-            out.append(p)
+    for k in range(1 - K, 1):
+        nb, w = 1 << -k, 1 << (K + k)
+        swallowed = b1.values.reshape(nb, w, nb, w).all((1, 3))  # [m2, m0]
+        for m0, m2 in np.argwhere(~swallowed.T).tolist():
+            out.extend(Bitile(k, m0, m2, f) for f in range(1 << (K + k - 1)))
     return out
 
 

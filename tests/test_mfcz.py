@@ -7,6 +7,7 @@ import pytest
 
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.mfcz import (
+    GoodPiece,
     admissible_bitiles,
     build_good_function,
     counting_function,
@@ -226,6 +227,162 @@ class TestGoodFunction:
                 * np.sqrt(piece.time.length)
             )
             assert norm <= bound + 1e-12
+
+
+def reference_good_function(f2, forest, b2):
+    """Packet-by-packet replacement: one tile projection per (piece, frequency)."""
+    K = f2.resolution
+    mask = b2.values > 0.5
+    tops = [t.top for t in forest]
+    g = np.zeros_like(f2.values)
+    pieces = []
+    for cell0 in range(1 << K):
+        row = mask[cell0]
+        if not row.any():
+            continue
+        for time in maximal_dyadic_intervals(row):
+            freqs = set()
+            for top in tops:
+                if cell0 >> (K + top.scale) != top.m0:
+                    continue
+                if time.scale > top.scale - 1:
+                    continue
+                if not top.time_interval(1).contains(time):
+                    continue
+                freqs.add(
+                    DyadicInterval(
+                        -time.scale, top.n >> (top.scale - 1 - time.scale)
+                    )
+                )
+            ordered = tuple(sorted(freqs, key=lambda w: w.index))
+            pieces.append(GoodPiece(cell0, time, ordered))
+            fiber = GridFunction1D(K, f2.values[cell0].copy())
+            for freq in ordered:
+                g[cell0] += project_tile_1d(fiber, time, freq).values
+    return g, tuple(pieces)
+
+
+def good_function_cases():
+    """(f2, forest, b2) triples covering the edge cases of the replacement."""
+    for K in range(2, 7):
+        n = 1 << K
+        rng = np.random.default_rng(100 + K)
+        bitiles = all_bitiles(K)
+        f2 = GridFunction2D(K, rng.standard_normal((n, n)))
+        tops = [bitiles[i] for i in rng.integers(0, len(bitiles), size=3 * K)]
+        scale0 = [p for p in bitiles if p.scale == 0]
+        tops += [scale0[i] for i in rng.integers(0, len(scale0), size=K)]
+        forest = [Tree(t, (t,)) for t in tops + tops[:2]]  # two trees share a top
+        full_rows = (rng.random((n, n)) < 0.7).astype(np.float64)
+        full_rows[rng.random(n) < 0.5] = 1.0
+        yield f2, forest, indicator(K, rng, 0.6)
+        yield f2, forest, GridFunction2D(K, full_rows)
+        yield f2, forest, GridFunction2D(K, np.ones((n, n)))
+        yield f2, forest, GridFunction2D.zeros(K)
+        yield f2, [], indicator(K, rng, 0.6)
+    # one quarter-line piece per row under three scale-0 tops with distinct
+    # dual cells: three packets on one piece
+    K = 5
+    rng = np.random.default_rng(7)
+    b2 = GridFunction2D.indicator_box(
+        DyadicInterval(0, 0), DyadicInterval(-2, 0), K
+    )
+    tops = [Bitile(0, 0, 0, nn) for nn in (4, 0, 2, 1)]
+    yield (
+        GridFunction2D(K, rng.standard_normal((32, 32))),
+        [Tree(t, (t,)) for t in tops],
+        b2,
+    )
+
+
+class TestGoodFunctionArrays:
+    def test_bit_identical_to_packet_by_packet_projection(self):
+        most = 0
+        for f2, forest, b2 in good_function_cases():
+            good = build_good_function(f2, forest, b2)
+            g, pieces = reference_good_function(f2, forest, b2)
+            assert good.g.values.tobytes() == g.tobytes()
+            assert good.pieces == pieces
+            most = max([most] + [len(p.freqs) for p in pieces])
+        # three packets on one piece: a single union-mask projection would
+        # re-associate their sum
+        assert most >= 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_on_selected_forests(self, seed):
+        sets, f0, f1, f2, forest = replacement_instance(5, seed)
+        assert forest
+        good = build_good_function(f2, forest, sets.b2)
+        g, pieces = reference_good_function(f2, forest, sets.b2)
+        assert good.g.values.tobytes() == g.tobytes()
+        assert good.pieces == pieces
+        assert any(p.freqs for p in pieces)
+
+
+def reference_bad_fibers(bitiles, f1, good):
+    """Captured fibers on which the middle function lives, one loop per cell."""
+    K = f1.resolution
+    by_row = {}
+    for piece in good.pieces:
+        by_row.setdefault(piece.cell0, []).append(piece.time)
+    bad = 0
+    for p in bitiles:
+        width = 1 << (K + p.scale)
+        t1 = p.time_interval(1)
+        rows = slice(p.m2 * width, (p.m2 + 1) * width)
+        for cell0 in range(p.m0 * width, (p.m0 + 1) * width):
+            for time in by_row.get(cell0, ()):
+                if time.contains(t1):
+                    if np.any(f1.values[rows, cell0] != 0.0):
+                        bad += 1
+                    break
+    return bad
+
+
+class TestArrayPasses:
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_admissible_matches_bitile_loop(self, K):
+        n = 1 << K
+        rng = np.random.default_rng(K)
+        for density in (0.5, 0.95, 1.0):
+            values = (rng.random((n, n)) < density).astype(np.float64)
+            values[: n // 2, : n // 2] = 1.0  # some swallowed blocks at every scale
+            b1 = GridFunction2D(K, values)
+            want = []
+            for p in all_bitiles(K):
+                w = 1 << (K + p.scale)
+                box = values[p.m2 * w : (p.m2 + 1) * w, p.m0 * w : (p.m0 + 1) * w]
+                if not box.all():
+                    want.append(p)
+            assert admissible_bitiles(b1) == want
+
+    def test_admissible_rejects_small_resolution(self):
+        with pytest.raises(ValueError, match="too small"):
+            admissible_bitiles(GridFunction2D.zeros(1))
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_captured_fiber_count_matches_loop(self, K):
+        n = 1 << K
+        rng = np.random.default_rng(20 + K)
+        bitiles = all_bitiles(K)
+        total = 0
+        for density in (0.6, 0.9, 1.0):
+            b2 = indicator(K, rng, density)
+            f1 = GridFunction2D(
+                K, rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+            )
+            f2 = GridFunction2D(K, rng.standard_normal((n, n)) * b2.values)
+            members = [bitiles[i] for i in rng.integers(0, len(bitiles), size=40)]
+            members += members[:10]  # repeats count once per occurrence
+            good = build_good_function(f2, [], b2)
+            _, violations = replacement_check(members, f1, f1, f2, good)
+            want = reference_bad_fibers(members, f1, good)
+            expected = [f"middle function alive on {want} captured fibers"]
+            assert [v for v in violations if "captured fibers" in v] == (
+                expected if want else []
+            )
+            total += want
+        assert total > 0
 
 
 def replacement_instance(K, seed, density2=0.08, threshold=2.0, level=2):
