@@ -14,7 +14,7 @@ import numpy as np
 from .covering import Parallelogram, SlopeField
 from .gridfn import GridFunction2D
 from .selection import Tree
-from .tiles import Bitile, all_bitiles, down_set, le
+from .tiles import Bitile, down_sums, scale_arrays, scale_members, up_sums
 from .walsh import DyadicInterval
 
 
@@ -59,27 +59,30 @@ def random_bitile(rng, resolution: int) -> Bitile:
     )
 
 
+def _down_mask(tops, resolution: int) -> dict:
+    """Per-scale mask of the union of the tops' down-sets."""
+    return {k: u > 0 for k, u in up_sums(scale_arrays(tops, resolution)).items()}
+
+
 def random_convex_collection(rng, resolution: int, tops: int = 2):
     """Union of down-sets of random bitiles, sorted coarsest first."""
-    coll = set()
-    for _ in range(tops):
-        top = random_bitile(rng, resolution)
-        coll |= down_set(all_bitiles(resolution), top)
-    return sorted(coll, key=lambda b: (-b.scale, b.m0, b.m2, b.n))
+    picked = [random_bitile(rng, resolution) for _ in range(tops)]
+    return scale_members(_down_mask(picked, resolution))
 
 
 def random_tree(rng, resolution: int, sprouts: int = 3) -> Tree:
-    """Random convex tree: the order interval between seeds and their top."""
+    """Random convex tree: the order interval between seeds and their top.
+
+    The members are the bitiles of down(top), coarsest first, that lie
+    above at least one seed.
+    """
     top = random_bitile(rng, resolution)
-    below = sorted(
-        down_set(all_bitiles(resolution), top),
-        key=lambda b: (-b.scale, b.m0, b.m2, b.n),
-    )
+    mask = _down_mask([top], resolution)
+    below = scale_members(mask)
     picks = [below[i] for i in rng.integers(0, len(below), size=max(sprouts, 1))]
-    members = tuple(
-        q for q in below if any(le(p, q) for p in picks)
-    )
-    return Tree(top, members)
+    above = down_sums(scale_arrays(picks, resolution))
+    members = scale_members({k: m & (above[k] > 0) for k, m in mask.items()})
+    return Tree(top, tuple(members))
 
 
 def measure_triple(

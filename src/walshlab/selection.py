@@ -18,6 +18,7 @@ any projection explicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,14 +28,11 @@ from .gridfn import GridFunction2D
 from .tiles import (
     Bitile,
     ProjectionMode,
-    Tile,
     _diag_image_cell,
     _require_half_tile_regions,
     convex_scales,
-    down_sums,
     half_down_sums,
     is_convex,
-    le,
     scale_arrays,
     scale_members,
     up_sums,
@@ -249,24 +247,23 @@ def _box_energy(F: GridFunction2D, slot: int):
 
 def _counting_tables(trees, F, slot, level):
     """Per-box (sum of contained tree areas, bound) for all dyadic boxes."""
-    K = F.resolution
     box_rhs = _box_energy(F, slot)
-    lhs = {kJ: np.zeros((1 << -kJ, 1 << -kJ)) for kJ in box_rhs}
-    for t in trees:
-        kT, a0, a2 = t.top.scale, t.top.m0, t.top.m2
-        for kJ in range(kT, 1):
-            d = kJ - kT
-            lhs[kJ][a0 >> d, a2 >> d] += 4.0**kT
+    kT, a0, a2, _ = _coords([t.top for t in trees]).T
     bound = 9.0 * 4.0**level
     counting = {}
-    for kJ in box_rhs:
-        nb = 1 << -kJ
-        for a in range(nb):
-            for b in range(nb):
-                counting[(kJ, a, b)] = (
-                    float(lhs[kJ][a, b]),
-                    float(bound * box_rhs[kJ][a, b]),
-                )
+    for kJ, rhs in box_rhs.items():
+        nb = rhs.shape[0]
+        inside = kT <= kJ
+        d = kJ - kT[inside]
+        lhs = np.zeros((nb, nb))
+        # in tree order, as a running sum per box
+        np.add.at(lhs, (a0[inside] >> d, a2[inside] >> d), 4.0 ** kT[inside])
+        counting.update(
+            zip(
+                itertools.product((kJ,), range(nb), range(nb)),
+                zip(lhs.ravel().tolist(), (bound * rhs).ravel().tolist()),
+            )
+        )
     return counting
 
 
@@ -356,32 +353,130 @@ def select_trees(
 # -- verification ------------------------------------------------------------
 
 
-def _incomparable(objs, resolution: int) -> bool:
-    """No two comparable and none repeated: each own down-set count is 1."""
-    X = scale_arrays(objs, resolution)
-    below = down_sums(X)
-    return all((below[k][x > 0] == 1).all() for k, x in X.items())
+def _coords(objs) -> np.ndarray:
+    """Rows (scale, m0, m2, n) of tiles or bitiles, as an int64 array."""
+    return np.array(
+        [(p.scale, p.m0, p.m2, p.n) for p in objs], dtype=np.int64
+    ).reshape(-1, 4)
 
 
-def _tree_ok(tree: Tree, resolution: int) -> bool:
-    """Convex, and every member lies below the top: its down-set counts all.
+def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
+    """Which rows fit the resolution, as `scale_arrays` demands."""
+    k, m0, m2, n = c.T
+    ok = k >= 1 - resolution
+    k = np.where(ok, k, 0)  # keeps the shifts below in range
+    return ok & (np.maximum(m0, m2) < 1 << -k) & (n < 1 << (resolution + k - 1))
 
-    A member that does not fit the resolution fails the check.
+
+def _pack(tag, k, m0, m2, n, resolution: int) -> np.ndarray:
+    """One integer key per (tag, scale, m0, m2, n) of rows that fit.
+
+    Each field of a fitting row takes fewer than K bits.
     """
-    try:
-        X = scale_arrays(tree.members, resolution)
-    except ValueError:
+    K = resolution
+    return (((tag * K - k) << K | m0) << K | m2) << K | n
+
+
+def _incomparable(c: np.ndarray, resolution: int) -> bool:
+    """No two rows comparable and none repeated.
+
+    p <= q with q d >= 1 scales above p exactly when (scale + d, m0 >> d,
+    m2 >> d, n) of p equals (scale, m0, m2, n >> d) of q (see `le`).  With
+    both sides tagged by d, one set lookup finds every comparable pair.
+    """
+    if not _fits(c, resolution).all():
         return False
-    q = tree.top
-    return down_sums(X)[q.scale][q.m0, q.m2, q.n] == len(tree.members) and convex_scales(X)
+    if np.unique(_pack(0, *c.T, resolution)).size < len(c):
+        return False
+    k, m0, m2, n = c.T
+    d = np.arange(1, resolution)[:, None]
+    ancestors = _pack(d, k + d, m0 >> d, m2 >> d, n, resolution)[k + d <= 0]
+    return not np.isin(ancestors, _pack(d, k, m0, m2, n >> d, resolution)).any()
 
 
-def _tree_selected_halves(tree: Tree, j: int) -> list[Tile]:
-    return [
-        P.half(-j)
-        for P in tree.members
-        if P != tree.top and le(P.half(j), tree.top)
-    ]
+def _tree_arrays(trees):
+    """Member rows of all trees, each with its tree's index and top row."""
+    owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
+    members = _coords([p for t in trees for p in t.members])
+    return owner, members, _coords([t.top for t in trees])[owner]
+
+
+def _below_top(c: np.ndarray, top: np.ndarray):
+    """Depth d of each row under its top row, and whether it lies below it.
+
+    p <= q exactly when q sits d >= 0 scales above p, p's spatial indices
+    shifted down by d are q's, and n_q shifted down by d is n_p (`le`).
+    """
+    d = top[:, 0] - c[:, 0]
+    s = np.maximum(d, 0)
+    return d, (
+        (d >= 0)
+        & (c[:, 1] >> s == top[:, 1])
+        & (c[:, 2] >> s == top[:, 2])
+        & (top[:, 3] >> s == c[:, 3])
+    )
+
+
+def _trees_ok(trees, resolution: int) -> bool:
+    """Every tree is convex and its members fit and lie below its top.
+
+    Inside down(q), each bitile other than q at depth d has exactly one
+    parent in down(q): its spatial parent with frequency index
+    n_q >> (d - 1) (going up multiplies n by 2, plus 0 or 1).  Since the
+    down-sets one scale below a bitile partition the rest of its
+    down-set, every bitile of down(q) above p lies on this parent chain
+    from p to q.  So a collection below q that holds q is convex exactly
+    when it holds the parent of each of its members other than q.
+    """
+    owner, c, top = _tree_arrays(trees)
+    if not _fits(c, resolution).all():
+        return False
+    d, below = _below_top(c, top)
+    if not below.all():
+        return False
+    inner = d > 0  # the members other than the top
+    k, m0, m2, _ = c[inner].T
+    parent_n = top[inner, 3] >> (d[inner] - 1)
+    parents = _pack(owner[inner], k + 1, m0 >> 1, m2 >> 1, parent_n, resolution)
+    return bool(np.isin(parents, _pack(owner, *c.T, resolution)).all())
+
+
+def _selected_halves(forest, j: int) -> np.ndarray:
+    """Rows of P.half(-j) for the members P whose j-half lies below the top.
+
+    P.half(j) <= q exactly when P sits d >= 1 scales below q and bit
+    d - 1 of n_q is 0 for j = +1 (the lower half), 1 for j = -1.
+    """
+    _, c, top = _tree_arrays(forest)
+    d, below = _below_top(c, top)
+    bit = top[:, 3] >> np.maximum(d - 1, 0) & 1
+    picked = below & (d > 0) & (bit == (j == -1))
+    k, m0, m2, n = c[picked].T
+    return np.column_stack((k, m0, m2, 2 * n + (j == 1)))
+
+
+def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise `math.isclose` with rel_tol = abs_tol = 1e-12."""
+    diff = np.abs(a - b)
+    near = diff <= np.maximum(1e-12 * np.maximum(np.abs(a), np.abs(b)), 1e-12)
+    return (a == b) | (np.isfinite(a) & np.isfinite(b) & near)
+
+
+def _counting_bound(boxes, values: np.ndarray):
+    """(bound holds, worst box, worst ratio) over rows (lhs, rhs) of boxes.
+
+    A box with rhs = 0 reads ratio inf when lhs > 0, else 0.  The worst box
+    is the first of largest ratio, None when every ratio is 0.  There is
+    at least one box, the unit square.
+    """
+    lhs, rhs = values.T
+    bound_ok = not (lhs > rhs * (1.0 + 1e-12)).any()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, math.inf, 0.0))
+    i = int(np.argmax(ratio))
+    if ratio[i] > 0.0:
+        return bound_ok, boxes[i], float(ratio[i])
+    return bound_ok, None, 0.0
 
 
 def verify_certificate(
@@ -412,10 +507,11 @@ def verify_certificate(
     # convexity of remainder and of each tree, tree tops dominate members
     K = F.resolution
     check("remainder-convex", is_convex(cert.remainder))
-    check("trees-convex-with-top", all(_tree_ok(t, K) for t in cert.trees))
+    check("trees-convex-with-top", _trees_ok(cert.trees, K))
 
     # phase 1 tops pairwise disjoint (as bitiles: no two comparable)
-    check("phase1-tops-disjoint", _incomparable([t.top for t in cert.forests[0]], K))
+    tops1 = _coords(t.top for t in cert.forests[0])
+    check("phase1-tops-disjoint", _incomparable(tops1, K))
 
     # phases 2, 3: selected opposite halves pairwise disjoint per phase; a
     # tile at resolution K orders like the bitile with its indices at K + 1
@@ -423,8 +519,7 @@ def verify_certificate(
         (cert.forests[1], -1, "phase2-halves-disjoint"),
         (cert.forests[2], 1, "phase3-halves-disjoint"),
     ):
-        halves = [h for t in forest for h in _tree_selected_halves(t, j)]
-        check(name, _incomparable(halves, K + 1))
+        check(name, _incomparable(_selected_halves(forest, j), K + 1))
 
     # remainder size, read on any remainder (its convexity is checked above)
     rem_member = _members(cert.remainder, K)
@@ -436,22 +531,16 @@ def verify_certificate(
         f"size {rem_size:.6e} vs 2^-{level}",
     )
 
-    # counting bound, recomputed from scratch
+    # counting bound, recomputed from scratch; key sets first, then values
     recomputed = _counting_tables(list(cert.trees), F, slot, level)
-    stored_match = all(
-        math.isclose(cert.counting[box][0], recomputed[box][0], rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(cert.counting[box][1], recomputed[box][1], rel_tol=1e-12, abs_tol=1e-12)
-        for box in recomputed
-    ) and set(cert.counting) == set(recomputed)
+    boxes = list(recomputed)
+    values = np.array(list(recomputed.values())).reshape(-1, 2)
+    stored_match = cert.counting.keys() == recomputed.keys()
+    if stored_match:
+        stored = np.array([cert.counting[b] for b in boxes]).reshape(-1, 2)
+        stored_match = bool(_isclose(stored, values).all())
     check("counting-tables-match", stored_match)
-    worst_box, worst_ratio = None, 0.0
-    bound_ok = True
-    for box, (lhs, rhs) in recomputed.items():
-        if lhs > rhs * (1.0 + 1e-12):
-            bound_ok = False
-        ratio = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
-        if ratio > worst_ratio:
-            worst_box, worst_ratio = box, ratio
+    bound_ok, worst_box, worst_ratio = _counting_bound(boxes, values)
     check("counting-bound", bound_ok, f"worst box {worst_box} ratio {worst_ratio:.4f}")
 
     # both readings of the per-tree half-sum threshold on the remainder

@@ -98,7 +98,11 @@ TileLike = Union[Tile, Bitile]
 
 
 def le(p: TileLike, q: TileLike) -> bool:
-    """Order: every spatial interval nests upward, frequency downward."""
+    """Order: every spatial interval nests upward, frequency downward.
+
+    The scalar reference for the per-scale recursions below: an oracle
+    and test helper, which no code of the package calls on a hot path.
+    """
     return (
         all(q.time_interval(i).contains(p.time_interval(i)) for i in (0, 1, 2))
         and p.freq.contains(q.freq)
@@ -212,6 +216,11 @@ def is_convex(bitiles: Iterable[Bitile]) -> bool:
 
 
 def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
+    """The bitiles p <= top, one scalar `le` each.
+
+    An oracle and test helper; the package builds down-sets with
+    `up_sums` of the top's indicator.
+    """
     return {p for p in bitiles if le(p, top)}
 
 

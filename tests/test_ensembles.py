@@ -11,12 +11,34 @@ from walshlab.ensembles import (
     linear_slope_field,
     measure_triple,
     parallelogram_ensemble,
+    random_bitile,
     random_convex_collection,
     random_tree,
     signed_indicator,
     uniform_cells_2d,
 )
-from walshlab.tiles import is_convex, le
+from walshlab.selection import Tree
+from walshlab.tiles import all_bitiles, down_set, is_convex, le
+
+
+def _canon(b):
+    return (-b.scale, b.m0, b.m2, b.n)
+
+
+def convex_collection_oracle(rng, resolution, tops=2):
+    """Union of down-sets, built with the scalar order."""
+    coll = set()
+    for _ in range(tops):
+        coll |= down_set(all_bitiles(resolution), random_bitile(rng, resolution))
+    return sorted(coll, key=_canon)
+
+
+def tree_oracle(rng, resolution, sprouts=3):
+    """Members of down(top) above some seed, built with the scalar order."""
+    top = random_bitile(rng, resolution)
+    below = sorted(down_set(all_bitiles(resolution), top), key=_canon)
+    picks = [below[i] for i in rng.integers(0, len(below), size=max(sprouts, 1))]
+    return Tree(top, tuple(q for q in below if any(le(p, q) for p in picks)))
 
 
 def test_determinism_from_seed():
@@ -62,6 +84,19 @@ def test_random_collection_and_tree_are_convex():
         assert is_convex(tree.members)
         assert tree.top in tree.members
         assert all(le(p, tree.top) for p in tree.members)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_random_collection_and_tree_match_scalar_order(K):
+    for seed in range(8):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for tops in (1, 2, 3):
+            assert random_convex_collection(rng, K, tops) == (
+                convex_collection_oracle(ref, K, tops)
+            )
+        for sprouts in (0, 1, 3, 6):
+            assert random_tree(rng, K, sprouts) == tree_oracle(ref, K, sprouts)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_slope_field_certificates():

@@ -4,20 +4,29 @@ Projection-norm tables are checked against explicitly formed projections,
 the per-scale down-set, up-set and half-tile sums against the scalar
 order, and the size functional against exhaustive enumeration of every
 sub-tree of small collections.  Selection certificates are validated end
-to end, then mutated to confirm the verifier rejects, one check at a time.
+to end, then mutated to confirm the verifier rejects, one check at a time;
+its whole-array checks are held to per-object references.
 """
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from walshlab.ensembles import random_bitile, random_tree
 from walshlab.gridfn import GridFunction2D
 from walshlab.selection import (
     SelectionCertificate,
     Tree,
+    _box_energy,
+    _coords,
+    _counting_bound,
     _counting_tables,
+    _incomparable,
+    _selected_halves,
+    _trees_ok,
     select_trees,
     single_tree_report,
     size,
@@ -29,6 +38,7 @@ from walshlab.tiles import (
     ProjectionMode,
     Tile,
     all_bitiles,
+    convex_scales,
     down_set,
     down_sums,
     half_down_sums,
@@ -342,17 +352,22 @@ class TestCertificateChecks:
 
     F = GridFunction2D(4, np.full((16, 16), 0.3))
 
-    def failed(self, forests, remainder=()):
+    def cert(self, forests, remainder=()):
         trees = [t for forest in forests for t in forest]
         collection = tuple(remainder) + tuple(p for t in trees for p in t.members)
         counting = _counting_tables(trees, self.F, 0, 1)
-        cert = SelectionCertificate(
+        return SelectionCertificate(
             collection, tuple(remainder), forests, 0, 1, None, counting
         )
+
+    def names(self, cert):
         ok, report = verify_certificate(cert, self.F)
         names = {name for name, passed, _ in report["checks"] if not passed}
         assert ok == (not names)
         return names
+
+    def failed(self, forests, remainder=()):
+        return self.names(self.cert(forests, remainder))
 
     def test_remainder_convex(self):
         p, b, q = Bitile(-2, 0, 0, 0), Bitile(-1, 0, 0, 0), Bitile(0, 0, 0, 0)
@@ -397,6 +412,52 @@ class TestCertificateChecks:
         assert self.failed(((), (t1, t2), ())) == {"phase2-halves-disjoint"}
         assert self.failed(((), (), (t1, t2))) == set()
 
+    def test_misfit_top_fails_without_raising(self):
+        # scale -4 is below the finest bitile scale at the resolution 4 of F
+        fine = Bitile(-4, 0, 0, 0)
+        assert self.failed(((Tree(fine, (fine,)),), (), ())) == {
+            "phase1-tops-disjoint",
+            "trees-convex-with-top",
+        }
+
+    def test_misfit_selected_half_fails_without_raising(self):
+        # the lower half of Bitile(-5, 0, 0, 0) lies below the top, so phase
+        # 3 selects its upper half, which is finer than the tiles of
+        # resolution 4
+        top, fine = Bitile(0, 0, 0, 0), Bitile(-5, 0, 0, 0)
+        assert self.failed(((), (), (Tree(top, (top, fine)),))) == {
+            "phase3-halves-disjoint",
+            "trees-convex-with-top",
+        }
+
+    def test_counting_keys_compared_first(self):
+        q = Bitile(-1, 0, 0, 0)
+        cert = self.cert(((Tree(q, (q,)),), (), ()))
+        assert self.names(cert) == set()
+        for counting in (
+            {},
+            {box: v for box, v in cert.counting.items() if box != (0, 0, 0)},
+            {**cert.counting, (-9, 0, 0): (0.0, 1.0)},
+        ):
+            mutated = dataclasses.replace(cert, counting=counting)
+            assert self.names(mutated) == {"counting-tables-match"}
+
+    def test_counting_values_compared_like_isclose(self):
+        q = Bitile(-1, 0, 0, 0)
+        cert = self.cert(((Tree(q, (q,)),), (), ()))
+        box = (-1, 0, 0)
+        lhs, rhs = cert.counting[box]
+        for value, close in (
+            ((lhs * (1 + 1e-13), rhs), True),
+            ((lhs, rhs + 5e-13), True),
+            ((lhs * (1 + 1e-9), rhs), False),
+            ((math.inf, rhs), False),
+            ((math.nan, rhs), False),
+        ):
+            counting = {**cert.counting, box: value}
+            failed = self.names(dataclasses.replace(cert, counting=counting))
+            assert failed == (set() if close else {"counting-tables-match"})
+
     def test_phase3_halves_disjoint(self):
         # selected lower halves Tile(-1, 0, 0, 3) and Tile(-2, 0, 0, 1) nest
         t1 = Tree(Bitile(0, 0, 0, 2), (Bitile(0, 0, 0, 2), Bitile(-1, 0, 0, 1)))
@@ -404,6 +465,173 @@ class TestCertificateChecks:
         assert self.failed(((), (), (t1,))) == set()
         assert self.failed(((), (), (t1, t2))) == {"phase3-halves-disjoint"}
         assert self.failed(((), (t1, t2), ())) == set()
+
+
+def tree_oracle(tree, K):
+    """Per-tree reference: members fit, are convex and lie below the top."""
+    try:
+        X = scale_arrays(tree.members, K)
+    except ValueError:
+        return False
+    return convex_scales(X) and all(le(p, tree.top) for p in tree.members)
+
+
+def incomparable_oracle(objs, K):
+    """Each own down-set count is 1, on the per-scale arrays."""
+    try:
+        X = scale_arrays(objs, K)
+    except ValueError:
+        return False
+    below = down_sums(X)
+    return all((below[k][x > 0] == 1).all() for k, x in X.items())
+
+
+def counting_oracle(trees, F, slot, level):
+    """Per-box counting table, one tree and one box at a time."""
+    K = F.resolution
+    box_rhs = _box_energy(F, slot)
+    lhs = {kJ: np.zeros((1 << -kJ, 1 << -kJ)) for kJ in box_rhs}
+    for t in trees:
+        kT, a0, a2 = t.top.scale, t.top.m0, t.top.m2
+        for kJ in range(kT, 1):
+            d = kJ - kT
+            lhs[kJ][a0 >> d, a2 >> d] += 4.0**kT
+    bound = 9.0 * 4.0**level
+    return {
+        (kJ, a, b): (float(lhs[kJ][a, b]), float(bound * box_rhs[kJ][a, b]))
+        for kJ in box_rhs
+        for a in range(1 << -kJ)
+        for b in range(1 << -kJ)
+    }
+
+
+def bound_oracle(counting):
+    """Counting bound and worst box, one box at a time."""
+    worst_box, worst_ratio, bound_ok = None, 0.0, True
+    for box, (lhs, rhs) in counting.items():
+        if lhs > rhs * (1.0 + 1e-12):
+            bound_ok = False
+        ratio = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
+        if ratio > worst_ratio:
+            worst_box, worst_ratio = box, ratio
+    return bound_ok, worst_box, worst_ratio
+
+
+def perturbed_tree(rng, K, pool):
+    """A random tree, full down-set, or either with a hole or a stray."""
+    kind = int(rng.integers(6))
+    if kind < 2:
+        tree = random_tree(rng, K)
+    else:
+        top = random_bitile(rng, K)
+        tree = Tree(top, tuple(down_set(pool, top)))
+    members = list(tree.members)
+    others = [p for p in members if p != tree.top]
+    if kind in (1, 3) and others:
+        # a hole: breaks convexity when the removed member has a descendant
+        members.remove(others[rng.integers(len(others))])
+    if kind in (4, 5):
+        # a stray from the whole pool, or one below the finest scale
+        if kind == 5 and rng.random() < 0.3:
+            members.append(Bitile(-K, 0, 0, 0))
+        else:
+            members.append(pool[rng.integers(len(pool))])
+    rng.shuffle(members)
+    return Tree(tree.top, tuple(members))
+
+
+class TestArrayChecks:
+    """The whole-array certificate checks against per-object references."""
+
+    def test_trees_ok_matches_per_tree_oracle(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        count = 0
+        for K in (2, 3, 4, 5):
+            pool = all_bitiles(K)
+            for _ in range(50):
+                forest = [perturbed_tree(rng, K, pool) for _ in range(8)]
+                want = [tree_oracle(t, K) for t in forest]
+                count += len(forest)
+                seen.update(want)
+                for t, w in zip(forest, want):
+                    assert _trees_ok([t], K) == w, (K, t)
+                assert _trees_ok(forest, K) == all(want)
+        assert count >= 1600
+        assert seen == {True, False}
+        assert _trees_ok([], 3)
+
+    @pytest.mark.parametrize("j", [-1, 1])
+    def test_selected_halves_match_le_list(self, j):
+        rng = np.random.default_rng(12 + j)
+        for K in (2, 3, 4, 5):
+            pool = all_bitiles(K)
+            for _ in range(40):
+                size = int(rng.integers(0, 6))
+                forest = [perturbed_tree(rng, K, pool) for _ in range(size)]
+                want = [
+                    P.half(-j)
+                    for t in forest
+                    for P in t.members
+                    if P != t.top and le(P.half(j), t.top)
+                ]
+                got = _selected_halves(forest, j)
+                assert got.shape == (len(want), 4)
+                assert np.array_equal(got, _coords(want))
+
+    def test_incomparable_matches_down_set_counts(self):
+        rng = np.random.default_rng(13)
+        seen = set()
+        for K in (2, 3, 4, 5):
+            pool = all_bitiles(K)
+            # tiles at resolution K order like bitiles at K + 1
+            tiles = [
+                Tile(p.scale, p.m0, p.m2, 2 * p.n + h) for p in pool for h in (0, 1)
+            ]
+            for trial in range(80):
+                objs, R = (pool, K) if trial % 2 else (tiles, K + 1)
+                idx = rng.integers(len(objs), size=rng.integers(0, 8))
+                picked = [objs[i] for i in idx]
+                if trial % 8 == 0:
+                    picked.append(Bitile(-R, 0, 0, 0))  # below the finest scale
+                want = incomparable_oracle(picked, R)
+                seen.add(want)
+                assert _incomparable(_coords(picked), R) == want, (R, picked)
+        assert seen == {True, False}
+
+    def test_counting_tables_match_per_box_loop(self):
+        rng = np.random.default_rng(14)
+        for K in (2, 3, 4, 5):
+            F = rand2d(K, K)
+            trees = [random_tree(rng, K) for _ in range(int(rng.integers(0, 30)))]
+            for slot in (0, 1, 2):
+                got = _counting_tables(trees, F, slot, 1)
+                want = counting_oracle(trees, F, slot, 1)
+                assert list(got) == list(want)
+                assert got == want
+
+    def test_counting_bound_matches_per_box_loop(self):
+        rng = np.random.default_rng(15)
+        K = 4
+        # an all-zero F and no trees: every ratio is 0, no worst box
+        cases = [([], GridFunction2D.zeros(K))]
+        # F vanishes on the left half: boxes there have rhs 0 and lhs > 0
+        half = rand2d(K, 16).values
+        half[: 1 << (K - 1)] = 0.0
+        for F in (GridFunction2D(K, half), rand2d(K, 17), indicator2d(K, 18, 0.05)):
+            trees = [random_tree(rng, K) for _ in range(int(rng.integers(1, 40)))]
+            cases.append((trees, F))
+        seen_inf = seen_none = False
+        for trees, F in cases:
+            for slot in (0, 1, 2):
+                counting = _counting_tables(trees, F, slot, 0)
+                values = np.array(list(counting.values())).reshape(-1, 2)
+                got = _counting_bound(list(counting), values)
+                want = bound_oracle(counting)
+                assert got == want
+                seen_inf |= want[2] == math.inf
+                seen_none |= want[1] is None
+        assert seen_inf and seen_none
 
 
 class TestSingleTreeReport:
