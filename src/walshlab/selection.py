@@ -187,9 +187,9 @@ def _tree_energy(member, lower, upper):
     return {k: lower[k] + upper[k] + (plus[k] + minus[k]) for k in member}
 
 
-def _size(member, F, slot, mode) -> float:
+def _size(member, lower, upper) -> float:
     """Size of the members, whose convexity the caller has settled."""
-    energy = _tree_energy(member, *_half_norms(F, slot, mode, member))
+    energy = _tree_energy(member, lower, upper)
     worst = max(
         float(np.max(energy[k][m] / 4.0**k)) for k, m in member.items() if m.any()
     )
@@ -219,7 +219,7 @@ def size(
         return 0.0
     if not convex_scales(member):
         raise ValueError("collection is not convex")
-    return _size(member, F, slot, mode)
+    return _size(member, *_half_norms(F, slot, mode, member))
 
 
 # -- the selection algorithm -------------------------------------------------
@@ -417,7 +417,7 @@ def _below_top(c: np.ndarray, top: np.ndarray):
     )
 
 
-def _trees_ok(trees, resolution: int) -> bool:
+def _trees_ok(owner, c, top, resolution: int) -> bool:
     """Every tree is convex and its members fit and lie below its top.
 
     Inside down(q), each bitile other than q at depth d has exactly one
@@ -427,8 +427,8 @@ def _trees_ok(trees, resolution: int) -> bool:
     down-set, every bitile of down(q) above p lies on this parent chain
     from p to q.  So a collection below q that holds q is convex exactly
     when it holds the parent of each of its members other than q.
+    Takes the rows of `_tree_arrays`.
     """
-    owner, c, top = _tree_arrays(trees)
     if not _fits(c, resolution).all():
         return False
     d, below = _below_top(c, top)
@@ -498,16 +498,18 @@ def verify_certificate(
     def check(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    # partition
-    parts = [b for part in (cert.remainder, *[t.members for t in cert.trees]) for b in part]
-    seen = set(parts)
+    # partition, on coordinate rows: sorted unique rows compare as sets
+    K = F.resolution
+    owner, members, tops = _tree_arrays(cert.trees)
+    parts = np.concatenate((_coords(cert.remainder), members))
+    seen = np.unique(parts, axis=0)
+    union = np.unique(_coords(cert.collection), axis=0)
     check("partition-disjoint", len(seen) == len(parts))
-    check("partition-union", seen == set(cert.collection))
+    check("partition-union", np.array_equal(seen, union))
 
     # convexity of remainder and of each tree, tree tops dominate members
-    K = F.resolution
     check("remainder-convex", is_convex(cert.remainder))
-    check("trees-convex-with-top", _trees_ok(cert.trees, K))
+    check("trees-convex-with-top", _trees_ok(owner, members, tops, K))
 
     # phase 1 tops pairwise disjoint (as bitiles: no two comparable)
     tops1 = _coords(t.top for t in cert.forests[0])
@@ -521,9 +523,8 @@ def verify_certificate(
     ):
         check(name, _incomparable(_selected_halves(forest, j), K + 1))
 
-    # remainder size, read on any remainder (its convexity is checked above)
-    rem_member = _members(cert.remainder, K)
-    rem_size = 0.0 if rem_member is None else _size(rem_member, F, slot, cert.mode)
+    # remainder size, and both readings of the per-tree half-sum threshold
+    rem_size, worst_lin, worst_sq = _remainder_readings(cert, F, slot, level)
     target = 2.0 ** (-level)
     check(
         "remainder-size",
@@ -543,9 +544,6 @@ def verify_certificate(
     bound_ok, worst_box, worst_ratio = _counting_bound(boxes, values)
     check("counting-bound", bound_ok, f"worst box {worst_box} ratio {worst_ratio:.4f}")
 
-    # both readings of the per-tree half-sum threshold on the remainder
-    readings = _threshold_readings(cert, F, slot, level)
-
     ok = all(passed for _, passed, _ in checks)
     report = {
         "checks": checks,
@@ -553,16 +551,23 @@ def verify_certificate(
         "size_target": target,
         "counting_worst_box": worst_box,
         "counting_worst_ratio": worst_ratio,
-        **readings,
+        "halfsum_ratio_linear": worst_lin,
+        "halfsum_ratio_squared": worst_sq,
     }
     return ok, report
 
 
-def _threshold_readings(cert, F, slot, level):
-    """Max remainder half-sum ratios, linear and squared area readings."""
+def _remainder_readings(cert, F, slot, level):
+    """Remainder size and max half-sum ratios, linear and squared area readings.
+
+    Both come from one set of member arrays and half-norm tables.  A
+    remainder that does not fit F's resolution reads size inf, ratios nan.
+    """
+    if not _fits(_coords(cert.remainder), F.resolution).all():
+        return math.inf, math.nan, math.nan
     member = _members(cert.remainder, F.resolution)
     if member is None:
-        return {"halfsum_ratio_linear": 0.0, "halfsum_ratio_squared": 0.0}
+        return 0.0, 0.0, 0.0
     lower, upper = _half_norms(F, slot, cert.mode, member)
     threshold = 4.0 ** (-level) / 3.0
     worst_lin = 0.0
@@ -575,7 +580,7 @@ def _threshold_readings(cert, F, slot, level):
                 s, area = scores[k][m], 4.0**k
                 worst_lin = max(worst_lin, float(np.max(s / (threshold * area))))
                 worst_sq = max(worst_sq, float(np.max(s / (threshold * area**2))))
-    return {"halfsum_ratio_linear": worst_lin, "halfsum_ratio_squared": worst_sq}
+    return _size(member, lower, upper), worst_lin, worst_sq
 
 
 # -- single-tree form report -------------------------------------------------

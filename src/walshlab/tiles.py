@@ -23,7 +23,7 @@ multiplier, or a per-fiber frequency label).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,13 @@ from .wavelets import project_rows, synthesis_rows
 
 
 @dataclass(frozen=True)
-class Tile:
+class BaseTile:
+    """Spatial indices and frequency index shared by tiles and bitiles.
+
+    Tile and Bitile differ only in the frequency length: equality stays
+    class-sensitive, so a tile never equals the bitile with its indices.
+    """
+
     scale: int
     m0: int
     m2: int
@@ -41,9 +47,9 @@ class Tile:
 
     def __post_init__(self):
         if self.scale > 0:
-            raise ValueError("tile scale must be nonpositive")
+            raise ValueError(f"{type(self).__name__.lower()} scale must be nonpositive")
         if min(self.m0, self.m2, self.n) < 0:
-            raise ValueError("negative tile index")
+            raise ValueError(f"negative {type(self).__name__.lower()} index")
 
     @property
     def m1(self) -> int:
@@ -51,35 +57,18 @@ class Tile:
 
     def time_interval(self, i: int) -> DyadicInterval:
         return DyadicInterval(self.scale, (self.m0, self.m1, self.m2)[i])
-
-    @property
-    def freq(self) -> DyadicInterval:
-        return DyadicInterval(-self.scale, self.n)
 
     def is_localized(self) -> bool:
         return max(self.m0, self.m2) < 1 << -self.scale
 
 
-@dataclass(frozen=True)
-class Bitile:
-    scale: int
-    m0: int
-    m2: int
-    n: int
-
-    def __post_init__(self):
-        if self.scale > 0:
-            raise ValueError("bitile scale must be nonpositive")
-        if min(self.m0, self.m2, self.n) < 0:
-            raise ValueError("negative bitile index")
-
+class Tile(BaseTile):
     @property
-    def m1(self) -> int:
-        return self.m0 ^ self.m2
+    def freq(self) -> DyadicInterval:
+        return DyadicInterval(-self.scale, self.n)
 
-    def time_interval(self, i: int) -> DyadicInterval:
-        return DyadicInterval(self.scale, (self.m0, self.m1, self.m2)[i])
 
+class Bitile(BaseTile):
     @property
     def freq(self) -> DyadicInterval:
         return DyadicInterval(1 - self.scale, self.n)
@@ -90,14 +79,8 @@ class Bitile:
             raise ValueError("half index must be +1 or -1")
         return Tile(self.scale, self.m0, self.m2, 2 * self.n + (0 if j == 1 else 1))
 
-    def is_localized(self) -> bool:
-        return max(self.m0, self.m2) < 1 << -self.scale
 
-
-TileLike = Union[Tile, Bitile]
-
-
-def le(p: TileLike, q: TileLike) -> bool:
+def le(p: BaseTile, q: BaseTile) -> bool:
     """Order: every spatial interval nests upward, frequency downward.
 
     The scalar reference for the per-scale recursions below: an oracle
@@ -109,7 +92,7 @@ def le(p: TileLike, q: TileLike) -> bool:
     )
 
 
-def comparable(p: TileLike, q: TileLike) -> bool:
+def comparable(p: BaseTile, q: BaseTile) -> bool:
     return le(p, q) or le(q, p)
 
 
@@ -202,17 +185,22 @@ def convex_scales(X: dict[int, np.ndarray]) -> bool:
     )
 
 
-def is_convex(bitiles: Iterable[Bitile]) -> bool:
-    """Closed under the intermediates of every comparable pair.
+def _member_arrays(bitiles: Iterable[Bitile]) -> dict[int, np.ndarray] | None:
+    """Member indicators at the smallest resolution holding every member.
 
-    Evaluated on the per-scale arrays of the smallest resolution that
-    holds every member, so the members must be localized.
+    None for an empty collection; the members must be localized.
     """
-    coll = set(bitiles)
+    coll = list(bitiles)
     if not coll:
-        return True
+        return None
     K = max(p.n.bit_length() + 1 - p.scale for p in coll)
-    return convex_scales(scale_arrays(coll, K))
+    return {k: (x > 0).astype(np.int64) for k, x in scale_arrays(coll, K).items()}
+
+
+def is_convex(bitiles: Iterable[Bitile]) -> bool:
+    """Closed under the intermediates of every comparable pair."""
+    member = _member_arrays(bitiles)
+    return member is None or convex_scales(member)
 
 
 def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
@@ -227,40 +215,34 @@ def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
 def disjoint_tiling(bitiles: Sequence[Bitile]) -> list[Tile]:
     """Pairwise disjoint tiles covering the half-tiles of a convex set.
 
-    Bitiles are visited in increasing frequency length (coarsest spatial
-    scale first); each half-tile is added unless its cells are already
-    covered.  Convexity makes coverage all-or-nothing, which is asserted
-    on a cell-level occupancy array (spatial atoms at the finest scale
-    present, unit frequency atoms).
+    P.half(j) is a tile exactly when no member lies above the bitile r
+    one scale up: P's spatial parent with frequency index
+    n_r = 2 n_P + (0 if j == 1 else 1).  Since P.half(j) <= Q exactly when
+    r <= Q (see `half_down_sums`), a half-tile is left out exactly when it
+    lies below a coarser member, whose tiles already cover its cells; so
+    the tiling is one `up_sums` of the member indicator.  Tiles come in
+    `scale_members` order, the +1 half before the -1 half, and a repeated
+    member counts once.
     """
-    coll = list(bitiles)
-    if not coll:
+    member = _member_arrays(bitiles)
+    if member is None:
         return []
-    if not is_convex(coll):
+    if not convex_scales(member):
         raise ValueError("collection is not convex")
-    return _tiling_inner(coll, min(p.scale for p in coll))
-
-
-def _tiling_inner(coll: list[Bitile], kmin: int) -> list[Tile]:
-    atoms = 1 << -kmin  # spatial atoms per axis at the finest scale
-    fmax = max((p.n + 1) << (1 - p.scale) for p in coll)
-    covered = np.zeros((atoms, atoms, fmax), dtype=bool)
-    order = sorted(coll, key=lambda p: (-p.scale, p.m0, p.m2, p.n))
+    above = up_sums(member)
     out: list[Tile] = []
-    for p in order:
-        d = p.scale - kmin  # widen spatial indices to atom scale
-        s0 = slice(p.m0 << d, (p.m0 + 1) << d)
-        s2 = slice(p.m2 << d, (p.m2 + 1) << d)
-        for j in (1, -1):
-            t = p.half(j)
-            sf = slice(t.n << -t.scale, (t.n + 1) << -t.scale)
-            cells = covered[s0, s2, sf]
-            if cells.all():
-                continue
-            if cells.any():
-                raise ValueError("collection is not convex")
-            covered[s0, s2, sf] = True
-            out.append(t)
+    for k in sorted(member, reverse=True):
+        m0, m2, n = (i[:, None] for i in np.nonzero(member[k]))
+        halves = 2 * n + np.array([0, 1])  # the +1 half, then the -1 half
+        if k + 1 in above:
+            free = above[k + 1][m0 >> 1, m2 >> 1, halves] == 0
+        else:
+            free = np.ones(halves.shape, dtype=bool)
+        i, h = np.nonzero(free)
+        out.extend(
+            Tile(k, *t)
+            for t in zip(m0[i, 0].tolist(), m2[i, 0].tolist(), halves[i, h].tolist())
+        )
     return out
 
 
@@ -364,7 +346,7 @@ def _require_half_tile_regions(a: WalshNumber) -> None:
         )
 
 
-def diagonal_region(p: TileLike, a: WalshNumber, resolution: int) -> np.ndarray:
+def diagonal_region(p: BaseTile, a: WalshNumber, resolution: int) -> np.ndarray:
     """Boolean mask over the dual cells of I2 kept by the slot-1 projection.
 
     A bitile P keeps the cells nu whose sibling nu ^ 1, multiplied by a
@@ -400,7 +382,7 @@ def diagonal_region(p: TileLike, a: WalshNumber, resolution: int) -> np.ndarray:
     )
 
 
-def _check_tile(p: TileLike, resolution: int) -> None:
+def _check_tile(p: BaseTile, resolution: int) -> None:
     if p.scale < -resolution:
         raise ValueError("interval below resolution")
     if (p.freq.index + 1) << p.freq.scale > 1 << resolution:
@@ -409,16 +391,48 @@ def _check_tile(p: TileLike, resolution: int) -> None:
         raise ValueError("tile not localized in the unit cube")
 
 
-def _proj_diagonal_region(
-    p: TileLike, F: GridFunction2D, a: WalshNumber
-) -> GridFunction2D:
-    """Slot 1, diagonal mode: each x0 fiber of I0 onto the region over I2."""
+def _slot_block(
+    p: BaseTile, slot: int, F: GridFunction2D, mode: ProjectionMode | None
+):
+    """(box, block): the slot projection of F onto p is block on box, 0 elsewhere.
+
+    Slots 0 and 2 take tiles; slot 1 takes tiles, and bitiles in diagonal
+    mode, whose block is each x0 fiber of I0 projected onto the region
+    over I2.
+    """
     K = F.resolution
-    sl2 = _interval_slice(p.time_interval(2), K)
-    sl0 = _interval_slice(p.time_interval(0), K)
-    mask = diagonal_region(p, a, K)
-    out = GridFunction2D.zeros(K)
-    out.values[sl2, sl0] = project_rows(F.values[sl2, sl0].T, K + p.scale, mask).T
+    bk = K + p.scale
+    if slot in (0, 2):
+        axes = (1, 2) if slot == 0 else (0, 1)
+        box = tuple(_interval_slice(p.time_interval(i), K) for i in axes)
+        mask = np.zeros(1 << bk, dtype=bool)
+        mask[p.n] = True
+        if slot == 0:
+            return box, project_rows(F.values[box].T, bk, mask).T
+        return box, project_rows(F.values[box], bk, mask)
+    if slot != 1:
+        raise ValueError("slot must be 0, 1, or 2")
+    if mode is None:
+        raise ValueError("slot 1 requires a projection mode")
+    box = tuple(_interval_slice(p.time_interval(i), K) for i in (2, 0))
+    if mode.kind == "diagonal":
+        mask = diagonal_region(p, mode.multiplier, K)
+        return box, project_rows(F.values[box].T, bk, mask).T
+    labels = np.asarray(mode.labels)
+    if labels.shape != (1 << K,):
+        raise ValueError("fiberwise labels must give one frequency per cell")
+    lo = p.n << -p.scale
+    hi = (p.n + 1) << -p.scale
+    keep = (labels[box[0]] >= lo) & (labels[box[0]] < hi)
+    return box, F.values[box] * keep[:, None]
+
+
+def _placed(p: BaseTile, slot: int, F: GridFunction2D, mode) -> GridFunction2D:
+    """The slot projection onto p as a grid function, after `_check_tile`."""
+    _check_tile(p, F.resolution)
+    box, block = _slot_block(p, slot, F, mode)
+    out = GridFunction2D.zeros(F.resolution)
+    out.values[box] = block
     return out
 
 
@@ -432,40 +446,7 @@ def proj_tile(
     in diagonal mode raises ValueError for |a| >= 2, where a half-tile has
     no region (see `diagonal_region`).
     """
-    K = F.resolution
-    _check_tile(tile, K)
-    bk = K + tile.scale
-    out = GridFunction2D.zeros(K)
-    if slot == 0:
-        sl1 = _interval_slice(tile.time_interval(1), K)
-        sl2 = _interval_slice(tile.time_interval(2), K)
-        mask = np.zeros(1 << bk, dtype=bool)
-        mask[tile.n] = True
-        out.values[sl1, sl2] = project_rows(F.values[sl1, sl2].T, bk, mask).T
-        return out
-    if slot == 2:
-        sl0 = _interval_slice(tile.time_interval(0), K)
-        sl1 = _interval_slice(tile.time_interval(1), K)
-        mask = np.zeros(1 << bk, dtype=bool)
-        mask[tile.n] = True
-        out.values[sl0, sl1] = project_rows(F.values[sl0, sl1], bk, mask)
-        return out
-    if slot != 1:
-        raise ValueError("slot must be 0, 1, or 2")
-    if mode is None:
-        raise ValueError("slot 1 requires a projection mode")
-    if mode.kind == "diagonal":
-        return _proj_diagonal_region(tile, F, mode.multiplier)
-    labels = np.asarray(mode.labels)
-    if labels.shape != (1 << K,):
-        raise ValueError("fiberwise labels must give one frequency per cell")
-    sl2 = _interval_slice(tile.time_interval(2), K)
-    sl0 = _interval_slice(tile.time_interval(0), K)
-    lo = tile.n << -tile.scale
-    hi = (tile.n + 1) << -tile.scale
-    keep = (labels[sl2] >= lo) & (labels[sl2] < hi)
-    out.values[sl2, sl0] = F.values[sl2, sl0] * keep[:, None]
-    return out
+    return _placed(tile, slot, F, mode)
 
 
 def proj_bitile(
@@ -477,8 +458,7 @@ def proj_bitile(
     exists for every multiplier; for |a| < 2 the two agree.
     """
     if slot == 1 and mode is not None and mode.kind == "diagonal":
-        _check_tile(bitile, F.resolution)
-        return _proj_diagonal_region(bitile, F, mode.multiplier)
+        return _placed(bitile, slot, F, mode)
     return proj_tile(bitile.half(1), slot, F, mode) + proj_tile(
         bitile.half(-1), slot, F, mode
     )
@@ -537,10 +517,15 @@ def proj_collection(
 ) -> GridFunction2D:
     """Projection onto a convex collection.
 
-    Sums the tile projections over the disjoint tiling.  Slot 1 in
-    diagonal mode with |a| >= 2 has no half-tile regions to tile with
-    (see `diagonal_region`); there each x0 fiber is projected orthogonally
-    onto the span of the bitile regions I2(P) x diagonal_region(P) of the
+    Sums the tile projections over the disjoint tiling: each tile's block
+    is added into its box of one output array, in tiling order, so every
+    cell sees the same additions as a sum of `proj_tile` outputs.  The
+    tiling is one up-set count of the members (see `disjoint_tiling`:
+    P.half(j) is a tile exactly when no member lies above P's parent r
+    with n_r = 2 n_P + (0 if j == 1 else 1)).  Slot 1 in diagonal mode with
+    |a| >= 2 has no half-tile regions to tile with (see
+    `diagonal_region`); there each x0 fiber is projected orthogonally onto
+    the span of the bitile regions I2(P) x diagonal_region(P) of the
     members P with x0 in I0(P), which cross without tiling.  For |a| < 2
     that span projection equals the tiling sum.
     """
@@ -548,11 +533,12 @@ def proj_collection(
     out = GridFunction2D.zeros(F.resolution)
     if not coll:
         return out
-    if not is_convex(coll):
-        raise ValueError("collection is not convex")
+    tiles = disjoint_tiling(coll)
     if slot == 1 and mode is not None and mode.kind == "diagonal":
         if mode.multiplier.magnitude() >= 2.0:
             return _proj_diagonal_span(coll, F, mode.multiplier)
-    for t in _tiling_inner(coll, min(p.scale for p in coll)):
-        out = out + proj_tile(t, slot, F, mode)
+    for t in tiles:
+        _check_tile(t, F.resolution)
+        box, block = _slot_block(t, slot, F, mode)
+        out.values[box] += block
     return out

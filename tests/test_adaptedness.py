@@ -143,6 +143,26 @@ class TestInvariance:
             assert np.max(np.abs(span.values - tiled.values)) <= 1e-12
             assert np.array_equal(proj_collection(coll, 1, F, mode).values, tiled.values)
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["diagonal", "fiberwise"])
+    def test_collection_is_tiling_sum_bytes(self, slot, kind):
+        # each tile's block is added into one output in tiling order: the
+        # same bytes as the sum of full-grid tile projections
+        for seed in range(7500, 7506):
+            rng = np.random.default_rng(seed)
+            coll = random_convex(rng, tops=int(rng.integers(1, 4)))
+            if kind == "diagonal":
+                a = WalshNumber.from_float((1.0, 1.25, 1.5, 1.75, 0.75)[seed % 5])
+                mode = ProjectionMode.diagonal(a)
+            else:
+                mode = ProjectionMode.fiberwise(rng.integers(0, N, size=N))
+            F = GridFunction2D(K, rng.normal(size=(N, N)))
+            tiled = GridFunction2D.zeros(K)
+            for t in disjoint_tiling(coll):
+                tiled = tiled + proj_tile(t, slot, F, mode)
+            got = proj_collection(coll, slot, F, mode).values
+            assert got.tobytes() == tiled.values.tobytes()
+
 
 class TestLargeMultiplierObstruction:
     """Magnitude-2 multipliers alias two frequency cells onto one image.

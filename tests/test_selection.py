@@ -26,6 +26,7 @@ from walshlab.selection import (
     _counting_tables,
     _incomparable,
     _selected_halves,
+    _tree_arrays,
     _trees_ok,
     select_trees,
     single_tree_report,
@@ -430,6 +431,14 @@ class TestCertificateChecks:
             "trees-convex-with-top",
         }
 
+    def test_misfit_remainder_fails_without_raising(self):
+        # scale -4 is below the finest bitile scale at the resolution 4 of F
+        cert = self.cert(((), (), ()), (Bitile(-4, 0, 0, 0),))
+        assert self.names(cert) == {"remainder-size"}
+        _, report = verify_certificate(cert, self.F)
+        assert report["remainder_size"] == math.inf
+        assert math.isnan(report["halfsum_ratio_linear"])
+
     def test_counting_keys_compared_first(self):
         q = Bitile(-1, 0, 0, 0)
         cert = self.cert(((Tree(q, (q,)),), (), ()))
@@ -555,11 +564,52 @@ class TestArrayChecks:
                 count += len(forest)
                 seen.update(want)
                 for t, w in zip(forest, want):
-                    assert _trees_ok([t], K) == w, (K, t)
-                assert _trees_ok(forest, K) == all(want)
+                    assert _trees_ok(*_tree_arrays([t]), K) == w, (K, t)
+                assert _trees_ok(*_tree_arrays(forest), K) == all(want)
         assert count >= 1600
         assert seen == {True, False}
-        assert _trees_ok([], 3)
+        assert _trees_ok(*_tree_arrays([]), 3)
+
+    def test_partition_matches_set_version(self):
+        # the coordinate-row partition checks give the verdicts of the
+        # checks on Python sets of bitiles they replaced
+        F = GridFunction2D(4, np.full((16, 16), 0.3))
+        rng = np.random.default_rng(14)
+        pool = all_bitiles(4)
+        seen = set()
+        for trial in range(72):
+            trees = [random_tree(rng, 4) for _ in range(int(rng.integers(1, 4)))]
+            members = [p for t in trees for p in t.members]
+            remainder = [p for p in pool[:40] if p not in members][: rng.integers(4)]
+            collection = remainder + members
+            kind = trial % 6
+            if kind == 1:  # a repeated member
+                remainder.append(members[rng.integers(len(members))])
+            elif kind == 2:  # a missing member
+                collection.pop(int(rng.integers(len(collection))))
+            elif kind == 3:  # an extra collection member
+                collection.append(Bitile(0, 0, 0, 1 + int(rng.integers(7))))
+            elif kind == 4:  # a misfit member, in the remainder or the collection
+                misfit = Bitile(-4, 0, 0, 0)
+                (remainder if trial % 2 else collection).append(misfit)
+            elif kind == 5:  # a collection member swapped for another bitile
+                i = int(rng.integers(len(collection)))
+                collection[i] = Bitile(-1, 1, 1, int(rng.integers(4)))
+            forests = (tuple(trees), (), ())
+            counting = _counting_tables(trees, F, 0, 1)
+            cert = SelectionCertificate(
+                tuple(collection), tuple(remainder), forests, 0, 1, None, counting
+            )
+            parts = remainder + members
+            want = {
+                "partition-disjoint": len(set(parts)) == len(parts),
+                "partition-union": set(parts) == set(collection),
+            }
+            _, report = verify_certificate(cert, F)
+            got = {name: ok for name, ok, _ in report["checks"] if name in want}
+            assert got == want, (trial, cert)
+            seen.update(want.items())
+        assert len(seen) == 4  # each check both passes and fails
 
     @pytest.mark.parametrize("j", [-1, 1])
     def test_selected_halves_match_le_list(self, j):

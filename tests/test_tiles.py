@@ -1,20 +1,25 @@
 """Tile order, tilings, and projection axioms.
 
-The tiling is checked against an independent cell-occupancy oracle: the
-union of half-tile cells of the input must equal the disjoint union of
-the output tiles' cells.
+The tiling is checked against two independent oracles: the union of
+half-tile cells of the input must equal the disjoint union of the output
+tiles' cells, and the list, order included, must be the one a
+cell-occupancy sweep produces.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.tiles import (
+    BaseTile,
     Bitile,
     ProjectionMode,
     Tile,
     all_bitiles,
     comparable,
+    down_sums,
     diagonal_data,
     diagonal_region,
     disjoint_tiling,
@@ -24,6 +29,9 @@ from walshlab.tiles import (
     proj_bitile,
     proj_collection,
     proj_tile,
+    scale_arrays,
+    scale_members,
+    up_sums,
 )
 from walshlab.walsh import DyadicInterval, WalshNumber
 from walshlab.wavelets import (
@@ -51,12 +59,84 @@ def tile_cells(t: Tile, kmin: int):
     return out
 
 
+def sweep_tiling(bitiles):
+    """The tiling by a cell-occupancy sweep, the oracle of `disjoint_tiling`.
+
+    Bitiles are visited coarsest scale first, then by m0, m2, n; each
+    half-tile (+1 first) is added unless its cells, spatial atoms at the
+    finest scale present times unit frequency atoms, are already covered.
+    Convexity makes coverage all-or-nothing.
+    """
+    coll = list(bitiles)
+    kmin = min(p.scale for p in coll)
+    atoms = 1 << -kmin
+    fmax = max((p.n + 1) << (1 - p.scale) for p in coll)
+    covered = np.zeros((atoms, atoms, fmax), dtype=bool)
+    out = []
+    for p in sorted(coll, key=lambda p: (-p.scale, p.m0, p.m2, p.n)):
+        d = p.scale - kmin
+        s0 = slice(p.m0 << d, (p.m0 + 1) << d)
+        s2 = slice(p.m2 << d, (p.m2 + 1) << d)
+        for j in (1, -1):
+            t = p.half(j)
+            cells = covered[s0, s2, t.n << -t.scale : (t.n + 1) << -t.scale]
+            if cells.all():
+                continue
+            assert not cells.any(), "partly covered half-tile"
+            cells[...] = True
+            out.append(t)
+    return out
+
+
+def down_union(picks, K):
+    """Union of the down-sets of the picks, as per-scale indicators."""
+    return {k: u > 0 for k, u in up_sums(scale_arrays(picks, K)).items()}
+
+
+def hull(picks, K):
+    """down(S) intersected with up(S): convex, and holds S."""
+    below = up_sums(scale_arrays(picks, K))
+    above = down_sums(scale_arrays(picks, K))
+    return {k: (below[k] > 0) & (above[k] > 0) for k in below}
+
+
+def convex_ensemble(rng, K):
+    """Convex collections of every kind the tiling is compared on.
+
+    Unions of down-sets, those unions cut off above or below a scale,
+    hulls down(S) & up(S), and a union listed with repeated members.
+    """
+    pool = all_bitiles(K)
+    picks = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 4))]
+    union = scale_members(down_union(picks, K))
+    cut = int(rng.integers(1 - K, 1))
+    yield union
+    yield [p for p in union if p.scale >= cut] or union
+    yield [p for p in union if p.scale <= cut] or union
+    yield scale_members(hull(picks, K))
+    yield union + [union[i] for i in rng.integers(len(union), size=len(union) // 2 + 1)]
+
+
 class TestOrder:
     def test_half_tiles(self):
         p = Bitile(-1, 0, 1, 3)
         assert p.half(1) == Tile(-1, 0, 1, 6)
         assert p.half(-1) == Tile(-1, 0, 1, 7)
         assert p.freq.scale == 2 and p.half(1).freq.scale == 1
+
+    def test_one_frozen_base(self):
+        # equality stays class-sensitive; hash and repr are the fields'
+        t, b = Tile(0, 1, 0, 2), Bitile(0, 1, 0, 2)
+        assert isinstance(t, BaseTile) and isinstance(b, BaseTile)
+        assert t != b and len({t, b}) == 2
+        assert hash(t) == hash(b) == hash((0, 1, 0, 2))
+        assert repr(b) == "Bitile(scale=0, m0=1, m2=0, n=2)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.n = 3
+        with pytest.raises(ValueError, match="tile scale must be nonpositive"):
+            Tile(1, 0, 0, 0)
+        with pytest.raises(ValueError, match="negative bitile index"):
+            Bitile(0, 0, 0, -1)
 
     def test_middle_interval_is_xor(self):
         assert Bitile(-2, 3, 1, 0).m1 == 2
@@ -111,12 +191,10 @@ class TestDisjointTiling:
     def test_two_comparable_bitiles_give_three_tiles(self):
         coarse = Bitile(0, 0, 0, 0)
         fine = Bitile(-1, 0, 1, 0)
-        tiles = disjoint_tiling([coarse, fine])
-        assert len(tiles) == 3
-        assert Tile(0, 0, 0, 0) in tiles and Tile(0, 0, 0, 1) in tiles
+        tiles = disjoint_tiling([fine, coarse, fine])
         # the fine bitile's lower half is covered by the coarse halves;
-        # only its upper half survives
-        assert Tile(-1, 0, 1, 1) in tiles
+        # only its upper half survives; coarsest first, +1 half first
+        assert tiles == [Tile(0, 0, 0, 0), Tile(0, 0, 0, 1), Tile(-1, 0, 1, 1)]
 
     def test_single_bitile_gives_both_halves(self):
         p = Bitile(-1, 1, 0, 2)
@@ -137,6 +215,17 @@ class TestDisjointTiling:
         assert is_convex(chain)
         assert len(disjoint_tiling(chain)) == len(chain) + 1
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_matches_sweep_oracle(self, K):
+        # the same list, order included, as the occupancy sweep
+        rng = np.random.default_rng(100 + K)
+        for _ in range(40):
+            for coll in convex_ensemble(rng, K):
+                assert is_convex(coll)
+                order = list(coll)
+                rng.shuffle(order)
+                assert disjoint_tiling(order) == sweep_tiling(coll)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_partition_matches_cell_oracle(self, seed):
         K = 4
@@ -147,6 +236,12 @@ class TestDisjointTiling:
         for top in tops:
             coll |= down_set(universe, top)
         coll = sorted(coll, key=lambda p: (p.scale, p.m0, p.m2, p.n))
+        self.assert_cells_partition(coll)
+        # hulls down(S) & up(S) of the same picks are convex without being
+        # unions of down-sets
+        self.assert_cells_partition(scale_members(hull(tops, K)))
+
+    def assert_cells_partition(self, coll):
         tiles = disjoint_tiling(coll)
         kmin = min(p.scale for p in coll)
         want = set()
