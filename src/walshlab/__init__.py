@@ -23,7 +23,6 @@ from .tiles import (
     ProjectionMode,
     Tile,
     all_bitiles,
-    down_set,
     is_convex,
     le,
     proj_bitile,
@@ -82,7 +81,6 @@ __all__ = [
     "Bitile",
     "ProjectionMode",
     "all_bitiles",
-    "down_set",
     "is_convex",
     "le",
     "proj_tile",

@@ -122,41 +122,6 @@ class Parallelogram:
         return out
 
 
-@dataclass(frozen=True)
-class ExpandedParallelogram:
-    """Full dilate: both side lengths scaled about the center.
-
-    The shadow of a full dilate is no longer dyadic, so this lives in its
-    own type; its uncertainty interval coincides with the original's.
-    """
-
-    x_left: float
-    x_right: float
-    base_y: float
-    slope: float
-    height: float
-
-    @property
-    def uncertainty(self) -> Tuple[float, float]:
-        half = self.height / (self.x_right - self.x_left)
-        return (self.slope - half, self.slope + half)
-
-
-def full_dilate(r: Parallelogram, a: float) -> ExpandedParallelogram:
-    if a < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    xc = 0.5 * (r.x_left + r.x_right)
-    half_l = 0.5 * a * r.length
-    yc_left = r.center_y(xc - half_l)
-    return ExpandedParallelogram(
-        xc - half_l,
-        xc + half_l,
-        yc_left - 0.5 * a * r.height,
-        r.slope,
-        a * r.height,
-    )
-
-
 class SlopeField:
     """Grid of slope values in [-1, 1] with an optional Lipschitz certificate.
 
@@ -202,14 +167,6 @@ def _e_cells(r: Parallelogram, u: SlopeField):
     return cols, m, m & (seg >= lo) & (seg <= hi)
 
 
-def e_set(r: Parallelogram, u: SlopeField) -> np.ndarray:
-    """Cells of R whose slope value lies in the uncertainty interval."""
-    out = np.zeros((u.n, u.n), dtype=bool)
-    cols, _, e = _e_cells(r, u)
-    out[cols] = e
-    return out
-
-
 def density(r: Parallelogram, u: SlopeField) -> float:
     """|E(R)| / |R| in grid cells; vacuously 1 for a cell-free R."""
     _, m, e = _e_cells(r, u)
@@ -233,31 +190,6 @@ def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
     fwd = s[:, 1:] - np.minimum.accumulate(s[:, :-1], axis=1)
     bwd = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1] - s[:, :-1]
     return fwd + bwd - g
-
-
-def vertical_superlevel(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Cells where the vertical maximal function reaches the threshold.
-
-    A cell passes when some vertical cell interval through it has average
-    at least the threshold.
-    """
-    return _vertical_margin(values, threshold) >= 0.0
-
-
-def vertical_maximal(values: np.ndarray) -> np.ndarray:
-    """Exact vertical maximal function; quadratic per column, for checks."""
-    v = np.abs(np.asarray(values, dtype=np.float64))
-    n_cols, n = v.shape
-    out = np.zeros_like(v)
-    for c in range(n_cols):
-        s = np.concatenate([[0.0], np.cumsum(v[c])])
-        for a in range(n):
-            avgs = (s[a + 1 :] - s[a]) / np.arange(1, n - a + 1)
-            # cells a..b-1 see the interval [a, b); sweep b downward so a
-            # running maximum covers every cell of the interval
-            run = np.maximum.accumulate(avgs[::-1])[::-1]
-            out[c, a:] = np.maximum(out[c, a:], run)
-    return out
 
 
 @dataclass(frozen=True)
@@ -396,12 +328,6 @@ def intersection_measure(rs: Sequence[Parallelogram]) -> float:
     return area
 
 
-def uncertainty_overlap(rs: Sequence[Parallelogram]) -> bool:
-    lo = max(r.uncertainty[0] for r in rs)
-    hi = min(r.uncertainty[1] for r in rs)
-    return lo <= hi
-
-
 def overlap_check(
     selected: Sequence[Parallelogram],
     u: SlopeField,
@@ -437,7 +363,7 @@ def overlap_check(
         order = [(r, *r.uncertainty) for r in selected]
 
         # (lo, hi) is the intersection of the chain's uncertainty intervals:
-        # uncertainty_overlap(chain) holds exactly when lo <= hi
+        # they share a slope exactly when lo <= hi
         def extend(chain: List[Parallelogram], lo: float, hi: float):
             nonlocal overlap
             for r, r_lo, r_hi in order:

@@ -17,6 +17,10 @@ from .selection import Tree
 from .tiles import Bitile, down_sums, scale_arrays, scale_members, up_sums
 from .walsh import DyadicInterval
 
+ENSEMBLE_HEIGHTS = (0.01, 0.2)  # height range of parallelogram_ensemble
+DENSE_HEIGHTS = (0.01, 0.1)  # height range of dense_parallelograms
+DENSE_MAX_TRIES = 2000  # candidates dense_parallelograms draws at most
+
 
 def uniform_cells_2d(rng, resolution: int) -> GridFunction2D:
     n = 1 << resolution
@@ -125,7 +129,6 @@ def parallelogram_ensemble(
     grid_log: int,
     count: int,
     scale_range: Tuple[int, int] = (-5, -1),
-    height_range: Tuple[float, float] = (0.01, 0.2),
 ) -> list:
     """Random parallelograms with dyadic shadows inside the unit square."""
     out = []
@@ -135,7 +138,7 @@ def parallelogram_ensemble(
     for _ in range(count):
         scale = int(rng.integers(lo, hi + 1))
         index = int(rng.integers(0, 1 << -scale))
-        height = float(rng.uniform(*height_range))
+        height = float(rng.uniform(*ENSEMBLE_HEIGHTS))
         slope = float(rng.uniform(-1.0, 1.0))
         reach = abs(slope) * 2.0 ** scale
         base = float(rng.uniform(0.0, max(1.0 - height - reach, 0.01)))
@@ -151,8 +154,6 @@ def dense_parallelograms(
     delta: float,
     count: int,
     scale_range: Tuple[int, int] = (-5, -3),
-    height_range: Tuple[float, float] = (0.01, 0.1),
-    max_tries: int = 2000,
 ) -> list:
     """Parallelograms aligned with the slope field, then density-filtered.
 
@@ -165,11 +166,11 @@ def dense_parallelograms(
     n = u.n
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < DENSE_MAX_TRIES:
         tries += 1
         scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
         index = int(rng.integers(0, 1 << -scale))
-        height = float(rng.uniform(*height_range))
+        height = float(rng.uniform(*DENSE_HEIGHTS))
         x_left = index * 2.0 ** scale
         cx = int(
             np.clip((x_left + 0.5 * 2.0 ** scale) * n, 0, n - 1)

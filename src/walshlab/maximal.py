@@ -18,20 +18,6 @@ def _check_exponent(p: float):
         raise ValueError("maximal exponent must be at least 1")
 
 
-def dyadic_maximal_1d(f: GridFunction1D, p: float = 1.0) -> GridFunction1D:
-    """sup over dyadic intervals I containing x of (avg_I |f|^p)^(1/p)."""
-    _check_exponent(p)
-    v = np.abs(f.values) ** p
-    best = v.copy()
-    avg = v
-    width = 1
-    while avg.size > 1:
-        avg = avg.reshape(-1, 2).mean(axis=1)
-        width *= 2
-        np.maximum(best, np.repeat(avg, width), out=best)
-    return GridFunction1D(f.resolution, best ** (1.0 / p))
-
-
 def dyadic_maximal_2d(f: GridFunction2D, p: float = 1.0) -> GridFunction2D:
     """sup over dyadic squares through the point of (avg |f|^p)^(1/p)."""
     _check_exponent(p)

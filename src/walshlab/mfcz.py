@@ -111,31 +111,6 @@ def exceptional_sets(
     return ExceptionalSets(b0, b2, b1, e1_prime, b1.integral())
 
 
-def maximal_dyadic_intervals(cells: np.ndarray) -> List[DyadicInterval]:
-    """Maximal dyadic intervals inside a 1D cell set, left to right.
-
-    The result is a disjoint family covering the set exactly; an interval
-    appears only if its dyadic parent is not fully contained.
-    """
-    n = len(cells)
-    if n & (n - 1):
-        raise ValueError("cell count must be a power of two")
-    K = n.bit_length() - 1
-    out: List[DyadicInterval] = []
-
-    def descend(scale: int, index: int):
-        width = 1 << (K + scale)
-        seg = cells[index * width : (index + 1) * width]
-        if seg.all():
-            out.append(DyadicInterval(scale, index))
-        elif width > 1 and seg.any():
-            descend(scale - 1, 2 * index)
-            descend(scale - 1, 2 * index + 1)
-
-    descend(0, 0)
-    return out
-
-
 @dataclass(frozen=True)
 class GoodPiece:
     """One maximal interval of a directional-region row with its packets."""
@@ -157,8 +132,7 @@ def _region_pieces(mask: np.ndarray):
 
     One block test per scale: an interval is a piece when its block of
     the row is full and its dyadic parent's is not.  Returns (row, scale,
-    index) ordered by row, then left end, the order in which
-    maximal_dyadic_intervals lists each row.
+    index) ordered by row, then left end.
     """
     n = len(mask)
     K = n.bit_length() - 1
@@ -356,19 +330,3 @@ def g_norm_report(
         "exponent": exponent,
         "ratio": ratio,
     }
-
-
-def transpose_instance(
-    f0: GridFunction2D, f1: GridFunction2D, f2: GridFunction2D, eps=None
-):
-    """Swap the roles of the outer variables: (F0, F1, F2) -> (F2^T, F1^T, F0^T).
-
-    Relabeling the two outer integration variables carries each slot
-    function to the transpose of the opposite slot, transposes the sign
-    field, and leaves the form's value unchanged; a bitile (k, m0, m2, n)
-    pairs with (k, m2, m0, n).  Exponents travel with their slots.
-    """
-    out = (f2.transpose(), f1.transpose(), f0.transpose())
-    if eps is None:
-        return out
-    return out + (eps.transpose(),)

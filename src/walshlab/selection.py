@@ -175,25 +175,23 @@ def _half_norms(F, slot, mode, member):
     return lower, upper
 
 
-def _tree_energy(member, lower, upper):
-    """Squared tree projection norm below every potential top.
+def _size(member, lower, upper):
+    """Size of the members, whose convexity the caller has settled, and the half sums.
 
-    Orthogonal decomposition: both halves of the top plus, for each
-    member whose j-half sits below the top, the opposite half.  The value
-    is meaningful on members only.
+    The squared tree projection norm below a top decomposes orthogonally:
+    both halves of the top plus, for each member whose j-half sits below
+    the top, the opposite half.  halves[j] is that second sum below every
+    potential top; the values are meaningful on members only.
     """
-    plus = half_down_sums({k: upper[k] * m for k, m in member.items()}, 1)
-    minus = half_down_sums({k: lower[k] * m for k, m in member.items()}, -1)
-    return {k: lower[k] + upper[k] + (plus[k] + minus[k]) for k in member}
-
-
-def _size(member, lower, upper) -> float:
-    """Size of the members, whose convexity the caller has settled."""
-    energy = _tree_energy(member, lower, upper)
+    halves = {
+        1: half_down_sums({k: upper[k] * m for k, m in member.items()}, 1),
+        -1: half_down_sums({k: lower[k] * m for k, m in member.items()}, -1),
+    }
+    energy = {k: lower[k] + upper[k] + (halves[1][k] + halves[-1][k]) for k in member}
     worst = max(
         float(np.max(energy[k][m] / 4.0**k)) for k, m in member.items() if m.any()
     )
-    return float(np.sqrt(worst))
+    return float(np.sqrt(worst)), halves
 
 
 def _members(bitiles, resolution):
@@ -219,7 +217,7 @@ def size(
         return 0.0
     if not convex_scales(member):
         raise ValueError("collection is not convex")
-    return _size(member, *_half_norms(F, slot, mode, member))
+    return _size(member, *_half_norms(F, slot, mode, member))[0]
 
 
 # -- the selection algorithm -------------------------------------------------
@@ -560,27 +558,25 @@ def verify_certificate(
 def _remainder_readings(cert, F, slot, level):
     """Remainder size and max half-sum ratios, linear and squared area readings.
 
-    Both come from one set of member arrays and half-norm tables.  A
-    remainder that does not fit F's resolution reads size inf, ratios nan.
+    Both come from one set of member arrays, half-norm tables and half
+    sums.  A remainder that does not fit F's resolution reads size inf, ratios nan.
     """
     if not _fits(_coords(cert.remainder), F.resolution).all():
         return math.inf, math.nan, math.nan
     member = _members(cert.remainder, F.resolution)
     if member is None:
         return 0.0, 0.0, 0.0
-    lower, upper = _half_norms(F, slot, cert.mode, member)
+    rem_size, halves = _size(member, *_half_norms(F, slot, cert.mode, member))
     threshold = 4.0 ** (-level) / 3.0
     worst_lin = 0.0
     worst_sq = 0.0
     for j in (-1, 1):
-        contrib = upper if j == 1 else lower
-        scores = half_down_sums({k: contrib[k] * m for k, m in member.items()}, j)
         for k, m in member.items():
             if m.any():
-                s, area = scores[k][m], 4.0**k
+                s, area = halves[j][k][m], 4.0**k
                 worst_lin = max(worst_lin, float(np.max(s / (threshold * area))))
                 worst_sq = max(worst_sq, float(np.max(s / (threshold * area**2))))
-    return _size(member, lower, upper), worst_lin, worst_sq
+    return rem_size, worst_lin, worst_sq
 
 
 # -- single-tree form report -------------------------------------------------

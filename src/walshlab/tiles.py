@@ -83,17 +83,14 @@ class Bitile(BaseTile):
 def le(p: BaseTile, q: BaseTile) -> bool:
     """Order: every spatial interval nests upward, frequency downward.
 
-    The scalar reference for the per-scale recursions below: an oracle
-    and test helper, which no code of the package calls on a hot path.
+    The scalar definition of the order, kept as public API.  The package
+    itself reasons with the per-scale sums below (`down_sums`, `up_sums`),
+    which the tests check against this definition.
     """
     return (
         all(q.time_interval(i).contains(p.time_interval(i)) for i in (0, 1, 2))
         and p.freq.contains(q.freq)
     )
-
-
-def comparable(p: BaseTile, q: BaseTile) -> bool:
-    return le(p, q) or le(q, p)
 
 
 def all_bitiles(resolution: int) -> list[Bitile]:
@@ -201,15 +198,6 @@ def is_convex(bitiles: Iterable[Bitile]) -> bool:
     """Closed under the intermediates of every comparable pair."""
     member = _member_arrays(bitiles)
     return member is None or convex_scales(member)
-
-
-def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
-    """The bitiles p <= top, one scalar `le` each.
-
-    An oracle and test helper; the package builds down-sets with
-    `up_sums` of the top's indicator.
-    """
-    return {p for p in bitiles if le(p, top)}
 
 
 def disjoint_tiling(bitiles: Sequence[Bitile]) -> list[Tile]:

@@ -198,9 +198,6 @@ class DyadicInterval:
     def sibling(self) -> "DyadicInterval":
         return DyadicInterval(self.scale, self.index ^ 1)
 
-    def intersects(self, other: "DyadicInterval") -> bool:
-        return self.contains(other) or other.contains(self)
-
 
 def coset_membership(
     xi: WalshNumber,

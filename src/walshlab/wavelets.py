@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import bit_reversal, wht_rows
 from .gridfn import GridFunction1D, _interval_slice
-from .walsh import DyadicInterval, WalshNumber, coset_membership
+from .walsh import DyadicInterval
 
 
 def haar(interval: DyadicInterval, resolution: int) -> GridFunction1D:
@@ -134,72 +134,3 @@ def project_rows(
     c = coefficient_rows(rows, block_resolution)
     c[:, ~mask] = 0.0
     return synthesis_rows(c, block_resolution)
-
-
-def _local_cells(time: DyadicInterval, freq: DyadicInterval, resolution: int):
-    """Slice and dual-cell index range of the rectangle time x freq."""
-    span = freq.scale + time.scale  # log2 of the area
-    if span < 0:
-        raise ValueError("tile area must be at least 1")
-    lo = freq.index << span
-    return _interval_slice(time, resolution), lo, lo + (1 << span)
-
-
-def project_tile_1d(
-    f: GridFunction1D,
-    time: DyadicInterval,
-    freq: DyadicInterval,
-    oracle: bool = False,
-) -> GridFunction1D:
-    """Orthogonal projection onto the packets of the rectangle time x freq.
-
-    The rectangle must have area at least one; it decomposes into area-1
-    tiles over the full time interval, one per frequency cell of width
-    1/|I|.  `oracle=True` evaluates the defining sum of rank-one terms
-    packet-by-packet instead of the masked block transform.
-    """
-    K = f.resolution
-    _check_time(time, K)
-    _check_freq(freq, K)
-    sl, lo, hi = _local_cells(time, freq, K)
-    bk = K + time.scale
-    if oracle:
-        out = GridFunction1D.zeros(K)
-        for nu in range(lo, hi):
-            w = wave_packet(
-                WavePacketSpec(time, DyadicInterval(-time.scale, nu)), K
-            )
-            out = out + f.inner(w) * w
-        return out
-    mask = np.zeros(1 << bk, dtype=bool)
-    mask[lo:hi] = True
-    out = GridFunction1D.zeros(K)
-    out.values[sl] = project_rows(f.values[None, sl], bk, mask)[0]
-    return out
-
-
-def project_region_1d(
-    f: GridFunction1D,
-    time: DyadicInterval,
-    multiplier: WalshNumber,
-    freq: DyadicInterval,
-) -> GridFunction1D:
-    """Projection onto the frequency cells meeting the image of freq.
-
-    Keeps the dual cells nu of the time interval whose representative
-    nu/|I| lies in multiplier (*) freq at grid granularity; multiplier = 1
-    reduces to project_tile_1d.
-    """
-    K = f.resolution
-    _check_time(time, K)
-    _check_freq(freq, K)
-    bk = K + time.scale
-    mask = np.zeros(1 << bk, dtype=bool)
-    for nu in range(1 << bk):
-        xi = WalshNumber(nu, time.scale)  # representative nu / |I|
-        if coset_membership(xi, multiplier, freq, granularity=-K):
-            mask[nu] = True
-    sl = _interval_slice(time, K)
-    out = GridFunction1D.zeros(K)
-    out.values[sl] = project_rows(f.values[None, sl], bk, mask)[0]
-    return out

@@ -21,7 +21,6 @@ from walshlab.covering import (
     greedy_cover,
     lemma7r_check,
     overlap_check,
-    vertical_superlevel,
 )
 from walshlab.ensembles import (
     cone_slope_field,
@@ -42,7 +41,6 @@ from walshlab.tiles import (
     ProjectionMode,
     all_bitiles,
     diagonal_data,
-    down_set,
     fiberwise_data,
     proj_bitile,
     proj_collection,
@@ -64,6 +62,8 @@ from walshlab.triform import (
 )
 from walshlab.walsh import WalshNumber, walsh_add, walsh_mul
 from walshlab.wavelets import fwht, walsh_fn
+
+from .oracles import down_set, vertical_superlevel
 
 TOL = 1e-9
 

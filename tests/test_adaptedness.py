@@ -18,7 +18,6 @@ from walshlab.tiles import (
     all_bitiles,
     diagonal_data,
     disjoint_tiling,
-    down_set,
     fiberwise_data,
     proj_bitile,
     proj_collection,
@@ -27,6 +26,8 @@ from walshlab.tiles import (
 from walshlab.tiles import _proj_diagonal_span
 from walshlab.triform import lambda_bitile
 from walshlab.walsh import WalshNumber
+
+from .oracles import down_set
 
 K = 4
 N = 1 << K

@@ -10,25 +10,28 @@ from walshlab.covering import (
     VERTICAL_THRESHOLD,
     CoverStep,
     CoverTrace,
-    ExpandedParallelogram,
     Parallelogram,
     SlopeField,
     density,
-    e_set,
-    full_dilate,
     greedy_cover,
     intersection_measure,
     lemma7r_check,
     lk_maximal,
     overlap_check,
-    uncertainty_overlap,
-    vertical_maximal,
-    vertical_superlevel,
     _vertical_margin,
 )
 from walshlab.ensembles import cone_slope_field, linear_slope_field
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
+
+from .oracles import (
+    ExpandedParallelogram,
+    e_set,
+    full_dilate,
+    uncertainty_overlap,
+    vertical_maximal,
+    vertical_superlevel,
+)
 
 
 def make(shadow_scale, shadow_index, base_y, slope, height):

@@ -18,7 +18,9 @@ from walshlab.ensembles import (
     uniform_cells_2d,
 )
 from walshlab.selection import Tree
-from walshlab.tiles import all_bitiles, down_set, is_convex, le
+from walshlab.tiles import all_bitiles, is_convex, le
+
+from .oracles import down_set
 
 
 def _canon(b):

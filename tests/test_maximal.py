@@ -4,10 +4,11 @@ import pytest
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.maximal import (
     directional_maximal,
-    dyadic_maximal_1d,
     dyadic_maximal_2d,
     level_set,
 )
+
+from .oracles import dyadic_maximal_1d
 
 
 def brute_1d(values, p):

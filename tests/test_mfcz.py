@@ -13,15 +13,15 @@ from walshlab.mfcz import (
     counting_function,
     exceptional_sets,
     g_norm_report,
-    maximal_dyadic_intervals,
     replacement_check,
-    transpose_instance,
 )
 from walshlab.selection import Tree, select_trees
 from walshlab.tiles import Bitile, all_bitiles, is_convex
 from walshlab.triform import EpsilonField, lambda_bitile, lambda_direct
 from walshlab.walsh import DyadicInterval
-from walshlab.wavelets import WavePacketSpec, project_tile_1d, wave_packet
+from walshlab.wavelets import WavePacketSpec, project_rows, wave_packet
+
+from .oracles import maximal_dyadic_intervals, project_tile_1d, transpose_instance
 
 
 def indicator(K, rng, density):
@@ -170,9 +170,7 @@ class TestGoodFunction:
             assert piece.freqs == (DyadicInterval(1, 2),)
         for i0 in range(16):
             fiber = GridFunction1D(K, f2.values[i0].copy())
-            want = project_tile_1d(
-                fiber, DyadicInterval(-1, 0), DyadicInterval(1, 2), oracle=True
-            )
+            want = project_tile_1d(fiber, DyadicInterval(-1, 0), DyadicInterval(1, 2))
             np.testing.assert_allclose(
                 good.g.values[i0], want.values, atol=1e-12
             )
@@ -256,9 +254,14 @@ def reference_good_function(f2, forest, b2):
                 )
             ordered = tuple(sorted(freqs, key=lambda w: w.index))
             pieces.append(GoodPiece(cell0, time, ordered))
-            fiber = GridFunction1D(K, f2.values[cell0].copy())
-            for freq in ordered:
-                g[cell0] += project_tile_1d(fiber, time, freq).values
+            # one masked block transform per packet; a packet-by-packet
+            # inner-product sum would re-associate the floats
+            bk = K + time.scale
+            cells = slice(time.index << bk, (time.index + 1) << bk)
+            fiber = f2.values[None, cell0, cells]
+            for freq in ordered:  # area one: a single dual cell
+                keep = np.arange(1 << bk) == freq.index
+                g[cell0, cells] += project_rows(fiber, bk, keep)[0]
     return g, tuple(pieces)
 
 

@@ -40,7 +40,6 @@ from walshlab.tiles import (
     Tile,
     all_bitiles,
     convex_scales,
-    down_set,
     down_sums,
     half_down_sums,
     is_convex,
@@ -53,6 +52,8 @@ from walshlab.tiles import (
     up_sums,
 )
 from walshlab.walsh import WalshNumber
+
+from .oracles import down_set
 
 
 def rand2d(K, seed):
