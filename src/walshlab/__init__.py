@@ -20,6 +20,7 @@ from .gridfn import GridFunction1D, GridFunction2D
 from .wavelets import fwht, fwht_synthesis, haar, walsh_fn, wave_packet
 from .tiles import (
     Bitile,
+    BitileRows,
     ProjectionMode,
     Tile,
     all_bitiles,
@@ -42,6 +43,7 @@ from .selection import (
     SelectionCertificate,
     Tree,
     select_trees,
+    size,
     single_tree_report,
     verify_certificate,
 )
@@ -79,6 +81,7 @@ __all__ = [
     "wave_packet",
     "Tile",
     "Bitile",
+    "BitileRows",
     "ProjectionMode",
     "all_bitiles",
     "is_convex",
@@ -96,6 +99,7 @@ __all__ = [
     "Tree",
     "SelectionCertificate",
     "select_trees",
+    "size",
     "verify_certificate",
     "single_tree_report",
     "exceptional_sets",

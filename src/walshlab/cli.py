@@ -45,6 +45,7 @@ from .mfcz import (
 )
 from .selection import select_trees, single_tree_report, verify_certificate
 from .tiles import (
+    BitileRows,
     ProjectionMode,
     all_bitiles,
     diagonal_data,
@@ -415,7 +416,7 @@ def _suite_replacement(cfg: Config) -> List[Row]:
         sets, f0, f1, f2, forest = _replacement_case(rng, K)
         good = build_good_function(f2, forest, sets.b2)
         # the trees of a selection are disjoint: each member enters once
-        members = [p for tree in forest for p in tree.members]
+        members = BitileRows.concat(tree.members for tree in forest)
         dev, violations = replacement_check(members, f0, f1, f2, good)
         rows.append(_row("replacement", f"t{t}_identity", dev, TOL))
         rows.append(_row("replacement", f"t{t}_violations", float(len(violations)), 0.0))

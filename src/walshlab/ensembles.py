@@ -14,7 +14,7 @@ import numpy as np
 from .covering import Parallelogram, SlopeField
 from .gridfn import GridFunction2D
 from .selection import Tree
-from .tiles import Bitile, down_sums, scale_arrays, scale_members, up_sums
+from .tiles import Bitile, BitileRows, down_sums, scale_arrays, scale_members, up_sums
 from .walsh import DyadicInterval
 
 ENSEMBLE_HEIGHTS = (0.01, 0.2)  # height range of parallelogram_ensemble
@@ -83,10 +83,10 @@ def random_tree(rng, resolution: int, sprouts: int = 3) -> Tree:
     top = random_bitile(rng, resolution)
     mask = _down_mask([top], resolution)
     below = scale_members(mask)
-    picks = [below[i] for i in rng.integers(0, len(below), size=max(sprouts, 1))]
+    picks = BitileRows(below.rows[rng.integers(0, len(below), size=max(sprouts, 1))])
     above = down_sums(scale_arrays(picks, resolution))
     members = scale_members({k: m & (above[k] > 0) for k, m in mask.items()})
-    return Tree(top, tuple(members))
+    return Tree(top, members)
 
 
 def measure_triple(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gridfn import GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
-from .tiles import Bitile, scale_arrays
+from .tiles import Bitile, BitileRows, scale_arrays, scale_members
 from .triform import bitile_table
 from .walsh import DyadicInterval
 from .wavelets import coefficient_rows, synthesis_rows
@@ -264,23 +264,22 @@ def replacement_check(
     return worst, tuple(violations)
 
 
-def admissible_bitiles(b1: GridFunction2D) -> List[Bitile]:
+def admissible_bitiles(b1: GridFunction2D) -> BitileRows:
     """Bitiles whose outer-variable shadow is not swallowed by the region.
 
     The shadow here is the box of the two outer spatial intervals, read
     in the middle function's plane.  The admissible set is upward closed
-    in the tile order, hence convex.
+    in the tile order, hence convex.  Rows come in `all_bitiles` order.
     """
     K = b1.resolution
     if K < 2:
         raise ValueError("resolution too small for bitiles")
-    out = []
+    mask = {}
     for k in range(1 - K, 1):
         nb, w = 1 << -k, 1 << (K + k)
         swallowed = b1.values.reshape(nb, w, nb, w).all((1, 3))  # [m2, m0]
-        for m0, m2 in np.argwhere(~swallowed.T).tolist():
-            out.extend(Bitile(k, m0, m2, f) for f in range(1 << (K + k - 1)))
-    return out
+        mask[k] = np.repeat(~swallowed.T[:, :, None], 1 << (K + k - 1), axis=2)
+    return scale_members(mask, sorted(mask))
 
 
 def counting_function(forest, resolution: int) -> GridFunction2D:

@@ -10,15 +10,15 @@ of this independently.
 
 The partial-order work runs on one array per scale (see `tiles`): the
 size functional, the selection phases and the disjointness checks are
-down-set or up-set sums, one pass across the scales each, and a tree is
-cut out of the remaining arrays one spatial block per scale.  Per-tile
-projection norms come from local coefficient tables, not from forming
-any projection explicitly.
+down-set or up-set sums, one pass across the scales each, and all trees
+of phase 1 are cut out of the remaining arrays by one up-set minimum.
+Collections, tree members and the remainder travel as `BitileRows`.
+Per-tile projection norms come from local coefficient tables, not from
+forming any projection explicitly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +27,11 @@ import numpy as np
 from .gridfn import GridFunction2D
 from .tiles import (
     Bitile,
+    BitileRows,
     ProjectionMode,
+    _coords,
     _diag_image_cell,
+    _fits,
     _require_half_tile_regions,
     convex_scales,
     half_down_sums,
@@ -37,7 +40,6 @@ from .tiles import (
     scale_members,
     up_sums,
 )
-from .walsh import DyadicInterval
 from .wavelets import coefficient_rows
 
 __all__ = [
@@ -52,47 +54,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tree:
-    """Convex collection of bitiles below (and containing) a top."""
+    """Convex collection of bitiles below (and containing) a top; members as rows."""
 
     top: Bitile
-    members: tuple[Bitile, ...]
+    members: BitileRows
 
     def __post_init__(self):
-        if self.top not in self.members:
+        object.__setattr__(self, "members", BitileRows(self.members))
+        if not (self.members.rows == _coords([self.top])).all(1).any():
             raise ValueError("tree top must be a member")
-
-    @property
-    def scale(self) -> int:
-        return self.top.scale
 
     @property
     def area(self) -> float:
         """Product of the two free spatial interval lengths."""
         return 4.0**self.top.scale
 
-    @property
-    def freq(self) -> DyadicInterval:
-        return self.top.freq
 
-    def spatial(self, i: int) -> DyadicInterval:
-        return self.top.time_interval(i)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionCertificate:
     """Everything needed to re-check a selection run.
 
-    counting maps each dyadic test box (scale, m0, m2) to the pair
-    (sum of tree areas inside the box, allowed bound for that box).
+    `select_trees` gives collection and remainder as `BitileRows`.  counting
+    maps each test-box scale kJ to arrays (lhs, rhs) of shape (2^-kJ, 2^-kJ):
+    at [m0, m2], the sum of the tree areas inside the box (kJ, m0, m2) and
+    the bound allowed for it.
     """
 
-    collection: tuple[Bitile, ...]
-    remainder: tuple[Bitile, ...]
+    collection: BitileRows
+    remainder: BitileRows
     forests: tuple[tuple[Tree, ...], tuple[Tree, ...], tuple[Tree, ...]]
     slot: int
     level: int
     mode: ProjectionMode | None
-    counting: dict[tuple[int, int, int], tuple[float, float]]
+    counting: dict[int, tuple[np.ndarray, np.ndarray]]
+
+    def __eq__(self, other):
+        """Field by field; the counting arrays compare by shape and value."""
+        if not isinstance(other, SelectionCertificate):
+            return NotImplemented
+
+        def fields(c):
+            tables = {
+                k: [np.asarray(t).tolist() for t in p] for k, p in c.counting.items()
+            }
+            return c.collection, c.remainder, c.forests, c.slot, c.level, c.mode, tables
+
+        return fields(self) == fields(other)
 
     @property
     def trees(self) -> tuple[Tree, ...]:
@@ -244,7 +251,7 @@ def _box_energy(F: GridFunction2D, slot: int):
 
 
 def _counting_tables(trees, F, slot, level):
-    """Per-box (sum of contained tree areas, bound) for all dyadic boxes."""
+    """Per-scale (sum of contained tree areas, bound) arrays over all dyadic boxes."""
     box_rhs = _box_energy(F, slot)
     kT, a0, a2, _ = _coords([t.top for t in trees]).T
     bound = 9.0 * 4.0**level
@@ -256,13 +263,31 @@ def _counting_tables(trees, F, slot, level):
         lhs = np.zeros((nb, nb))
         # in tree order, as a running sum per box
         np.add.at(lhs, (a0[inside] >> d, a2[inside] >> d), 4.0 ** kT[inside])
-        counting.update(
-            zip(
-                itertools.product((kJ,), range(nb), range(nb)),
-                zip(lhs.ravel().tolist(), (bound * rhs).ravel().tolist()),
-            )
-        )
+        counting[kJ] = (lhs, bound * rhs)
     return counting
+
+
+def _take_trees(remaining, tops: BitileRows) -> tuple[Tree, ...]:
+    """Cut the down-set of each top, in the given order, out of the remaining masks.
+
+    Taken one at a time, each remaining bitile goes to the first top above
+    it: the minimum of the top ranks over its up-set, so one pass takes
+    them all.  Within one tree the frequency index is fixed per scale, so
+    a stable sort by owner of the rows in `scale_members` order lists each
+    tree's members coarsest scale first, then by m0, m2.
+    """
+    rank = {k: np.full(r.shape, len(tops)) for k, r in remaining.items()}
+    for k, r in rank.items():
+        at = tops.rows[:, 0] == k
+        r[tuple(tops.rows[at, 1:].T)] = np.flatnonzero(at)
+    owner = up_sums(rank, np.minimum)
+    owned = {k: r & (owner[k] < len(tops)) for k, r in remaining.items()}
+    of = np.concatenate([owner[k][owned[k]] for k in sorted(owned, reverse=True)])
+    rows = scale_members(owned).rows[np.argsort(of, kind="stable")]
+    for k, o in owned.items():
+        remaining[k] &= ~o
+    parts = np.split(rows, np.cumsum(np.bincount(of, minlength=len(tops)))[:-1])
+    return tuple(Tree(q, part) for q, part in zip(tops, parts))
 
 
 def select_trees(
@@ -288,24 +313,10 @@ def select_trees(
         )
     if not convex_scales(member):
         raise ValueError("collection is not convex")
-    collection = tuple(scale_members(member))
+    collection = scale_members(member)
     lower, upper = _half_norms(F, slot, mode, member)
     threshold = 4.0 ** (-level) / 3.0
     remaining = {k: m.copy() for k, m in member.items()}
-
-    def take_tree(q: Bitile) -> Tree:
-        # down(q) at scale q.scale - d: the 2^d x 2^d spatial block under
-        # q at frequency index n_q >> d
-        members = []
-        for d in range(q.scale + K):
-            a0, a2, n = q.m0 << d, q.m2 << d, q.n >> d
-            block = remaining[q.scale - d][a0 : a0 + (1 << d), a2 : a2 + (1 << d), n]
-            members.extend(
-                Bitile(q.scale - d, a0 + i, a2 + i2, n)
-                for i, i2 in np.argwhere(block).tolist()
-            )
-            block[...] = False
-        return Tree(q, tuple(members))
 
     # phase 1: heavy bitiles, maximal ones first, coarsest to finest
     heavy = {
@@ -313,7 +324,7 @@ def select_trees(
     }
     heavy_above = up_sums({k: h.astype(np.int64) for k, h in heavy.items()})
     tops1 = {k: h & (heavy_above[k] == 1) for k, h in heavy.items()}
-    forest1 = tuple(take_tree(q) for q in scale_members(tops1))
+    forest1 = _take_trees(remaining, scale_members(tops1))
 
     # phases 2 and 3: heavy half-tile sums over T_j, extremal endpoint first
     half_forests = []
@@ -323,11 +334,10 @@ def select_trees(
         while True:
             weights = {k: contrib[k] * r for k, r in remaining.items()}
             scores = half_down_sums(weights, j)
-            cand = []
-            for k, r in remaining.items():
-                idx = np.argwhere(r & (scores[k] > threshold * 4.0**k))
-                cand.append(np.column_stack((np.full(len(idx), k), idx)))
-            cand = np.concatenate(cand)
+            heavy = {
+                k: r & (scores[k] > threshold * 4.0**k) for k, r in remaining.items()
+            }
+            cand = scale_members(heavy).rows
             if not len(cand):
                 break
             ks, m0s, m2s, ns = cand.T
@@ -335,11 +345,11 @@ def select_trees(
                 endpoint = ns << (1 - ks)
             else:
                 endpoint = -((ns + 1) << (1 - ks))
-            k, m0, m2, n = cand[np.lexsort((m2s, m0s, ks, endpoint))[0]].tolist()
-            picked.append(take_tree(Bitile(k, m0, m2, n)))
+            first = np.lexsort((m2s, m0s, ks, endpoint))[0]
+            picked.extend(_take_trees(remaining, BitileRows(cand[[first]])))
         half_forests.append(tuple(picked))
 
-    remainder = tuple(scale_members(remaining))
+    remainder = scale_members(remaining)
     forests = (forest1, half_forests[0], half_forests[1])
     all_trees = [t for forest in forests for t in forest]
     counting = _counting_tables(all_trees, F, slot, level)
@@ -349,21 +359,6 @@ def select_trees(
 
 
 # -- verification ------------------------------------------------------------
-
-
-def _coords(objs) -> np.ndarray:
-    """Rows (scale, m0, m2, n) of tiles or bitiles, as an int64 array."""
-    return np.array(
-        [(p.scale, p.m0, p.m2, p.n) for p in objs], dtype=np.int64
-    ).reshape(-1, 4)
-
-
-def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
-    """Which rows fit the resolution, as `scale_arrays` demands."""
-    k, m0, m2, n = c.T
-    ok = k >= 1 - resolution
-    k = np.where(ok, k, 0)  # keeps the shifts below in range
-    return ok & (np.maximum(m0, m2) < 1 << -k) & (n < 1 << (resolution + k - 1))
 
 
 def _pack(tag, k, m0, m2, n, resolution: int) -> np.ndarray:
@@ -395,7 +390,7 @@ def _incomparable(c: np.ndarray, resolution: int) -> bool:
 def _tree_arrays(trees):
     """Member rows of all trees, each with its tree's index and top row."""
     owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
-    members = _coords([p for t in trees for p in t.members])
+    members = BitileRows.concat(t.members for t in trees).rows
     return owner, members, _coords([t.top for t in trees])[owner]
 
 
@@ -460,21 +455,27 @@ def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | (np.isfinite(a) & np.isfinite(b) & near)
 
 
-def _counting_bound(boxes, values: np.ndarray):
-    """(bound holds, worst box, worst ratio) over rows (lhs, rhs) of boxes.
+def _counting_bound(counting):
+    """(bound holds, worst box, worst ratio) over the boxes of counting tables.
 
     A box with rhs = 0 reads ratio inf when lhs > 0, else 0.  The worst box
-    is the first of largest ratio, None when every ratio is 0.  There is
-    at least one box, the unit square.
+    (kJ, m0, m2) is the first of largest ratio in table order, None when
+    every ratio is 0.  There is at least one box, the unit square.
     """
-    lhs, rhs = values.T
+    lhs, rhs = (
+        np.concatenate([pair[i].ravel() for pair in counting.values()]) for i in (0, 1)
+    )
     bound_ok = not (lhs > rhs * (1.0 + 1e-12)).any()
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs > 0, lhs / rhs, np.where(lhs > 0, math.inf, 0.0))
     i = int(np.argmax(ratio))
-    if ratio[i] > 0.0:
-        return bound_ok, boxes[i], float(ratio[i])
-    return bound_ok, None, 0.0
+    if ratio[i] == 0.0:
+        return bound_ok, None, 0.0
+    worst = float(ratio[i])
+    for kJ, (table, _) in counting.items():
+        if i < table.size:
+            return bound_ok, (kJ, *map(int, np.unravel_index(i, table.shape))), worst
+        i -= table.size
 
 
 def verify_certificate(
@@ -530,16 +531,21 @@ def verify_certificate(
         f"size {rem_size:.6e} vs 2^-{level}",
     )
 
-    # counting bound, recomputed from scratch; key sets first, then values
-    recomputed = _counting_tables(list(cert.trees), F, slot, level)
-    boxes = list(recomputed)
-    values = np.array(list(recomputed.values())).reshape(-1, 2)
-    stored_match = cert.counting.keys() == recomputed.keys()
-    if stored_match:
-        stored = np.array([cert.counting[b] for b in boxes]).reshape(-1, 2)
-        stored_match = bool(_isclose(stored, values).all())
-    check("counting-tables-match", stored_match)
-    bound_ok, worst_box, worst_ratio = _counting_bound(boxes, values)
+    # counting bound, recomputed from scratch; the stored tables must match
+    # it in scale keys, then in shapes, then in values
+    recomputed = _counting_tables(cert.trees, F, slot, level)
+    stored = {kJ: [np.asarray(t) for t in p] for kJ, p in cert.counting.items()}
+    match = stored.keys() == recomputed.keys() and all(
+        [a.shape for a in stored[kJ]] == [b.shape for b in p]
+        for kJ, p in recomputed.items()
+    )
+    match = match and all(
+        _isclose(a, b).all()
+        for kJ, p in recomputed.items()
+        for a, b in zip(stored[kJ], p)
+    )
+    check("counting-tables-match", match)
+    bound_ok, worst_box, worst_ratio = _counting_bound(recomputed)
     check("counting-bound", bound_ok, f"worst box {worst_box} ratio {worst_ratio:.4f}")
 
     ok = all(passed for _, passed, _ in checks)
@@ -598,10 +604,12 @@ def single_tree_report(
     from .triform import lambda_tree
 
     value = lambda_tree(tree.members, eps, F0, F1, F2)
-    sizes = (
-        size(0, tree.members, F0),
-        size(1, tree.members, F1, mode),
-        size(2, tree.members, F2),
+    member = _members(tree.members, F0.resolution)
+    if not convex_scales(member):
+        raise ValueError("collection is not convex")
+    sizes = tuple(
+        _size(member, *_half_norms(F, slot, m, member))[0]
+        for slot, F, m in ((0, F0, None), (1, F1, mode), (2, F2, None))
     )
     bound = tree.area * sizes[0] * sizes[1] * sizes[2]
     if bound > 0.0:

@@ -93,17 +93,75 @@ def le(p: BaseTile, q: BaseTile) -> bool:
     )
 
 
-def all_bitiles(resolution: int) -> list[Bitile]:
-    """Every localized bitile representable at the resolution."""
+class BitileRows(Sequence):
+    """Read-only sequence of bitiles held as int64 rows (scale, m0, m2, n).
+
+    Built from rows or any bitile iterable.  Only indexing and iteration
+    build `Bitile`s.  It equals any sequence of the same bitiles in the
+    same order, and hashes like the tuple of them.
+    """
+
+    def __init__(self, bitiles):
+        self.rows = _coords(bitiles).reshape(-1, 4)  # a new view: the flag is its own
+        self.rows.flags.writeable = False
+
+    @classmethod
+    def concat(cls, collections) -> "BitileRows":
+        """The bitiles of several collections, one after another."""
+        return cls(np.concatenate([_coords(())] + [_coords(c) for c in collections]))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BitileRows(self.rows[i])
+        return Bitile(*self.rows[i].tolist())
+
+    def __iter__(self):
+        return (Bitile(*r) for r in self.rows.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, BitileRows):
+            return np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"BitileRows({self.rows.tolist()})"
+
+
+def _coords(objs) -> np.ndarray:
+    """Rows (scale, m0, m2, n) of tiles, bitiles or an array of rows, as int64."""
+    if isinstance(objs, BitileRows):
+        return objs.rows
+    if isinstance(objs, np.ndarray):
+        return objs.astype(np.int64, copy=False)
+    return np.array(
+        [(p.scale, p.m0, p.m2, p.n) for p in objs], dtype=np.int64
+    ).reshape(-1, 4)
+
+
+def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
+    """Which rows fit the resolution: scale at least 1 - K, localized, n < 2^(K+k-1)."""
+    k, m0, m2, n = c.T
+    ok = k >= 1 - resolution
+    k = np.where(ok, k, 0)  # keeps the shifts below in range
+    return ok & (np.maximum(m0, m2) < 1 << -k) & (n < 1 << (resolution + k - 1))
+
+
+def all_bitiles(resolution: int) -> BitileRows:
+    """Every localized bitile representable at the resolution, finest scale first."""
     if resolution < 2:
         raise ValueError("resolution too small for bitiles")
-    out = []
-    for k in range(-resolution + 1, 1):
-        for m0 in range(1 << -k):
-            for m2 in range(1 << -k):
-                for n in range(1 << (resolution + k - 1)):
-                    out.append(Bitile(k, m0, m2, n))
-    return out
+    K = resolution
+    scales = range(1 - K, 1)
+    full = {k: np.ones((1 << -k, 1 << -k, 1 << (K + k - 1)), bool) for k in scales}
+    return scale_members(full, scales)
 
 
 def scale_arrays(bitiles: Iterable[Bitile], resolution: int) -> dict[int, np.ndarray]:
@@ -113,24 +171,27 @@ def scale_arrays(bitiles: Iterable[Bitile], resolution: int) -> dict[int, np.nda
     localized, or frequency beyond 2^K) raises ValueError.
     """
     K = resolution
-    X = {
-        k: np.zeros((1 << -k, 1 << -k, 1 << (K + k - 1)), dtype=np.int64)
-        for k in range(1 - K, 1)
-    }
-    for p in bitiles:
-        if p.scale < 1 - K or not p.is_localized() or p.n >> (K + p.scale - 1):
-            raise ValueError("bitile does not fit the resolution")
-        X[p.scale][p.m0, p.m2, p.n] += 1
+    c = _coords(bitiles)
+    if not _fits(c, K).all():
+        raise ValueError("bitile does not fit the resolution")
+    X = {}
+    for k in range(1 - K, 1):
+        X[k] = np.zeros((1 << -k, 1 << -k, 1 << (K + k - 1)), dtype=np.int64)
+        _, m0, m2, n = c[c[:, 0] == k].T
+        np.add.at(X[k], (m0, m2, n), 1)
     return X
 
 
-def scale_members(X: dict[int, np.ndarray]) -> list[Bitile]:
-    """Bitiles with a nonzero entry, coarsest scale first, then m0, m2, n."""
-    return [
-        Bitile(k, m0, m2, n)
-        for k in sorted(X, reverse=True)
-        for m0, m2, n in np.argwhere(X[k]).tolist()
-    ]
+def scale_members(X: dict[int, np.ndarray], scales=None) -> BitileRows:
+    """Bitiles with a nonzero entry, coarsest scale first, then m0, m2, n.
+
+    Given scales, the rows come scale by scale in that order instead.
+    """
+    blocks = [_coords(())]
+    for k in sorted(X, reverse=True) if scales is None else scales:
+        idx = np.argwhere(X[k])
+        blocks.append(np.column_stack((np.full(len(idx), k), idx)))
+    return BitileRows(np.concatenate(blocks))
 
 
 def down_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -145,15 +206,15 @@ def down_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return D
 
 
-def up_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """U[p] = sum of X[q] over the bitiles q >= p, coarsest scale first."""
+def up_sums(X: dict[int, np.ndarray], op=np.add) -> dict[int, np.ndarray]:
+    """U[p] = sum (or with op = np.minimum, minimum) of X[q] over the bitiles q >= p."""
     U: dict[int, np.ndarray] = {}
     for k in sorted(X, reverse=True):
         U[k] = X[k].copy()
         if k + 1 in U:
             nb, _, nf = U[k + 1].shape
-            parents = U[k + 1].reshape(nb, nb, nf // 2, 2).sum(axis=3)
-            U[k] += np.repeat(np.repeat(parents, 2, axis=0), 2, axis=1)
+            parents = op.reduce(U[k + 1].reshape(nb, nb, nf // 2, 2), axis=3)
+            U[k] = op(U[k], np.repeat(np.repeat(parents, 2, axis=0), 2, axis=1))
     return U
 
 
@@ -187,10 +248,12 @@ def _member_arrays(bitiles: Iterable[Bitile]) -> dict[int, np.ndarray] | None:
 
     None for an empty collection; the members must be localized.
     """
-    coll = list(bitiles)
+    coll = BitileRows(bitiles)
     if not coll:
         return None
-    K = max(p.n.bit_length() + 1 - p.scale for p in coll)
+    # n < 2^(K + k - 1) exactly when K >= bit_length(n) + 1 - k; frexp's
+    # exponent is the bit length of an integer below 2^53
+    K = int((np.frexp(coll.rows[:, 3])[1] + 1 - coll.rows[:, 0]).max())
     return {k: (x > 0).astype(np.int64) for k, x in scale_arrays(coll, K).items()}
 
 

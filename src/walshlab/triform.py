@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import haar_signs, pair_blocks, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
-from .tiles import Bitile, scale_arrays
+from .tiles import Bitile, BitileRows, scale_arrays
 from .wavelets import WavePacketSpec, coefficient_rows, walsh_fn, wave_packet
 
 ScaleWeights = Dict[int, np.ndarray]  # per-scale 1D weight arrays
@@ -229,12 +229,16 @@ def lambda_tree(
     tree, eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
 ) -> float:
     """eps-weighted sum of bitile contributions over a collection; repeats count."""
-    tree = list(tree)
+    tree = BitileRows(tree)
     member = scale_arrays(tree, F0.resolution)
     table = bitile_table(F0, F1, F2, [k for k, x in member.items() if x.any()])
-    return math.fsum(
-        eps.weight(P) * table[P.scale][P.m0, P.m2, P.n] for P in tree
-    )
+    # one gather per scale; fsum rounds correctly in any order
+    terms = [np.zeros(0)]
+    for k, t in table.items():
+        _, m0, m2, n = tree.rows[tree.rows[:, 0] == k].T
+        weight = eps.data[k][m0, m2] if k in eps.data else 0.0
+        terms.append(weight * t[m0, m2, n])
+    return math.fsum(np.concatenate(terms))
 
 
 # -- exact identities --------------------------------------------------------

@@ -36,6 +36,26 @@ def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
     return {p for p in bitiles if le(p, top)}
 
 
+def take_tree(remaining, q: Bitile, resolution: int) -> Tuple[Bitile, tuple]:
+    """(q, members): down(q) cut out of the remaining masks, one `Bitile` each.
+
+    down(q) at scale q.scale - d is the 2^d x 2^d spatial block under q at
+    frequency index n_q >> d; the members come coarsest scale first, then
+    m0, m2.  Phase 1 of the selection once ran this once per top, in
+    `scale_members` order.
+    """
+    members = []
+    for d in range(q.scale + resolution):
+        a0, a2, n = q.m0 << d, q.m2 << d, q.n >> d
+        block = remaining[q.scale - d][a0 : a0 + (1 << d), a2 : a2 + (1 << d), n]
+        members.extend(
+            Bitile(q.scale - d, a0 + i, a2 + i2, n)
+            for i, i2 in np.argwhere(block).tolist()
+        )
+        block[...] = False
+    return q, tuple(members)
+
+
 def project_tile_1d(
     f: GridFunction1D, time: DyadicInterval, freq: DyadicInterval
 ) -> GridFunction1D:

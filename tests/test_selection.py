@@ -15,7 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from walshlab.ensembles import random_bitile, random_tree
+from walshlab.ensembles import (
+    indicator_with_measure,
+    random_bitile,
+    random_tree,
+    signed_indicator,
+)
 from walshlab.gridfn import GridFunction2D
 from walshlab.selection import (
     SelectionCertificate,
@@ -26,6 +31,7 @@ from walshlab.selection import (
     _counting_tables,
     _incomparable,
     _selected_halves,
+    _take_trees,
     _tree_arrays,
     _trees_ok,
     select_trees,
@@ -35,7 +41,9 @@ from walshlab.selection import (
     verify_certificate,
 )
 from walshlab.tiles import (
+    BaseTile,
     Bitile,
+    BitileRows,
     ProjectionMode,
     Tile,
     all_bitiles,
@@ -53,7 +61,7 @@ from walshlab.tiles import (
 )
 from walshlab.walsh import WalshNumber
 
-from .oracles import down_set
+from .oracles import down_set, take_tree
 
 
 def rand2d(K, seed):
@@ -304,7 +312,7 @@ class TestSelectTrees:
                 m1 * block : (m1 + 1) * block, b * block : (b + 1) * block
             ]
             want = 9.0 * 4.0**level * (sub**2).sum() * 4.0**-K
-            assert cert.counting[(kJ, a, b)][1] == pytest.approx(want, rel=1e-12)
+            assert cert.counting[kJ][1][a, b] == pytest.approx(want, rel=1e-12)
 
     def test_non_convex_rejected(self):
         with pytest.raises(ValueError, match="not convex"):
@@ -330,7 +338,7 @@ class TestSelectTrees:
                         tree.top.m2 >> 1,
                         2 * tree.top.n,
                     )
-                    new_tree = Tree(big, tree.members + (big,))
+                    new_tree = Tree(big, (*tree.members, big))
                     new_forest = forest[:ti] + (new_tree,) + forest[ti + 1 :]
                     forests = (
                         cert.forests[:fi] + (new_forest,) + cert.forests[fi + 1 :]
@@ -444,10 +452,13 @@ class TestCertificateChecks:
         q = Bitile(-1, 0, 0, 0)
         cert = self.cert(((Tree(q, (q,)),), (), ()))
         assert self.names(cert) == set()
+        lhs, rhs = cert.counting[-1]
         for counting in (
             {},
-            {box: v for box, v in cert.counting.items() if box != (0, 0, 0)},
-            {**cert.counting, (-9, 0, 0): (0.0, 1.0)},
+            {kJ: v for kJ, v in cert.counting.items() if kJ != 0},
+            {**cert.counting, -9: (np.zeros((512, 512)), np.ones((512, 512)))},
+            {**cert.counting, -1: (lhs[:1], rhs[:1])},
+            {**cert.counting, -1: (lhs, rhs, rhs)},
         ):
             mutated = dataclasses.replace(cert, counting=counting)
             assert self.names(mutated) == {"counting-tables-match"}
@@ -455,8 +466,8 @@ class TestCertificateChecks:
     def test_counting_values_compared_like_isclose(self):
         q = Bitile(-1, 0, 0, 0)
         cert = self.cert(((Tree(q, (q,)),), (), ()))
-        box = (-1, 0, 0)
-        lhs, rhs = cert.counting[box]
+        kJ, a, b = -1, 0, 0
+        lhs, rhs = (t[a, b] for t in cert.counting[kJ])
         for value, close in (
             ((lhs * (1 + 1e-13), rhs), True),
             ((lhs, rhs + 5e-13), True),
@@ -464,7 +475,10 @@ class TestCertificateChecks:
             ((math.inf, rhs), False),
             ((math.nan, rhs), False),
         ):
-            counting = {**cert.counting, box: value}
+            tables = tuple(t.copy() for t in cert.counting[kJ])
+            for t, v in zip(tables, value):
+                t[a, b] = v
+            counting = {**cert.counting, kJ: tables}
             failed = self.names(dataclasses.replace(cert, counting=counting))
             assert failed == (set() if close else {"counting-tables-match"})
 
@@ -497,8 +511,7 @@ def incomparable_oracle(objs, K):
 
 
 def counting_oracle(trees, F, slot, level):
-    """Per-box counting table, one tree and one box at a time."""
-    K = F.resolution
+    """Per-scale counting tables, one tree and one box at a time."""
     box_rhs = _box_energy(F, slot)
     lhs = {kJ: np.zeros((1 << -kJ, 1 << -kJ)) for kJ in box_rhs}
     for t in trees:
@@ -507,18 +520,28 @@ def counting_oracle(trees, F, slot, level):
             d = kJ - kT
             lhs[kJ][a0 >> d, a2 >> d] += 4.0**kT
     bound = 9.0 * 4.0**level
-    return {
-        (kJ, a, b): (float(lhs[kJ][a, b]), float(bound * box_rhs[kJ][a, b]))
-        for kJ in box_rhs
+    rhs = {kJ: np.zeros_like(lhs[kJ]) for kJ in box_rhs}
+    for kJ, a, b in boxes(box_rhs):
+        rhs[kJ][a, b] = bound * box_rhs[kJ][a, b]
+    return {kJ: (lhs[kJ], rhs[kJ]) for kJ in box_rhs}
+
+
+def boxes(counting):
+    """Every box (kJ, a, b) of per-scale tables, in table order."""
+    return [
+        (kJ, a, b)
+        for kJ in counting
         for a in range(1 << -kJ)
         for b in range(1 << -kJ)
-    }
+    ]
 
 
 def bound_oracle(counting):
     """Counting bound and worst box, one box at a time."""
     worst_box, worst_ratio, bound_ok = None, 0.0, True
-    for box, (lhs, rhs) in counting.items():
+    for box in boxes(counting):
+        kJ, a, b = box
+        lhs, rhs = (float(t[a, b]) for t in counting[kJ])
         if lhs > rhs * (1.0 + 1e-12):
             bound_ok = False
         ratio = lhs / rhs if rhs > 0 else (math.inf if lhs > 0 else 0.0)
@@ -659,7 +682,8 @@ class TestArrayChecks:
                 got = _counting_tables(trees, F, slot, 1)
                 want = counting_oracle(trees, F, slot, 1)
                 assert list(got) == list(want)
-                assert got == want
+                for kJ, pair in want.items():
+                    assert all(map(np.array_equal, got[kJ], pair))
 
     def test_counting_bound_matches_per_box_loop(self):
         rng = np.random.default_rng(15)
@@ -676,13 +700,112 @@ class TestArrayChecks:
         for trees, F in cases:
             for slot in (0, 1, 2):
                 counting = _counting_tables(trees, F, slot, 0)
-                values = np.array(list(counting.values())).reshape(-1, 2)
-                got = _counting_bound(list(counting), values)
+                got = _counting_bound(counting)
                 want = bound_oracle(counting)
                 assert got == want
                 seen_inf |= want[2] == math.inf
                 seen_none |= want[1] is None
         assert seen_inf and seen_none
+
+
+def random_masks(rng, K):
+    """Per-scale masks of one random density in (0.2, 1)."""
+    density = rng.uniform(0.2, 1.0)
+    shapes = {k: (1 << -k, 1 << -k, 1 << (K + k - 1)) for k in range(1 - K, 1)}
+    return {k: rng.random(shape) < density for k, shape in shapes.items()}
+
+
+def random_tops(rng, remaining, count):
+    """Up to count pairwise incomparable members, in random order."""
+    pool = scale_members(remaining)
+    tops = []
+    for i in rng.permutation(len(pool)):
+        p = pool[i]
+        if not any(le(p, q) or le(q, p) for q in tops):
+            tops.append(p)
+        if len(tops) == count:
+            break
+    return tops
+
+
+class TestRowSelection:
+    """Tree cuts on rows against the per-`Bitile` take loop."""
+
+    def takes_match_oracle(self, remaining, tops, K):
+        """One pass against sequential takes; True when down-sets overlap."""
+        got_left = {k: m.copy() for k, m in remaining.items()}
+        want_left = {k: m.copy() for k, m in remaining.items()}
+        got = _take_trees(got_left, BitileRows(tops))
+        want = [take_tree(want_left, q, K) for q in tops]
+        assert [(t.top, t.members) for t in got] == want
+        assert all(np.array_equal(got_left[k], want_left[k]) for k in remaining)
+        # a remaining bitile below two tops: the first top decides
+        above = up_sums(scale_arrays(tops, K))
+        return any((above[k][m] > 1).any() for k, m in remaining.items())
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_top_takes_the_overlap(self, order):
+        # down(q) and down(p) share the scale -2 block under p, n = 0
+        K = 3
+        tops = [Bitile(0, 0, 0, 0), Bitile(-1, 0, 0, 1)][::order]
+        remaining = {k: m > 0 for k, m in up_sums(scale_arrays(tops, K)).items()}
+        assert self.takes_match_oracle(remaining, tops, K)
+        first, second = _take_trees(remaining, BitileRows(tops))
+        assert Bitile(-2, 0, 0, 0) in first.members
+        assert Bitile(-2, 0, 0, 0) not in second.members
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_one_pass_matches_sequential_takes(self, K):
+        # phase 1 passes its tops in `scale_members` order; any order works
+        rng = np.random.default_rng(20 + K)
+        overlaps = 0
+        for trial in range(30):
+            remaining = random_masks(rng, K)
+            tops = random_tops(rng, remaining, int(rng.integers(0, 8)))
+            if trial % 2:
+                tops = list(scale_members(scale_arrays(tops, K)))
+            overlaps += self.takes_match_oracle(remaining, tops, K)
+        assert overlaps > 0
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+    def test_take_tree_matches_oracle_over_picks(self, K):
+        # phases 2 and 3 cut one tree per pick from what earlier picks left
+        rng = np.random.default_rng(30 + K)
+        for _ in range(10):
+            got_left = random_masks(rng, K)
+            want_left = {k: m.copy() for k, m in got_left.items()}
+            for _ in range(12):
+                pool = scale_members(got_left)
+                if not len(pool):
+                    break
+                q = pool[rng.integers(len(pool))]
+                (got,) = _take_trees(got_left, BitileRows([q]))
+                assert (got.top, got.members) == take_tree(want_left, q, K)
+                assert all(np.array_equal(got_left[k], want_left[k]) for k in got_left)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_selection_builds_no_bitile_per_member(self, slot, monkeypatch):
+        # pool, tree members, remainder and counting boxes stay rows: only
+        # the tree tops are built as objects
+        built = 0
+        post_init = BaseTile.__post_init__
+
+        def counted(tile):
+            nonlocal built
+            built += 1
+            post_init(tile)
+
+        K = 6
+        rng = np.random.default_rng(40 + slot)
+        e = indicator_with_measure(rng, K, float(rng.uniform(0.05, 0.4)))
+        F = signed_indicator(rng, e, scale=float(e.values.mean()) ** -0.5)
+        mode = ProjectionMode.diagonal(WalshNumber.from_float(1.0)) if slot == 1 else None
+        monkeypatch.setattr(BaseTile, "__post_init__", counted)
+        cert = select_trees(slot, all_bitiles(K), F, mode=mode, level=1 + slot % 2)
+        ok, _ = verify_certificate(cert, F)
+        monkeypatch.undo()
+        assert ok and len(cert.collection) == 2016 and len(cert.trees) > 0
+        assert built <= len(cert.trees) + 4
 
 
 class TestSingleTreeReport:
@@ -704,6 +827,39 @@ class TestSingleTreeReport:
             rep["area"] * rep["sizes"][0] * rep["sizes"][1] * rep["sizes"][2]
         )
         assert np.isfinite(rep["ratio"])
+
+    def test_random_trees_match_per_bitile_sums(self):
+        from walshlab.triform import EpsilonField, bitile_table
+
+        K = 4
+        rng = np.random.default_rng(50)
+        mode = ProjectionMode.diagonal(WalshNumber.from_float(1.0))
+        for trial in range(12):
+            tree = random_tree(rng, K)
+            F0, F1, F2 = (rand2d(K, 60 + 3 * trial + i) for i in range(3))
+            eps = EpsilonField.random(K, rng)
+            if trial % 3 == 0:  # a missing scale weighs zero
+                eps = EpsilonField(K, {k: a for k, a in eps.data.items() if k != -1})
+            rep = single_tree_report(tree, eps, F0, F1, F2, mode)
+            table = bitile_table(F0, F1, F2, range(1 - K, 1))
+            want = math.fsum(
+                eps.weight(P) * table[P.scale][P.m0, P.m2, P.n] for P in tree.members
+            )
+            assert rep["value"] == want
+            sizes = (
+                size(0, tree.members, F0),
+                size(1, tree.members, F1, mode),
+                size(2, tree.members, F2),
+            )
+            assert rep["sizes"] == sizes
+
+    def test_non_convex_tree_rejected(self):
+        from walshlab.triform import EpsilonField
+
+        top, fine = Bitile(0, 0, 0, 0), Bitile(-2, 0, 0, 0)
+        F = rand2d(3, 70)
+        with pytest.raises(ValueError, match="not convex"):
+            single_tree_report(Tree(top, (top, fine)), EpsilonField.constant(3), F, F, F)
 
     def test_top_must_be_member(self):
         with pytest.raises(ValueError, match="top must be a member"):

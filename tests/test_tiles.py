@@ -113,7 +113,7 @@ def convex_ensemble(rng, K):
     yield [p for p in union if p.scale >= cut] or union
     yield [p for p in union if p.scale <= cut] or union
     yield scale_members(hull(picks, K))
-    yield union + [union[i] for i in rng.integers(len(union), size=len(union) // 2 + 1)]
+    yield list(union) + [union[i] for i in rng.integers(len(union), size=len(union) // 2 + 1)]
 
 
 class TestOrder:
