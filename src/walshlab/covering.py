@@ -69,9 +69,6 @@ class Parallelogram:
         lo = self.base_y + self.slope * (x - self.x_left)
         return (lo, lo + self.height)
 
-    def center_y(self, x: float) -> float:
-        return self.base_y + self.slope * (x - self.x_left) + 0.5 * self.height
-
     def height_dilate(self, a: float) -> "Parallelogram":
         """Same center, slope, and shadow; height scaled by a.
 
@@ -87,39 +84,28 @@ class Parallelogram:
         )
 
     def grid_cells(self, n: int):
-        """Column indices with per-column half-open cell index ranges."""
-        width = self.length * n
-        if width < 1.0:
-            raise ValueError("shadow finer than the grid")
-        c_lo = int(round(self.x_left * n))
-        cols = np.arange(c_lo, int(round(self.x_right * n)))
-        x = (cols + 0.5) / n
-        lo = self.base_y + self.slope * (x - self.x_left)
-        edges = np.ceil((lo + np.array([[0.0], [self.height]])) * n - 0.5)
-        y_lo, y_hi = edges.clip(0, n).astype(np.int64)
-        return cols, y_lo, np.maximum(y_hi, y_lo)
+        """Column indices with per-column half-open cell index ranges.
 
-    def column_mask(self, n: int):
-        """Column indices with the cells of R in each, as a (columns, n) mask.
-
-        Built once per grid side and kept on the instance; both arrays are
-        read-only.
+        Built once per grid side and kept on the instance; the three
+        arrays are read-only.
         """
         built = self._cells.get(n)
         if built is None:
-            cols, y_lo, y_hi = self.grid_cells(n)
-            rows = np.arange(n)
-            m = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
-            cols.flags.writeable = False
-            m.flags.writeable = False
-            built = self._cells[n] = (cols, m)
+            width = self.length * n
+            if width < 1.0:
+                raise ValueError("shadow finer than the grid")
+            c_lo = int(round(self.x_left * n))
+            cols = np.arange(c_lo, int(round(self.x_right * n)))
+            x = (cols + 0.5) / n
+            lo = self.base_y + self.slope * (x - self.x_left)
+            edges = np.ceil((lo + np.array([[0.0], [self.height]])) * n - 0.5)
+            y_lo, y_hi = edges.clip(0, n).astype(np.int64)
+            np.maximum(y_hi, y_lo, out=y_hi)
+            built = cols, y_lo, y_hi
+            for a in built:
+                a.flags.writeable = False
+            self._cells[n] = built
         return built
-
-    def mask(self, n: int) -> np.ndarray:
-        out = np.zeros((n, n), dtype=bool)
-        cols, m = self.column_mask(n)
-        out[cols] = m
-        return out
 
 
 class SlopeField:
@@ -159,19 +145,31 @@ class SlopeField:
         return r.length * self.lipschitz <= DENSITY_SLOPE_BOUND
 
 
+def _box(r: Parallelogram, n: int):
+    """R's bounding box as column and row slices, with R's cells in it."""
+    cols, y_lo, y_hi = r.grid_cells(n)
+    top, bottom = int(y_lo.min()), int(y_hi.max())
+    rows = np.arange(top, bottom)
+    m = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
+    return slice(cols[0], cols[-1] + 1), slice(top, bottom), m
+
+
 def _e_cells(r: Parallelogram, u: SlopeField):
-    """Shadow columns, the cells of R in them, and those of E(R)."""
-    cols, m = r.column_mask(u.n)
+    """R's box slices, its cells there, and those of E(R)."""
+    cs, ys, m = _box(r, u.n)
     lo, hi = r.uncertainty
-    seg = u.values[cols]
-    return cols, m, m & (seg >= lo) & (seg <= hi)
+    seg = u.values[cs, ys]
+    return cs, ys, m, m & (seg >= lo) & (seg <= hi)
 
 
 def density(r: Parallelogram, u: SlopeField) -> float:
     """|E(R)| / |R| in grid cells; vacuously 1 for a cell-free R."""
-    _, m, e = _e_cells(r, u)
-    total = int(m.sum())
-    return int(e.sum()) / total if total else 1.0
+    _, y_lo, y_hi = r.grid_cells(u.n)
+    total = int((y_hi - y_lo).sum())
+    if not total:
+        return 1.0
+    *_, e = _e_cells(r, u)
+    return int(e.sum()) / total
 
 
 def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -223,54 +221,51 @@ def greedy_cover(
     density condition |E(R)| >= delta |R| are reported in the trace and
     still processed: the precondition is the caller's, not repaired here.
     """
+    if delta is not None and not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    rs = parallelograms
     n = u.n
-    failures: List[int] = []
-    if delta is not None:
-        if not 0.0 < delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        failures = [
-            i
-            for i, r in enumerate(parallelograms)
-            if density(r, u) < delta
-        ]
-    # every member's cells as flat indices into best, one segment each;
-    # a member without cells reads +inf, so any step removes it
-    flat = []
-    for r in parallelograms:
-        cols, m = r.column_mask(n)
-        c, y = np.nonzero(m)
-        flat.append(cols[c] * n + y)
-    sizes = np.array([len(f) for f in flat], dtype=np.int64)
+    if not rs:
+        return [], CoverTrace((), ())
+    # every member's cells as flat indices into best, one segment each,
+    # column by column; a member without cells reads +inf, so any step
+    # removes it
+    spans = [r.grid_cells(n) for r in rs]
+    cols, y_lo, y_hi = map(np.concatenate, zip(*spans))
+    widths = y_hi - y_lo
+    ends = np.cumsum(widths)
+    index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(ends[-1])
+    ncols = np.array([len(c) for c, _, _ in spans])
+    sizes = np.add.reduceat(widths, np.cumsum(ncols) - ncols)
     held = np.flatnonzero(sizes)
     starts = (np.cumsum(sizes) - sizes)[held]
-    index = np.concatenate(flat) if flat else np.zeros(0, dtype=np.int64)
-    margins = np.full(len(parallelograms), np.inf)
-    stock = np.arange(len(parallelograms))
+    failures = ()
+    if delta is not None:  # |E(R)| of every member at once; cell-free ones pass
+        lo, hi = np.repeat([r.uncertainty for r in rs], sizes, axis=0).T
+        v = u.values.ravel()[index]
+        e = np.add.reduceat((v >= lo) & (v <= hi), starts, dtype=np.int64)
+        failures = held[e / sizes[held] < delta].tolist()
+    order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
+    left = np.ones(len(rs), dtype=bool)
+    margins = np.full(len(rs), np.inf)
     field = np.zeros((n, n))
     best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
     selected: List[int] = []
     steps: List[CoverStep] = []
-    while stock.size:
-        pick = min(
-            stock.tolist(),
-            key=lambda i: (
-                -parallelograms[i].length,
-                -parallelograms[i].height,
-                i,
-            ),
-        )
+    for pick in order:
+        if not left[pick]:
+            continue
         selected.append(pick)
-        cols, m = parallelograms[pick].height_dilate(7.0).column_mask(n)
-        field[cols] += m
-        best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
+        cs, ys, m = _box(rs[pick].height_dilate(7.0), n)
+        field[cs, ys] += m
+        best[cs] = _vertical_margin(field[cs], VERTICAL_THRESHOLD)
         if held.size:
             margins[held] = np.minimum.reduceat(best.ravel()[index], starts)
-        gone = margins[stock] >= 0.0
-        removed = stock[gone]
+        removed = np.flatnonzero(left & (margins >= 0.0))
+        left[removed] = False
         witnesses = VERTICAL_THRESHOLD + margins[removed] / n
-        stock = stock[~gone]
         steps.append(CoverStep(pick, tuple(removed.tolist()), tuple(witnesses)))
-    chosen = [parallelograms[i] for i in selected]
+    chosen = [rs[i] for i in selected]
     return chosen, CoverTrace(tuple(steps), tuple(failures))
 
 
@@ -350,9 +345,9 @@ def overlap_check(
     e_field = np.zeros((grid, grid))
     r_field = np.zeros((grid, grid))
     for r in selected:
-        cols, m, e = _e_cells(r, u)
-        e_field[cols] += e
-        r_field[cols] += m
+        cs, ys, m, e = _e_cells(r, u)
+        e_field[cs, ys] += e
+        r_field[cs, ys] += m
     cell = 1.0 / grid ** 2
     e_integral = float((e_field ** n).sum() * cell)
     square_integral = float((r_field ** 2).sum() * cell)
@@ -443,13 +438,14 @@ def lk_maximal(
     n = 1 << f.resolution
     out = np.zeros((n, n))
     for r in parallelograms:
-        cols, m = r.column_mask(n)
-        count = int(m.sum())
+        cols, y_lo, y_hi = r.grid_cells(n)
+        count = int((y_hi - y_lo).sum())
         if count == 0:
             continue
         total = 0.0
-        for c, cells in zip(cols, m):  # per-column sums fix the rounding
-            total += f.values[c, cells].sum()
-        avg = total / count
-        out[cols] = np.where(m, np.maximum(out[cols], avg), out[cols])
+        for c, a, b in zip(cols.tolist(), y_lo.tolist(), y_hi.tolist()):
+            total += f.values[c, a:b].sum()  # per-column sums fix the rounding
+        cs, ys, m = _box(r, n)
+        box = out[cs, ys]
+        np.maximum(box, total / count, out=box, where=m)
     return GridFunction2D(f.resolution, out)

@@ -118,9 +118,12 @@ def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeFi
     ay = rng.random(anchors)
     base = rng.uniform(-1.0, 1.0, anchors)
     v = np.full((n, n), np.inf)
+    dist = np.empty((n, n))
     for b, cx, cy in zip(base, ax, ay):
-        dist = np.hypot(x[:, None] - cx, x[None, :] - cy)
-        np.minimum(v, b + lipschitz * dist, out=v)
+        np.hypot(x[:, None] - cx, x[None, :] - cy, out=dist)
+        dist *= lipschitz
+        dist += b  # b + lipschitz * dist, bit for bit
+        np.minimum(v, dist, out=v)
     return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
 
 
@@ -172,11 +175,9 @@ def dense_parallelograms(
         index = int(rng.integers(0, 1 << -scale))
         height = float(rng.uniform(*DENSE_HEIGHTS))
         x_left = index * 2.0 ** scale
-        cx = int(
-            np.clip((x_left + 0.5 * 2.0 ** scale) * n, 0, n - 1)
-        )
+        cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
         cy = int(rng.integers(0, n))
-        slope = float(np.clip(u.values[cx, cy], -1.0, 1.0))
+        slope = float(min(max(u.values[cx, cy], -1.0), 1.0))
         base = (cy + 0.5) / n - 0.5 * height - slope * (
             (cx + 0.5) / n - x_left
         )

@@ -177,12 +177,24 @@ class ExpandedParallelogram:
         return (self.slope - half, self.slope + half)
 
 
+def center_y(r: Parallelogram, x: float) -> float:
+    return r.base_y + r.slope * (x - r.x_left) + 0.5 * r.height
+
+
+def cell_mask(r: Parallelogram, n: int) -> np.ndarray:
+    """The cells of R on the n x n grid, one column range at a time."""
+    out = np.zeros((n, n), dtype=bool)
+    for c, lo, hi in zip(*r.grid_cells(n)):
+        out[c, lo:hi] = True
+    return out
+
+
 def full_dilate(r: Parallelogram, a: float) -> ExpandedParallelogram:
     if a < 0:
         raise ValueError("dilation factor must be nonnegative")
     xc = 0.5 * (r.x_left + r.x_right)
     half_l = 0.5 * a * r.length
-    yc_left = r.center_y(xc - half_l)
+    yc_left = center_y(r, xc - half_l)
     return ExpandedParallelogram(
         xc - half_l,
         xc + half_l,
@@ -195,8 +207,8 @@ def full_dilate(r: Parallelogram, a: float) -> ExpandedParallelogram:
 def e_set(r: Parallelogram, u: SlopeField) -> np.ndarray:
     """Cells of R whose slope value lies in the uncertainty interval."""
     out = np.zeros((u.n, u.n), dtype=bool)
-    cols, _, e = _e_cells(r, u)
-    out[cols] = e
+    cs, ys, _, e = _e_cells(r, u)
+    out[cs, ys] = e
     return out
 
 
@@ -223,6 +235,26 @@ def vertical_maximal(values: np.ndarray) -> np.ndarray:
             run = np.maximum.accumulate(avgs[::-1])[::-1]
             out[c, a:] = np.maximum(out[c, a:], run)
     return out
+
+
+def lk_maximal_masked(
+    f: GridFunction2D, parallelograms: Sequence[Parallelogram]
+) -> GridFunction2D:
+    """`lk_maximal` gathering each column's cells through a full-column mask."""
+    n = 1 << f.resolution
+    out = np.zeros((n, n))
+    for r in parallelograms:
+        cols = r.grid_cells(n)[0]
+        m = cell_mask(r, n)[cols]
+        count = int(m.sum())
+        if count == 0:
+            continue
+        total = 0.0
+        for c, cells in zip(cols, m):  # per-column sums fix the rounding
+            total += f.values[c, cells].sum()
+        avg = total / count
+        out[cols] = np.where(m, np.maximum(out[cols], avg), out[cols])
+    return GridFunction2D(f.resolution, out)
 
 
 def uncertainty_overlap(rs: Sequence[Parallelogram]) -> bool:

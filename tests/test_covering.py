@@ -18,6 +18,7 @@ from walshlab.covering import (
     lemma7r_check,
     lk_maximal,
     overlap_check,
+    _box,
     _vertical_margin,
 )
 from walshlab.ensembles import cone_slope_field, linear_slope_field
@@ -26,8 +27,11 @@ from walshlab.walsh import DyadicInterval
 
 from .oracles import (
     ExpandedParallelogram,
+    cell_mask,
+    center_y,
     e_set,
     full_dilate,
+    lk_maximal_masked,
     uncertainty_overlap,
     vertical_maximal,
     vertical_superlevel,
@@ -72,7 +76,7 @@ class TestParallelogram:
         r = make(-1, 1, 0.2, -0.5, 0.1)
         d = r.height_dilate(7.0)
         for x in (r.x_left, 0.8, r.x_right):
-            assert d.center_y(x) == pytest.approx(r.center_y(x))
+            assert center_y(d, x) == pytest.approx(center_y(r, x))
         assert d.height == pytest.approx(0.7)
         assert r.height_dilate(1.0) == r
 
@@ -89,7 +93,7 @@ class TestParallelogram:
             float(rng.uniform(-1, 1)),
             float(rng.uniform(0.0, 0.6)),
         )
-        assert np.array_equal(r.mask(n), brute_mask(r, n))
+        assert np.array_equal(cell_mask(r, n), brute_mask(r, n))
 
     def test_measure_and_validation(self):
         assert make(-1, 0, 0.0, 0.0, 0.25).measure == pytest.approx(0.125)
@@ -136,13 +140,18 @@ class TestCellSetsAgainstBruteForce:
             m = brute_mask(r, n)
             lo, hi = r.uncertainty
             e = m & (u.values >= lo) & (u.values <= hi)
-            assert np.array_equal(r.mask(n), m)
+            assert np.array_equal(cell_mask(r, n), m)
             assert np.array_equal(e_set(r, u), e)
             want = e.sum() / m.sum() if m.any() else 1.0
             assert density(r, u) == want
-            cols, cm = r.column_mask(n)
-            assert np.array_equal(cm, m[cols])
+            cols, y_lo, y_hi = r.grid_cells(n)
+            rows = np.arange(n)
+            ranges = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
+            assert np.array_equal(ranges, m[cols])
             assert not m[np.setdiff1d(np.arange(n), cols)].any()
+            cs, ys, bm = _box(r, n)
+            assert np.array_equal(bm, m[cs, ys])
+            assert m[cs, ys].sum() == m.sum() == (y_hi - y_lo).sum()
             empty += not m.any()
             clipped_lo += bool(m[:, 0].any()) and r.base_y < 0.0
             clipped_hi += bool(m[:, -1].any()) and r.base_y + r.height > 1.0
@@ -151,24 +160,22 @@ class TestCellSetsAgainstBruteForce:
 
 class TestCellMemo:
     def test_arrays_are_read_only(self):
-        cols, m = make(-2, 1, 0.3, 0.25, 0.125).column_mask(32)
-        with pytest.raises(ValueError):
-            cols[0] = 0
-        with pytest.raises(ValueError):
-            m[0, 0] = not m[0, 0]
+        for a in make(-2, 1, 0.3, 0.25, 0.125).grid_cells(32):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     def test_warm_instance_matches_a_fresh_equal_one(self):
         rng = np.random.default_rng(60)
         for r in random_members(rng, 32, 20):
-            cols, m = r.column_mask(32)
-            assert r.column_mask(32)[1] is m
-            cold_cols, cold_m = dataclasses.replace(r).column_mask(32)
-            assert np.array_equal(cols, cold_cols)
-            assert np.array_equal(m, cold_m)
+            warm = r.grid_cells(32)
+            assert r.grid_cells(32) is warm
+            cold = dataclasses.replace(r).grid_cells(32)
+            for a, b in zip(warm, cold):
+                assert np.array_equal(a, b)
 
     def test_memo_leaves_equality_hash_and_repr(self):
         warm = make(-1, 1, 0.2, -0.5, 0.1)
-        warm.column_mask(16)
+        warm.grid_cells(16)
         cold = make(-1, 1, 0.2, -0.5, 0.1)
         assert warm == cold
         assert hash(warm) == hash(cold)
@@ -177,14 +184,23 @@ class TestCellMemo:
 
     def test_grid_sides_are_kept_apart(self):
         r = make(-3, 5, 0.1, 0.7, 0.3)
-        first = r.column_mask(64)
-        second = r.column_mask(128)
-        assert r.column_mask(64) is first
-        for n, (cols, m) in ((64, first), (128, second)):
-            assert m.shape == (len(cols), n)
+        first = r.grid_cells(64)
+        second = r.grid_cells(128)
+        assert r.grid_cells(64) is first
+        for n, (cols, y_lo, y_hi) in ((64, first), (128, second)):
+            assert y_lo.shape == y_hi.shape == cols.shape
             x = (np.arange(n) + 0.5) / n
             assert np.array_equal(cols, np.flatnonzero((x >= r.x_left) & (x < r.x_right)))
-            assert np.array_equal(m, brute_mask(r, n)[cols])
+            assert np.array_equal(cell_mask(r, n), brute_mask(r, n))
+
+    def test_cached_entry_is_three_int64_per_column(self):
+        rng = np.random.default_rng(61)
+        n = 256
+        u = cone_slope_field(rng, n, 0.3)
+        for r in random_members(rng, n, 20):
+            density(r, u)  # fills the cache the way the covering path does
+            cols = r.grid_cells(n)[0]
+            assert sum(a.nbytes for a in r._cells[n]) <= 3 * 8 * len(cols)
 
 
 class TestSlopeField:
@@ -216,7 +232,7 @@ class TestESet:
     def test_constant_center_slope_captures_everything(self):
         r = make(-1, 0, 0.1, 0.4, 0.2)
         u = SlopeField.constant(16, 0.4)
-        assert np.array_equal(e_set(r, u), r.mask(16))
+        assert np.array_equal(e_set(r, u), cell_mask(r, 16))
         assert density(r, u) == 1.0
 
     def test_constant_outside_uncertainty_is_empty(self):
@@ -229,7 +245,7 @@ class TestESet:
         r = make(-1, 0, 0.1, 0.2, 0.1)
         for end in r.uncertainty:
             u = SlopeField.constant(16, end)
-            assert np.array_equal(e_set(r, u), r.mask(16))
+            assert np.array_equal(e_set(r, u), cell_mask(r, 16))
             assert density(r, u) == 1.0
 
     def test_linear_field_strip_fraction(self):
@@ -300,8 +316,9 @@ class TestVerticalMargin:
         field = np.zeros((n, n))
         best = np.full((n, n), -VERTICAL_THRESHOLD)
         for r in random_members(rng, n, 12):
-            cols, m = r.height_dilate(7.0).column_mask(n)
-            field[cols] += m
+            d = r.height_dilate(7.0)
+            cols = d.grid_cells(n)[0]
+            field += cell_mask(d, n)
             best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
             full = _vertical_margin(field, VERTICAL_THRESHOLD)
             np.testing.assert_allclose(best, full, rtol=0, atol=1e-12)
@@ -326,13 +343,14 @@ def per_member_cover(parallelograms, u, delta=None):
             key=lambda i: (-parallelograms[i].length, -parallelograms[i].height, i),
         )
         selected.append(pick)
-        cols, m = parallelograms[pick].height_dilate(7.0).column_mask(n)
-        field[cols] += m
+        d = parallelograms[pick].height_dilate(7.0)
+        cols = d.grid_cells(n)[0]
+        field += cell_mask(d, n)
         best[cols] = _vertical_margin(field[cols], VERTICAL_THRESHOLD)
         removed, witnesses = [], []
         for i in stock:
-            cols_i, m_i = parallelograms[i].column_mask(n)
-            margin = np.min(best[cols_i], where=m_i, initial=np.inf)
+            m_i = cell_mask(parallelograms[i], n)
+            margin = np.min(best, where=m_i, initial=np.inf)
             if margin < 0.0:
                 continue
             removed.append(i)
@@ -399,10 +417,10 @@ class TestGreedyCover:
         chosen, trace = greedy_cover(rs, u)
         field = np.zeros((n, n))
         for r in chosen:
-            field += r.height_dilate(7.0).mask(n)
+            field += cell_mask(r.height_dilate(7.0), n)
         sup = vertical_superlevel(field, 1e-4)
         for r in rs:
-            assert np.all(sup[r.mask(n)])
+            assert np.all(sup[cell_mask(r, n)])
         assert trace == greedy_cover(rs, u)[1]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -413,10 +431,10 @@ class TestGreedyCover:
         chosen, trace = greedy_cover(rs, self.grid(n))
         field = np.zeros((n, n))
         for step in trace.steps:
-            field += rs[step.selected].height_dilate(7.0).mask(n)
+            field += cell_mask(rs[step.selected].height_dilate(7.0), n)
             mv = vertical_maximal(field)
             for i, w in zip(step.removed, step.witnesses):
-                m = rs[i].mask(n)
+                m = cell_mask(rs[i], n)
                 assert w >= VERTICAL_THRESHOLD
                 assert w <= mv[m].min(initial=np.inf) + 1e-12
 
@@ -429,17 +447,20 @@ class TestGreedyCover:
             # a member between two rows of cell centres holds no cell; one
             # member appears twice, and once more as an equal copy
             thin = make(-2, 1, 3.1 / n, 0.0, 0.4 / n)
-            assert not thin.mask(n).any()
+            assert not cell_mask(thin, n).any()
             twin = rs[9]
             rs[5:5] = [thin, twin]
             rs.append(dataclasses.replace(twin))
-            for delta in (None, 0.5):
+            failed = 0
+            for delta in (None, 0.1, 0.3, 0.5, 0.9, 1.0):
                 chosen, trace = greedy_cover(rs, u, delta)
                 want_chosen, want = per_member_cover(rs, u, delta)
                 assert chosen == want_chosen
                 assert trace == want
                 assert witness_bits(trace) == witness_bits(want)
                 assert "inf" in witness_bits(trace)  # the cell-free members
+                failed += len(trace.density_failures)
+            assert failed  # the sweep reaches deltas that some members fail
 
     def test_density_failures_reported(self):
         u = SlopeField.constant(32, 0.9)
@@ -452,6 +473,10 @@ class TestGreedyCover:
     def test_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             greedy_cover([], self.grid(), delta=0.0)
+
+    def test_empty_family(self):
+        for delta in (None, 0.5):
+            assert greedy_cover([], self.grid(), delta) == ([], CoverTrace((), ()))
 
 
 class TestIntersectionMeasure:
@@ -481,7 +506,7 @@ class TestIntersectionMeasure:
         a = make(0, 0, 0.35, 0.2, 0.3)
         b = make(-1, 1, 0.1, -0.4, 0.4)
         n = 256
-        count = float((a.mask(n) & b.mask(n)).sum()) / n ** 2
+        count = float((cell_mask(a, n) & cell_mask(b, n)).sum()) / n ** 2
         assert count == pytest.approx(intersection_measure([a, b]), abs=2e-3)
 
 
@@ -540,7 +565,7 @@ class TestOverlapCheck:
             assert want > sum(r.measure for r in rs)
         assert report["u_overlap_sum"] == want
         e_field = sum(e_set(r, u).astype(float) for r in rs)
-        r_field = sum(r.mask(n).astype(float) for r in rs)
+        r_field = sum(cell_mask(r, n).astype(float) for r in rs)
         assert report["e_integral"] == float((e_field ** q).sum() / n ** 2)
         assert report["square_integral"] == float((r_field ** 2).sum() / n ** 2)
 
@@ -620,7 +645,7 @@ class TestLKMaximal:
         rs = [make(-1, 0, 0.25, 0.0, 0.25), make(-2, 2, 0.6, 0.2, 0.1)]
         f = GridFunction2D(4, np.ones((16, 16)))
         out = lk_maximal(f, rs)
-        union = rs[0].mask(16) | rs[1].mask(16)
+        union = cell_mask(rs[0], 16) | cell_mask(rs[1], 16)
         assert np.all(out.values[union] == pytest.approx(1.0))
         assert np.all(out.values[~union] == 0.0)
 
@@ -628,7 +653,7 @@ class TestLKMaximal:
         rng = np.random.default_rng(3)
         f = GridFunction2D(4, rng.standard_normal((16, 16)))
         r = make(-1, 1, 0.2, 0.3, 0.3)
-        m = r.mask(16)
+        m = cell_mask(r, 16)
         want = f.values[m].mean()
         out = lk_maximal(f, [r])
         assert np.all(out.values[m] == pytest.approx(want))
@@ -645,7 +670,17 @@ class TestLKMaximal:
         out = lk_maximal(f, rs)
         want = np.zeros((n, n))
         for r in rs:
-            m = r.mask(n)
+            m = cell_mask(r, n)
             if m.any():
                 want[m] = np.maximum(want[m], f.values[m].mean())
         np.testing.assert_allclose(out.values, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_slices_match_masked_gather_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(90 + seed)
+        f = GridFunction2D(n.bit_length() - 1, rng.standard_normal((n, n)))
+        rs = random_members(rng, n, 30)
+        got = lk_maximal(f, rs).values
+        assert np.array_equal(got, lk_maximal_masked(f, rs).values)
+        assert got.any()
