@@ -26,15 +26,10 @@ USING_NUMBA = False  # a single numpy build; perfbench records this flag with it
 @lru_cache(maxsize=None)
 def bit_reversal(resolution: int) -> np.ndarray:
     """Permutation reversing the low `resolution` bits of each index."""
-    n = 1 << resolution
-    rev = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(resolution):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        rev[i] = r
+    idx = np.arange(1 << resolution, dtype=np.int64)
+    rev = np.zeros_like(idx)
+    for b in range(resolution):
+        rev |= (idx >> b & 1) << (resolution - 1 - b)
     return rev
 
 

@@ -387,33 +387,37 @@ def _suite_certificates(cfg: Config) -> List[Row]:
     return rows
 
 
-def _replacement_case(rng, K: int):
-    """Normalized indicator data, trimmed middle set, and a forest."""
+def _replacement_case(rng, K: int, cfg: Config | None = None):
+    """Normalized indicator data, trimmed middle set, and a forest.
+
+    The config's p0, p1, p2 (default: `Config`'s) normalize the three slots,
+    and p0, p2 are the exponents of the maximal functions behind the sets.
+    """
+    cfg = cfg or Config()
     n = 1 << K
     e0 = GridFunction2D(K, (rng.random((n, n)) < 0.25).astype(np.float64))
     e1 = GridFunction2D(K, (rng.random((n, n)) < 0.35).astype(np.float64))
     e2 = GridFunction2D(K, (rng.random((n, n)) < 0.08).astype(np.float64))
     # low threshold keeps the slot-2 set inside the directional superlevel set
-    sets = exceptional_sets(e0, e1, e2, threshold=2.0)
+    sets = exceptional_sets(e0, e1, e2, p0=cfg.p0, p2=cfg.p2, threshold=2.0)
 
     def normalized(e, p):
         signs = rng.choice([-1.0, 1.0], size=e.values.shape)
         scale = e.values.mean() ** (-1.0 / p) if e.values.any() else 0.0
         return GridFunction2D(K, signs * e.values * scale)
 
-    f0 = normalized(e0, 4.0)
-    f1 = normalized(sets.e1_prime, 2.0)
-    f2 = normalized(e2, 4.0 / 3.0)
+    f0 = normalized(e0, cfg.p0)
+    f1 = normalized(sets.e1_prime, cfg.p1)
+    f2 = normalized(e2, cfg.p2)
     cert = select_trees(0, admissible_bitiles(sets.b1), f0, level=2)
     return sets, f0, f1, f2, cert.trees
 
 
 def _suite_replacement(cfg: Config) -> List[Row]:
     rows = []
-    K = cfg.resolution
     for t in range(cfg.trials):
         rng = _rng(cfg.seed, 6, t)
-        sets, f0, f1, f2, forest = _replacement_case(rng, K)
+        sets, f0, f1, f2, forest = _replacement_case(rng, cfg.resolution, cfg)
         good = build_good_function(f2, forest, sets.b2)
         # the trees of a selection are disjoint: each member enters once
         members = BitileRows.concat(tree.members for tree in forest)
@@ -515,7 +519,7 @@ def _probe_counting(cfg: Config, t: int) -> List[Row]:
 def _probe_gnorm(cfg: Config, t: int) -> List[Row]:
     K = cfg.resolution
     rng = _rng(cfg.seed, 14, t)
-    sets, f0, f1, f2, forest = _replacement_case(rng, K)
+    sets, f0, f1, f2, forest = _replacement_case(rng, K, cfg)
     good = build_good_function(f2, forest, sets.b2)
     rep = g_norm_report(good, forest, p2=cfg.p2, p=cfg.p0 / 2.0)
     bound = rep["counting_norm"] ** rep["exponent"]

@@ -174,16 +174,22 @@ def build_good_function(
     n = 1 << K
     row, scale, index = _region_pieces(_require_cell_set(b2, "b2"))
 
-    # (piece, dual cell nu) pairs, keyed piece * n + nu: nu < 2^(K + scale) <= n
+    # (piece, dual cell nu) pairs, keyed piece * n + nu: nu < 2^(K + scale) <= n;
+    # per top scale k, pieces finer than k join the tops on the box key (m0, m1)
     keys = [np.zeros(0, dtype=np.int64)]
-    for top in (t.top for t in forest):
-        k = top.scale
-        hit = np.nonzero(
-            (row >> (K + k) == top.m0)
-            & (scale < k)
-            & (index >> np.maximum(k - scale, 0) == top.m1)
-        )[0]
-        keys.append(hit * n + (top.n >> (k - 1 - scale[hit])))
+    tops = BitileRows(t.top for t in forest).rows
+    for k in np.unique(tops[:, 0]).tolist():
+        _, m0, m2, top_n = tops[tops[:, 0] == k].T
+        box = (m0 << -k) + (m0 ^ m2)
+        order = np.argsort(box)
+        box, top_n = box[order], top_n[order]
+        at = np.flatnonzero(scale < k)
+        key = (row[at] >> (K + k) << -k) + (index[at] >> (k - scale[at]))
+        lo, hi = np.searchsorted(box, (key, key + 1))  # the tops with each key
+        count = hi - lo
+        hit = np.repeat(at, count)  # a piece's j-th top is box[lo + j]
+        top = np.arange(len(hit)) + np.repeat(lo + count - np.cumsum(count), count)
+        keys.append(hit * n + (top_n[top] >> (k - 1 - scale[hit])))
     piece, nu = np.divmod(np.unique(np.concatenate(keys)), n)
     rank = np.arange(len(piece)) - np.searchsorted(piece, piece)
 

@@ -30,8 +30,8 @@ from .tiles import (
     BitileRows,
     ProjectionMode,
     _coords,
-    _diag_image_cell,
     _fits,
+    _image_cells,
     _require_half_tile_regions,
     convex_scales,
     half_down_sums,
@@ -158,10 +158,7 @@ def tile_norm_table(
         else:
             # C[i0, m2, nu] -> D[i0, m2, image cell] -> S[m0, m2, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
-            img = np.array(
-                [_diag_image_cell(mode.multiplier, nu, k, K) for nu in range(B)],
-                dtype=np.int64,
-            )
+            img = _image_cells(mode.multiplier, k, K)
             D = np.zeros((ngrid, nb, B))
             np.add.at(D, (slice(None), slice(None), img), C**2)
             S = D.reshape(nb, B, nb, B).sum(axis=1)
@@ -478,20 +475,14 @@ def _counting_bound(counting):
         i -= table.size
 
 
-def verify_certificate(
-    cert: SelectionCertificate,
-    F: GridFunction2D,
-    slot: int | None = None,
-    level: int | None = None,
-):
-    """Re-check a selection certificate from scratch.
+def verify_certificate(cert: SelectionCertificate, F: GridFunction2D):
+    """Re-check a selection certificate from scratch, at its slot and level.
 
     Returns (ok, report).  The report lists each check with its outcome
     and carries both readings of the per-tree threshold (linear and
     squared in the tree area) for the remainder.
     """
-    slot = cert.slot if slot is None else slot
-    level = cert.level if level is None else level
+    slot, level = cert.slot, cert.level
     checks: list[tuple[str, bool, str]] = []
 
     def check(name, ok, detail=""):

@@ -23,13 +23,14 @@ multiplier, or a per-fiber frequency label).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .gridfn import GridFunction2D, _interval_slice
-from .walsh import DyadicInterval, WalshNumber, _clmul
-from .wavelets import project_rows, synthesis_rows
+from .walsh import DyadicInterval, WalshNumber
+from .wavelets import project_rows, synthesis_rows, walsh_rows
 
 
 @dataclass(frozen=True)
@@ -313,22 +314,17 @@ def diagonal_data(f, a: WalshNumber):
     if not isinstance(f, GridFunction1D):
         raise TypeError("slot-0 profile must be a 1D grid function")
     K = f.resolution
-    n = 1 << K
-    vals = np.empty((n, n))
-    for i1 in range(n):
-        img = _clmul(a.mantissa, i1)  # a (*) (i1 2^-K) scaled by 2^(K+shift)
-        cell = img >> a.shift if a.shift >= 0 else img << -a.shift
-        if cell < n:
-            vals[i1, :] = f.values[np.arange(n) ^ cell]
-        else:
-            vals[i1, :] = 0.0
+    i1 = np.arange(1 << K)
+    cell = _image_cells(a, 0, K)  # a (*) i1 mod 2^K
+    # a carry-less product keeps its leading bit: below 2^K iff bitlen(i1) - lo <= K
+    inside = (i1 == 0) | (np.frexp(i1)[1] - a.lo <= K)
+    vals = np.where(inside[:, None], f.values[cell[:, None] ^ i1], 0.0)
     return GridFunction2D(K, vals)
 
 
 def fiberwise_data(f, labels):
     """Slot-0 data F(x1, x2) = f(x2) w_{N(x2)}(x1)."""
     from .gridfn import GridFunction1D
-    from .wavelets import walsh_fn
 
     if not isinstance(f, GridFunction1D):
         raise TypeError("slot-0 profile must be a 1D grid function")
@@ -336,7 +332,7 @@ def fiberwise_data(f, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != f.values.shape:
         raise ValueError("fiberwise labels must give one frequency per cell")
-    cols = np.stack([walsh_fn(int(nu), K).values for nu in labels], axis=1)
+    cols = np.ascontiguousarray(walsh_rows(labels, K).T)  # cols[x1, x2]
     return GridFunction2D(K, cols * f.values[None, :])
 
 
@@ -370,18 +366,28 @@ class ProjectionMode:
         return cls("fiberwise", labels=tuple(int(v) for v in labels))
 
 
-def _diag_image_cell(a: WalshNumber, nu: int, scale: int, resolution: int) -> int:
-    """Dual cell of width 2^-scale holding the image of cell nu's left end.
+@lru_cache(maxsize=256)  # one multiplier per run; at most 2^K cells each
+def _image_cells(a: WalshNumber, scale: int, resolution: int) -> np.ndarray:
+    """Dual cell of width 2^-scale holding the image of each cell nu's left end.
 
-    Image frequencies are truncated to the grid (integer part mod 2^K).
-    The image of the whole cell is the coset of width 2^e 2^-scale through
-    this point, where 2^e <= |a| < 2^(e+1): one cell for 1 <= |a| < 2,
-    part of one for |a| < 1, and 2^e aligned cells for |a| >= 2.
+    Read-only, over nu < 2^(K+scale).  Image frequencies are truncated to
+    the grid (integer part mod 2^K).  The image of the whole cell is the
+    coset of width 2^e 2^-scale through this point, where
+    2^e <= |a| < 2^(e+1): one cell for 1 <= |a| < 2, part of one for
+    |a| < 1, and 2^e aligned cells for |a| >= 2.
     """
-    point = nu << -scale  # representative nu * 2^-k as an integer
-    prod = _clmul(a.mantissa, point)
-    ipart = prod >> a.shift if a.shift >= 0 else prod << -a.shift
-    return (ipart & ((1 << resolution) - 1)) >> -scale
+    K = resolution
+    point = np.arange(1 << (K + scale), dtype=np.int64) << -scale  # nu 2^-k, < 2^K
+    # a (*) point is the XOR of point 2^(b - shift) over the mantissa bits b;
+    # a shift by K or more bits leaves nothing below 2^K
+    ipart = np.zeros_like(point)
+    for b in range(a.mantissa.bit_length()):
+        d = b - a.shift
+        if a.mantissa >> b & 1 and -K < d < K:
+            ipart ^= point << d if d >= 0 else point >> -d
+    out = (ipart & ((1 << K) - 1)) >> -scale
+    out.flags.writeable = False
+    return out
 
 
 def _require_half_tile_regions(a: WalshNumber) -> None:
@@ -423,14 +429,8 @@ def diagonal_region(p: BaseTile, a: WalshNumber, resolution: int) -> np.ndarray:
     # meet iff they agree above the wider one's width
     group = max(width, -a.lo - k)
     target = (p.n << width) >> group
-    shift = group + k
-    return np.array(
-        [
-            (_diag_image_cell(a, nu ^ flip, k, resolution) >> shift) == target
-            for nu in range(1 << (resolution + k))
-        ],
-        dtype=bool,
-    )
+    cells = _image_cells(a, k, resolution)
+    return cells[np.arange(len(cells)) ^ flip] >> (group + k) == target
 
 
 def _check_tile(p: BaseTile, resolution: int) -> None:

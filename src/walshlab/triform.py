@@ -23,7 +23,7 @@ import numpy as np
 from ._kernels import haar_signs, pair_blocks, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from .tiles import Bitile, BitileRows, scale_arrays
-from .wavelets import WavePacketSpec, coefficient_rows, walsh_fn, wave_packet
+from .wavelets import WavePacketSpec, coefficient_rows, walsh_rows, wave_packet
 
 ScaleWeights = Dict[int, np.ndarray]  # per-scale 1D weight arrays
 
@@ -244,37 +244,42 @@ def lambda_tree(
 # -- exact identities --------------------------------------------------------
 
 
-def haar_multiplier(weights: ScaleWeights, f: GridFunction1D) -> GridFunction1D:
-    """Signed Haar expansion sum_I eps_I |I|^-1 <f, h_I> h_I."""
-    K = f.resolution
-    out = np.zeros_like(f.values)
+def _haar_rows(weights: ScaleWeights, values: np.ndarray, K: int) -> np.ndarray:
+    """`haar_multiplier` along the last axis of a (..., 2^K) array."""
+    out = np.zeros_like(values)
     for k, w in sorted(weights.items()):
         if k < -K + 1 or k > 0:
             raise ValueError("scale outside resolution range")
         w = np.asarray(w, dtype=np.float64)
         block = 1 << (K + k)
-        v = f.values.reshape(-1, 2, block // 2).sum(axis=2)
-        coeff = (v[:, 0] - v[:, 1]) * 2.0 ** (-K)  # <f, h_I> per interval
-        contrib = (w * coeff * 2.0 ** (-k))[:, None] * haar_signs(K + k)[None, :]
-        out += contrib.reshape(-1)
-    return GridFunction1D(K, out)
+        v = values.reshape(values.shape[:-1] + (-1, 2, block // 2)).sum(axis=-1)
+        coeff = (v[..., 0] - v[..., 1]) * 2.0 ** (-K)  # <f, h_I> per interval
+        contrib = (w * coeff * 2.0 ** (-k))[..., None] * haar_signs(K + k)
+        out += contrib.reshape(values.shape)
+    return out
+
+
+def haar_multiplier(weights: ScaleWeights, f: GridFunction1D) -> GridFunction1D:
+    """Signed Haar expansion sum_I eps_I |I|^-1 <f, h_I> h_I."""
+    return GridFunction1D(f.resolution, _haar_rows(weights, f.values, f.resolution))
 
 
 def max_mod_haar(
     weights: ScaleWeights, labels, f: GridFunction1D
 ) -> GridFunction1D:
-    """x -> w_N(x)(x) H^eps(w_N(x) f)(x): modulation by a per-cell label."""
+    """x -> w_N(x)(x) H^eps(w_N(x) f)(x): modulation by a per-cell label.
+
+    One Haar pass over w_N f for the distinct labels N, one row each.
+    """
     K = f.resolution
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != f.values.shape:
         raise ValueError("labels must give one frequency per cell")
-    out = np.zeros_like(f.values)
-    for nu in np.unique(labels):
-        w = walsh_fn(int(nu), K)
-        g = haar_multiplier(weights, w * f)
-        sel = labels == nu
-        out[sel] = w.values[sel] * g.values[sel]
-    return GridFunction1D(K, out)
+    nu, row = np.unique(labels, return_inverse=True)
+    W = walsh_rows(nu, K)
+    G = _haar_rows(weights, W * f.values, K)
+    cell = np.arange(1 << K)
+    return GridFunction1D(K, W[row, cell] * G[row, cell])
 
 
 def substitution_modulated(f: GridFunction1D, g: GridFunction1D, labels):
@@ -286,7 +291,7 @@ def substitution_modulated(f: GridFunction1D, g: GridFunction1D, labels):
     F0 = GridFunction2D(K, f.values[idx[:, None] ^ idx[None, :]])
     root = np.sqrt(np.abs(g.values))
     sign = np.sign(g.values)
-    W = np.stack([walsh_fn(int(nu), K).values for nu in labels])  # W[x0, x2]
+    W = walsh_rows(labels, K)  # W[x0, x2]
     F1 = GridFunction2D(K, (sign * root)[None, :] * W.T)  # F1[x2, x0]
     F2v = root[:, None] * np.take_along_axis(
         W, idx[:, None] ^ idx[None, :], axis=1
@@ -328,6 +333,11 @@ def substitution_offset(
     return F0, F1, F2
 
 
+def _left_sum(x: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added left to right from 0.0 as a scalar loop adds."""
+    return np.add.accumulate(np.insert(x, 0, 0.0, axis=-1), axis=-1)[..., -1]
+
+
 def offset_form(
     weights: ScaleWeights,
     shift: int,
@@ -342,11 +352,13 @@ def offset_form(
     coefficients directly.  Both apply the identical resolution caps, and
     both equal the signed form under substitution_offset with weights
     carried by the interval I0 ^ 2^-shift I2.
+
+    A scale is one pass over all intervals I and cells m, looping over the
+    offsets t only; every sum keeps the order of the scalar (I, m, t) loop.
     """
     if shift < 1:
         raise ValueError("shift must be at least 1")
     K = f.resolution
-    n = 1 << K
     L = shift
     route_proj = []
     route_coef = []
@@ -359,41 +371,23 @@ def offset_form(
         cf = coefficient_rows(f.values.reshape(blocks, B), K + k)
         cg = coefficient_rows(g.values.reshape(blocks, B), K + k)
         ch = coefficient_rows(h.values.reshape(blocks, B), K + k)
-        chars = np.stack([walsh_fn(nu, K + k).values for nu in range(B)])
-        for I in range(blocks):
-            eI = w[I]
-            if eI == 0.0:
-                continue
-            proj_acc = 0.0
-            coef_acc = 0.0
-            for m in range(B):
-                jf = m ^ 1
-                if jf >= B:
-                    continue
-                # coefficient route: diagonal sum over the modulation cells
-                terms = 0.0
-                cells_g = []
-                cells_h = []
-                for t in range(1 << L):
-                    jg = (m << L) ^ t
-                    jh = jg ^ jf
-                    if jg < B and jh < B:
-                        cells_g.append(jg)
-                        cells_h.append(jh)
-                        terms += cg[I, jg] * ch[I, jh]
-                if not cells_g:
-                    continue
-                coef_acc += cf[I, jf] * terms
-                # projection route: build the three projected functions
-                pf = cf[I, jf] * chars[jf]
-                pg = np.zeros(B)
-                for jg in cells_g:
-                    pg += cg[I, jg] * chars[jg]
-                ph = np.zeros(B)
-                for jh in cells_h:
-                    ph += ch[I, jh] * chars[jh]
-                proj_acc += float((pf * pg * ph).sum()) * 2.0 ** (-K)
-            route_proj.append(eI * proj_acc)
-            route_coef.append(eI * coef_acc * 2.0 ** k)
+        chars = walsh_rows(np.arange(B), K + k)
+        # the cells m with jg = (m << L) ^ t below B for some offset t; then
+        # jf = m ^ 1 and jh = jg ^ jf are below B as well
+        m = np.arange(max(B >> L, 1))
+        jf = m ^ 1
+        terms = np.zeros((blocks, len(m)))
+        pg = np.zeros((blocks, len(m), B))
+        ph = np.zeros((blocks, len(m), B))
+        for t in range(min(1 << L, B)):
+            jg = (m << L) ^ t
+            jh = jg ^ jf
+            terms += cg[:, jg] * ch[:, jh]
+            pg += cg[:, jg, None] * chars[jg]
+            ph += ch[:, jh, None] * chars[jh]
+        pf = cf[:, jf, None] * chars[jf]
+        integral = (pf * pg * ph).sum(axis=-1) * 2.0 ** (-K)
+        on = w != 0.0
+        route_proj.extend(w[on] * _left_sum(integral[on]))
+        route_coef.extend(w[on] * _left_sum((cf[:, jf] * terms)[on]) * 2.0 ** k)
     return math.fsum(route_proj), math.fsum(route_coef)
-

@@ -29,14 +29,19 @@ def haar(interval: DyadicInterval, resolution: int) -> GridFunction1D:
     return f
 
 
+def walsh_rows(frequencies, resolution: int) -> np.ndarray:
+    """The characters of the frequencies (each in [0, 2^K)) as rows of cell values."""
+    nu = np.asarray(frequencies, dtype=np.int64)
+    if ((nu < 0) | (nu >= 1 << resolution)).any():
+        raise ValueError("frequency beyond resolution")
+    idx = np.arange(1 << resolution, dtype=np.int64)
+    bits = np.bitwise_count(bit_reversal(resolution)[nu][..., None] & idx) & 1
+    return 1.0 - 2.0 * bits
+
+
 def walsh_fn(frequency: int, resolution: int) -> GridFunction1D:
     """Character with integer frequency index in [0, 2^K)."""
-    if not 0 <= frequency < (1 << resolution):
-        raise ValueError("frequency beyond resolution")
-    rev = bit_reversal(resolution)
-    idx = np.arange(1 << resolution, dtype=np.int64)
-    bits = np.bitwise_count(np.bitwise_and(int(rev[frequency]), idx)) & 1
-    return GridFunction1D(resolution, 1.0 - 2.0 * bits)
+    return GridFunction1D(resolution, walsh_rows(frequency, resolution))
 
 
 @dataclass(frozen=True)

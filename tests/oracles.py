@@ -8,6 +8,7 @@ computes the same object in per-scale array passes.  No code in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -17,11 +18,13 @@ from walshlab.covering import Parallelogram, SlopeField, _e_cells, _vertical_mar
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.maximal import _check_exponent
 from walshlab.tiles import BaseTile, Bitile, le
-from walshlab.walsh import DyadicInterval, WalshNumber, coset_membership
+from walshlab.triform import haar_multiplier
+from walshlab.walsh import DyadicInterval, WalshNumber, _clmul, coset_membership
 from walshlab.wavelets import (
     WavePacketSpec,
     _check_freq,
     _check_time,
+    coefficient_rows,
     project_rows,
     wave_packet,
 )
@@ -76,6 +79,116 @@ def project_tile_1d(
         w = wave_packet(WavePacketSpec(time, DyadicInterval(-time.scale, nu)), K)
         out = out + f.inner(w) * w
     return out
+
+
+def bit_reversed(i: int, resolution: int) -> int:
+    """i with its low `resolution` bits in reverse order, via its binary string."""
+    return int(bin(i)[2:].zfill(resolution)[::-1], 2)
+
+
+def walsh_character(frequency: int, resolution: int) -> GridFunction1D:
+    """Character with integer frequency index in [0, 2^K), built on its own."""
+    if not 0 <= frequency < (1 << resolution):
+        raise ValueError("frequency beyond resolution")
+    rev = bit_reversed(frequency, resolution)
+    idx = np.arange(1 << resolution, dtype=np.int64)
+    bits = np.bitwise_count(np.bitwise_and(rev, idx)) & 1
+    return GridFunction1D(resolution, 1.0 - 2.0 * bits)
+
+
+def diagonal_data_rows(f: GridFunction1D, a: WalshNumber) -> GridFunction2D:
+    """`diagonal_data` one row x1 at a time, multiplying on Python integers."""
+    K = f.resolution
+    n = 1 << K
+    vals = np.empty((n, n))
+    for i1 in range(n):
+        img = _clmul(a.mantissa, i1)  # a (*) (i1 2^-K) scaled by 2^(K+shift)
+        cell = img >> a.shift if a.shift >= 0 else img << -a.shift
+        if cell < n:
+            vals[i1, :] = f.values[np.arange(n) ^ cell]
+        else:
+            vals[i1, :] = 0.0
+    return GridFunction2D(K, vals)
+
+
+def diag_image_cell(a: WalshNumber, nu: int, scale: int, resolution: int) -> int:
+    """Dual cell of width 2^-scale holding the image of cell nu's left end.
+
+    The product is carry-less on Python integers, truncated to the grid
+    (integer part mod 2^K).
+    """
+    point = nu << -scale  # representative nu * 2^-k as an integer
+    prod = _clmul(a.mantissa, point)
+    ipart = prod >> a.shift if a.shift >= 0 else prod << -a.shift
+    return (ipart & ((1 << resolution) - 1)) >> -scale
+
+
+def max_mod_haar_per_label(weights, labels, f: GridFunction1D) -> GridFunction1D:
+    """`max_mod_haar` with one Haar multiplier call per distinct label."""
+    K = f.resolution
+    labels = np.asarray(labels, dtype=np.int64)
+    out = np.zeros_like(f.values)
+    for nu in np.unique(labels):
+        w = walsh_character(int(nu), K)
+        g = haar_multiplier(weights, w * f)
+        sel = labels == nu
+        out[sel] = w.values[sel] * g.values[sel]
+    return GridFunction1D(K, out)
+
+
+def offset_form_scalar(weights, shift: int, f, g, h):
+    """`offset_form` as a scalar loop over intervals I, cells m and offsets t.
+
+    The projection route builds the three projected functions of each
+    (I, m) from characters and integrates their product; the coefficient
+    route multiplies the packet coefficients directly.
+    """
+    K = f.resolution
+    L = shift
+    route_proj = []
+    route_coef = []
+    for k in sorted(weights):
+        w = np.asarray(weights[k], dtype=np.float64)
+        B = 1 << (K + k)
+        blocks = 1 << -k
+        cf = coefficient_rows(f.values.reshape(blocks, B), K + k)
+        cg = coefficient_rows(g.values.reshape(blocks, B), K + k)
+        ch = coefficient_rows(h.values.reshape(blocks, B), K + k)
+        chars = np.stack([walsh_character(nu, K + k).values for nu in range(B)])
+        for I in range(blocks):
+            eI = w[I]
+            if eI == 0.0:
+                continue
+            proj_acc = 0.0
+            coef_acc = 0.0
+            for m in range(B):
+                jf = m ^ 1
+                if jf >= B:
+                    continue
+                terms = 0.0
+                cells_g = []
+                cells_h = []
+                for t in range(1 << L):
+                    jg = (m << L) ^ t
+                    jh = jg ^ jf
+                    if jg < B and jh < B:
+                        cells_g.append(jg)
+                        cells_h.append(jh)
+                        terms += cg[I, jg] * ch[I, jh]
+                if not cells_g:
+                    continue
+                coef_acc += cf[I, jf] * terms
+                pf = cf[I, jf] * chars[jf]
+                pg = np.zeros(B)
+                for jg in cells_g:
+                    pg += cg[I, jg] * chars[jg]
+                ph = np.zeros(B)
+                for jh in cells_h:
+                    ph += ch[I, jh] * chars[jh]
+                proj_acc += float((pf * pg * ph).sum()) * 2.0 ** (-K)
+            route_proj.append(eI * proj_acc)
+            route_coef.append(eI * coef_acc * 2.0 ** k)
+    return math.fsum(route_proj), math.fsum(route_coef)
 
 
 def project_region_1d(

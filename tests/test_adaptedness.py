@@ -185,10 +185,10 @@ class TestLargeMultiplierObstruction:
             assert worst_member_deviation(coll, a, 7400 + i) <= 1e-9, coll[-1]
 
     def test_even_multiplier_image_map_drops_top_bit(self):
-        from walshlab.tiles import _diag_image_cell
+        from walshlab.tiles import _image_cells
 
         a = WalshNumber.from_float(2.0)
-        images = [_diag_image_cell(a, nu, 0, K) for nu in range(N)]
+        images = _image_cells(a, 0, K).tolist()
         assert len(set(images)) < N
 
     @pytest.mark.parametrize("a_float", [2.0, 2.75])

@@ -166,6 +166,15 @@ class TestConstants:
             if line.split(",")[1].startswith("counting_t"):
                 assert line.endswith("true")
 
+    def test_exponents_reach_the_replacement_case(self):
+        # p2 normalizes the slot-2 data and is the directional maximal
+        # function's exponent, so the replacement's squared norm follows it
+        def gnorm_lhs(p2):
+            cfg = build_config({"resolution": "5", "p2": p2})
+            return [cli._probe_gnorm(cfg, t)[0][2] for t in range(4)]
+
+        assert gnorm_lhs("1.5") != gnorm_lhs(repr(4.0 / 3.0))
+
     def test_benchmark_reports_match_reference_digests(self, tmp_path):
         # the constants-k5 benchmark workload on seed 0, against the digests
         # the benchmark harness checks every process's reports with

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import walshlab
-from walshlab._kernels import pair_blocks, triform_scale_sum
+from walshlab._kernels import bit_reversal, pair_blocks, triform_scale_sum
 from walshlab.tiles import all_bitiles
 from walshlab.triform import (
     EpsilonField,
@@ -24,6 +24,7 @@ from walshlab.triform import (
     lambda_direct,
 )
 
+from .oracles import bit_reversed
 from .test_triform import lambda_oracle, rand_triple
 
 
@@ -61,6 +62,12 @@ def test_scale_sum_matches_cell_oracle(K):
         got = triform_scale_sum(F0, F1, F2, eps.data[k], K + k)
         want, mass = scale_sum_oracle(F0, F1, F2, eps.data[k], K + k)
         assert abs(got - want) <= 1e-13 * mass, (k, got, want)
+
+
+@pytest.mark.parametrize("K", range(0, 11))
+def test_bit_reversal_matches_binary_strings(K):
+    want = [bit_reversed(i, K) for i in range(1 << K)]
+    assert bit_reversal(K).dtype == np.int64 and bit_reversal(K).tolist() == want
 
 
 def test_scale_sum_zero_eps():

@@ -17,11 +17,13 @@ from walshlab.tiles import (
     Bitile,
     ProjectionMode,
     Tile,
+    _image_cells,
     all_bitiles,
     down_sums,
     diagonal_data,
     diagonal_region,
     disjoint_tiling,
+    fiberwise_data,
     is_convex,
     le,
     proj_bitile,
@@ -39,7 +41,13 @@ from walshlab.wavelets import (
     wave_packet,
 )
 
-from .oracles import comparable, down_set, project_tile_1d
+from .oracles import (
+    comparable,
+    diag_image_cell,
+    diagonal_data_rows,
+    down_set,
+    project_tile_1d,
+)
 
 
 def rand2d(K, seed):
@@ -429,3 +437,39 @@ class TestProjectionAxioms:
             proj_tile(Tile(-1, 2, 0, 1), 0, F)
         with pytest.raises(ValueError, match="resolution too small"):
             all_bitiles(1)
+
+
+class TestFrequencyTables:
+    """The image-cell and character tables against their scalar definitions."""
+
+    # the last two reach past 64 mantissa bits and beyond the grid
+    @pytest.mark.parametrize(
+        "a",
+        [WalshNumber.from_float(x) for x in (0.5, 1.0, 1.5, 2.0, 2.75)]
+        + [WalshNumber(2**70 + 5, 62), WalshNumber(5, -3)],
+    )
+    def test_image_cells_match_scalar_image(self, a):
+        for K in range(2, 9):
+            for k in range(-K, 1):
+                got = _image_cells(a, k, K)
+                assert got.dtype == np.int64 and not got.flags.writeable
+                want = [diag_image_cell(a, nu, k, K) for nu in range(1 << (K + k))]
+                assert got.tolist() == want, (K, k)
+
+    @pytest.mark.parametrize("K", range(0, 8))
+    def test_diagonal_data_matches_row_loop(self, K):
+        # images past [0, 1) give zero rows; the multipliers below reach
+        # beyond the grid, below one cell, and past 64 mantissa bits
+        f = GridFunction1D(K, np.random.default_rng(K).normal(size=1 << K))
+        wide = [(1, -9), (9, 4), (2**70 + 5, 62)]
+        for m, shift in [(1, 0), (3, 1), (11, 1), (5, -3)] + wide:
+            a = WalshNumber(m, shift)
+            got = diagonal_data(f, a).values
+            assert got.tobytes() == diagonal_data_rows(f, a).values.tobytes(), a
+
+    @pytest.mark.parametrize("nu", [-1, 8])
+    def test_fiberwise_label_out_of_range(self, nu):
+        labels = np.zeros(8, dtype=np.int64)
+        labels[3] = nu
+        with pytest.raises(ValueError, match="frequency beyond resolution"):
+            fiberwise_data(GridFunction1D(3, np.ones(8)), labels)

@@ -29,6 +29,8 @@ from walshlab.triform import (
     telescoping_profile,
 )
 
+from .oracles import max_mod_haar_per_label, offset_form_scalar
+
 
 def lambda_oracle(eps, F0, F1, F2):
     """Direct sum over interval triples and cells."""
@@ -320,3 +322,39 @@ class TestOffsetForm:
         f = GridFunction1D.zeros(3)
         with pytest.raises(ValueError, match="shift must be at least 1"):
             offset_form(constant_interval_weights(3), 0, f, f, f)
+
+
+class TestArrayPassesMatchScalarLoops:
+    """`offset_form` and `max_mod_haar` against their scalar loops, bit for bit."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_offset_form_floats(self, K, L):
+        rng = np.random.default_rng(100 * K + L)
+        f, g, h = (GridFunction1D(K, rng.normal(size=1 << K)) for _ in range(3))
+        w = random_interval_weights(K, rng)
+        w[0] = np.zeros(1)  # intervals of weight zero are left out
+        got = offset_form(w, L, f, g, h)
+        want = offset_form_scalar(w, L, f, g, h)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_max_mod_haar_bytes(self, K):
+        n = 1 << K
+        rng = np.random.default_rng(K)
+        f = GridFunction1D(K, rng.normal(size=n))
+        w = random_interval_weights(K, rng)
+        single, distinct = np.full(n, n - 1), rng.permutation(n)
+        for labels in (rng.integers(0, n, size=n), single, distinct):
+            got = max_mod_haar(w, labels, f).values
+            assert got.tobytes() == max_mod_haar_per_label(w, labels, f).values.tobytes()
+
+    @pytest.mark.parametrize("nu", [-1, 8])
+    def test_label_out_of_range(self, nu):
+        f = GridFunction1D(3, np.ones(8))
+        labels = np.zeros(8, dtype=np.int64)
+        labels[5] = nu
+        with pytest.raises(ValueError, match="frequency beyond resolution"):
+            max_mod_haar(constant_interval_weights(3), labels, f)
+        with pytest.raises(ValueError, match="frequency beyond resolution"):
+            substitution_modulated(f, f, labels)

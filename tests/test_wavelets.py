@@ -18,10 +18,11 @@ from walshlab.wavelets import (
     haar,
     project_rows,
     walsh_fn,
+    walsh_rows,
     wave_packet,
 )
 
-from .oracles import project_region_1d, project_tile_1d
+from .oracles import project_region_1d, project_tile_1d, walsh_character
 
 
 def rand_fn(K, seed=0):
@@ -78,6 +79,19 @@ class TestWalshFn:
             lhs = walsh_fn(M, K) * walsh_fn(N, K)
             rhs = walsh_fn(M ^ N, K)
             assert np.all(lhs.values == rhs.values)
+
+    @pytest.mark.parametrize("K", range(0, 9))
+    def test_rows_match_scalar_characters(self, K):
+        W = walsh_rows(np.arange(1 << K), K)
+        assert W.shape == (1 << K, 1 << K)
+        for N in range(1 << K):
+            assert W[N].tobytes() == walsh_character(N, K).values.tobytes()
+
+    @pytest.mark.parametrize("nu", [-1, 8])
+    def test_rows_out_of_range(self, nu):
+        # a negative label must not index the table from its end
+        with pytest.raises(ValueError, match="frequency beyond resolution"):
+            walsh_rows([0, nu, 1], 3)
 
     @pytest.mark.parametrize("K", range(2, 11))
     def test_gram_identity(self, K):
