@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covering import SlopeField, greedy_cover, lemma7r_check, lk_maximal, overlap_check
+from .covering import SlopeField, greedy_cover, lemma7r_check, lk_maximal, square_integral
 from .ensembles import (
     cone_slope_field,
     dense_parallelograms,
@@ -60,6 +60,7 @@ from .triform import (
     lambda_bitile_sum,
     lambda_direct,
     max_mod_haar,
+    max_mod_haar_sup,
     offset_form,
     random_interval_weights,
     substitution_endpoint,
@@ -541,13 +542,12 @@ def _probe_cover_overlap(cfg: Config, t: int) -> List[Row]:
         rng, u, cfg.delta, count=25, scale_range=_dense_scales(cfg.grid)
     )
     selected, _ = greedy_cover(family, u, cfg.delta)
-    rep = overlap_check(selected, u, 2, cfg.delta)
     return [
         _probe_row(
             "constants",
             f"cover_overlap_t{t}_K{cfg.grid.bit_length() - 1}",
-            rep["square_integral"],
-            rep["sum_measures"] / cfg.delta,
+            square_integral(selected, cfg.grid),
+            sum(r.measure for r in selected) / cfg.delta,
         )
     ]
 
@@ -563,11 +563,10 @@ def _probe_lk_weak(cfg: Config, t: int) -> List[Row]:
     f = GridFunction2D(K, np.abs(rng.uniform(-1.0, 1.0, (n, n))))
     lk = lk_maximal(f, family)
     cell = 4.0 ** -K
-    weak = 0.0
-    for v in np.unique(lk.values):
-        if v <= 0.0:
-            continue
-        weak = max(weak, v * math.sqrt(cell * int((lk.values >= v).sum())))
+    values, counts = np.unique(lk.values, return_counts=True)
+    above = np.cumsum(counts[::-1])[::-1]  # cells where lk reaches each value
+    reached = values > 0.0
+    weak = float(np.max(values[reached] * np.sqrt(cell * above[reached]), initial=0.0))
     rhs = cfg.delta ** -0.5 * f.norm(2)
     return [_probe_row("constants", f"lk_weak_t{t}_K{K}", weak, rhs)]
 
@@ -678,12 +677,7 @@ def run_transform(cfg: Config, op: str, inputs: Sequence[str], out_dir: str) -> 
         _expect_inputs(op, inputs, 1)
         f = _as_1d(inputs[0], _read_matrix(inputs[0]))
         weights = constant_interval_weights(f.resolution)
-        n = f.values.size
-        best = np.zeros(n)
-        for nu in range(n):  # true argmax over every frequency
-            g = max_mod_haar(weights, np.full(n, nu), f)
-            np.maximum(best, np.abs(g.values), out=best)
-        out = best[None, :]
+        out = max_mod_haar_sup(weights, f).values[None, :]
     elif op == "lk":
         _expect_inputs(op, inputs, 1)
         f = _as_2d(inputs[0], _read_matrix(inputs[0]))
@@ -739,13 +733,12 @@ def run_cover(cfg: Config, out_dir: str) -> int:
                 0.0,
             )
         )
-        rep = overlap_check(selected, u, 2, cfg.delta)
         rows.append(
             _probe_row(
                 "cover",
                 f"{kind}_t{t}_square",
-                rep["square_integral"],
-                rep["sum_measures"] / cfg.delta,
+                square_integral(selected, n),
+                sum(r.measure for r in selected) / cfg.delta,
             )
         )
         for r in selected:

@@ -11,7 +11,7 @@ two; measures of single parallelograms are exact shadow times height.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,7 +37,6 @@ class Parallelogram:
     base_y: float
     slope: float
     height: float
-    _cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 0:
@@ -84,28 +83,47 @@ class Parallelogram:
         )
 
     def grid_cells(self, n: int):
-        """Column indices with per-column half-open cell index ranges.
+        """Column indices with per-column half-open cell index ranges."""
+        return _columns([self], n)[:3]
 
-        Built once per grid side and kept on the instance; the three
-        arrays are read-only.
-        """
-        built = self._cells.get(n)
-        if built is None:
-            width = self.length * n
-            if width < 1.0:
-                raise ValueError("shadow finer than the grid")
-            c_lo = int(round(self.x_left * n))
-            cols = np.arange(c_lo, int(round(self.x_right * n)))
-            x = (cols + 0.5) / n
-            lo = self.base_y + self.slope * (x - self.x_left)
-            edges = np.ceil((lo + np.array([[0.0], [self.height]])) * n - 0.5)
-            y_lo, y_hi = edges.clip(0, n).astype(np.int64)
-            np.maximum(y_hi, y_lo, out=y_hi)
-            built = cols, y_lo, y_hi
-            for a in built:
-                a.flags.writeable = False
-            self._cells[n] = built
-        return built
+
+def _columns(rs: Sequence[Parallelogram], n: int):
+    """Every member's shadow columns, member after member, in one array pass.
+
+    Returns the column indices, the half-open row ranges [y_lo, y_hi) of
+    the cell centers inside the member, and each member's column count.
+    """
+    scale, index, base, slope, height = np.reshape(
+        [(r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height) for r in rs],
+        (-1, 5),
+    ).T
+    length = np.ldexp(1.0, scale.astype(np.int64))
+    if np.any(length * n < 1.0):
+        raise ValueError("shadow finer than the grid")
+    x_left = index * length
+    c_lo = np.rint(x_left * n).astype(np.int64)
+    ncols = np.rint((index + 1) * length * n).astype(np.int64) - c_lo
+    member = np.repeat(np.arange(len(rs)), ncols)
+    cols = np.repeat(c_lo - (np.cumsum(ncols) - ncols), ncols) + np.arange(len(member))
+    x = (cols + 0.5) / n
+    lo = base[member] + slope[member] * (x - x_left[member])
+    edges = np.ceil(np.stack([lo, lo + height[member]]) * n - 0.5)
+    y_lo, y_hi = edges.clip(0, n).astype(np.int64)
+    np.maximum(y_hi, y_lo, out=y_hi)
+    return cols, y_lo, y_hi, ncols
+
+
+def _segments(rs: Sequence[Parallelogram], n: int):
+    """The family's cells as flat indices column * n + row, one segment per member.
+
+    Returns the indices, each member's cell count and segment start.
+    """
+    cols, y_lo, y_hi, ncols = _columns(rs, n)
+    widths = y_hi - y_lo
+    ends = np.cumsum(widths)
+    index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(widths.sum())
+    counts = np.add.reduceat(widths, np.cumsum(ncols) - ncols)
+    return index, counts, np.cumsum(counts) - counts
 
 
 class SlopeField:
@@ -145,31 +163,33 @@ class SlopeField:
         return r.length * self.lipschitz <= DENSITY_SLOPE_BOUND
 
 
-def _box(r: Parallelogram, n: int):
-    """R's bounding box as column and row slices, with R's cells in it."""
-    cols, y_lo, y_hi = r.grid_cells(n)
+def _box(cols, y_lo, y_hi):
+    """A member's bounding box as column and row slices, with its cells in it."""
     top, bottom = int(y_lo.min()), int(y_hi.max())
     rows = np.arange(top, bottom)
     m = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
     return slice(cols[0], cols[-1] + 1), slice(top, bottom), m
 
 
-def _e_cells(r: Parallelogram, u: SlopeField):
-    """R's box slices, its cells there, and those of E(R)."""
-    cs, ys, m = _box(r, u.n)
-    lo, hi = r.uncertainty
-    seg = u.values[cs, ys]
-    return cs, ys, m, m & (seg >= lo) & (seg <= hi)
+def _in_e(rs: Sequence[Parallelogram], u: SlopeField, index, counts) -> np.ndarray:
+    """Which of the family's cells, as `_segments` lists them, lie in their E(R)."""
+    bounds = np.reshape([r.uncertainty for r in rs], (-1, 2))
+    lo, hi = np.repeat(bounds, counts, axis=0).T
+    v = u.values.ravel()[index]
+    return (v >= lo) & (v <= hi)
 
 
-def density(r: Parallelogram, u: SlopeField) -> float:
-    """|E(R)| / |R| in grid cells; vacuously 1 for a cell-free R."""
-    _, y_lo, y_hi = r.grid_cells(u.n)
-    total = int((y_hi - y_lo).sum())
-    if not total:
-        return 1.0
-    *_, e = _e_cells(r, u)
-    return int(e.sum()) / total
+def _densities(rs: Sequence[Parallelogram], u: SlopeField, index, counts, starts):
+    out = np.ones(len(rs))
+    held = np.flatnonzero(counts)
+    e = np.add.reduceat(_in_e(rs, u, index, counts), starts[held], dtype=np.int64)
+    out[held] = e / counts[held]
+    return out
+
+
+def densities(rs: Sequence[Parallelogram], u: SlopeField) -> np.ndarray:
+    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R."""
+    return _densities(rs, u, *_segments(rs, u.n))
 
 
 def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -215,7 +235,8 @@ def greedy_cover(
     cells all sit where the vertical maximal function of the selection's
     7-fold height-dilates reaches 1e-4.  The margin field is kept across
     steps: a pick changes the dilate field only on its shadow's columns,
-    and columns are independent, so only those are rescanned.  The trace
+    and columns are independent, so only those are rescanned and only the
+    members left over them re-read their minimum margin.  The trace
     records, per removed input, a certified lower bound on that maximal
     function over its cells.  When delta is given, inputs failing the
     density condition |E(R)| >= delta |R| are reported in the trace and
@@ -227,27 +248,19 @@ def greedy_cover(
     n = u.n
     if not rs:
         return [], CoverTrace((), ())
-    # every member's cells as flat indices into best, one segment each,
-    # column by column; a member without cells reads +inf, so any step
-    # removes it
-    spans = [r.grid_cells(n) for r in rs]
-    cols, y_lo, y_hi = map(np.concatenate, zip(*spans))
-    widths = y_hi - y_lo
-    ends = np.cumsum(widths)
-    index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(ends[-1])
-    ncols = np.array([len(c) for c, _, _ in spans])
-    sizes = np.add.reduceat(widths, np.cumsum(ncols) - ncols)
-    held = np.flatnonzero(sizes)
-    starts = (np.cumsum(sizes) - sizes)[held]
+    segments = index, counts, starts = _segments(rs, n)
     failures = ()
-    if delta is not None:  # |E(R)| of every member at once; cell-free ones pass
-        lo, hi = np.repeat([r.uncertainty for r in rs], sizes, axis=0).T
-        v = u.values.ravel()[index]
-        e = np.add.reduceat((v >= lo) & (v <= hi), starts, dtype=np.int64)
-        failures = held[e / sizes[held] < delta].tolist()
+    if delta is not None:  # cell-free members pass
+        failures = np.flatnonzero(_densities(rs, u, *segments) < delta).tolist()
     order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
+    x_left, x_right = np.array([(r.x_left, r.x_right) for r in rs]).T
+    *dilates, ncols = _columns([r.height_dilate(7.0) for r in rs], n)
+    first = np.cumsum(ncols) - ncols
+    # a member's margin is best's minimum over its cells: that of an empty
+    # column before any pick, +inf without cells (any step removes it)
+    held = counts > 0
     left = np.ones(len(rs), dtype=bool)
-    margins = np.full(len(rs), np.inf)
+    margins = np.where(held, -VERTICAL_THRESHOLD, np.inf)
     field = np.zeros((n, n))
     best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
     selected: List[int] = []
@@ -256,11 +269,18 @@ def greedy_cover(
         if not left[pick]:
             continue
         selected.append(pick)
-        cs, ys, m = _box(rs[pick].height_dilate(7.0), n)
+        r = rs[pick]
+        span = slice(first[pick], first[pick] + ncols[pick])
+        cs, ys, m = _box(*(a[span] for a in dilates))
         field[cs, ys] += m
         best[cs] = _vertical_margin(field[cs], VERTICAL_THRESHOLD)
-        if held.size:
-            margins[held] = np.minimum.reduceat(best.ravel()[index], starts)
+        # best moved on the pick's columns alone: re-gather the members
+        # left there, one segment each
+        near = np.flatnonzero(left & held & (x_left < r.x_right) & (x_right > r.x_left))
+        sizes = counts[near]
+        offsets = np.cumsum(sizes) - sizes
+        at = np.repeat(starts[near] - offsets, sizes) + np.arange(sizes.sum())
+        margins[near] = np.minimum.reduceat(best.ravel()[index[at]], offsets)
         removed = np.flatnonzero(left & (margins >= 0.0))
         left[removed] = False
         witnesses = VERTICAL_THRESHOLD + margins[removed] / n
@@ -323,6 +343,12 @@ def intersection_measure(rs: Sequence[Parallelogram]) -> float:
     return area
 
 
+def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:
+    """Grid integral of the squared sum of the members' indicators."""
+    field = np.bincount(_segments(selected, grid)[0], minlength=grid * grid)
+    return float((field ** 2).sum() * (1.0 / grid ** 2))
+
+
 def overlap_check(
     selected: Sequence[Parallelogram],
     u: SlopeField,
@@ -342,15 +368,10 @@ def overlap_check(
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     grid = u.n
-    e_field = np.zeros((grid, grid))
-    r_field = np.zeros((grid, grid))
-    for r in selected:
-        cs, ys, m, e = _e_cells(r, u)
-        e_field[cs, ys] += e
-        r_field[cs, ys] += m
-    cell = 1.0 / grid ** 2
-    e_integral = float((e_field ** n).sum() * cell)
-    square_integral = float((r_field ** 2).sum() * cell)
+    index, counts, _ = _segments(selected, grid)
+    e_field = np.bincount(index[_in_e(selected, u, index, counts)], minlength=grid * grid)
+    e_integral = float((e_field ** n).sum() * (1.0 / grid ** 2))
+    square = square_integral(selected, grid)
     total = sum(r.measure for r in selected)
 
     overlap = 0.0
@@ -387,8 +408,8 @@ def overlap_check(
         "e_ratio": ratio(e_integral, total),
         "u_overlap_sum": overlap,
         "u_overlap_ratio": ratio(overlap, total),
-        "square_integral": square_integral,
-        "square_ratio": ratio(square_integral, total / delta),
+        "square_integral": square,
+        "square_ratio": ratio(square, total / delta),
         "sum_measures": total,
         "delta": delta,
     }
@@ -438,14 +459,14 @@ def lk_maximal(
     n = 1 << f.resolution
     out = np.zeros((n, n))
     for r in parallelograms:
-        cols, y_lo, y_hi = r.grid_cells(n)
+        cells = cols, y_lo, y_hi = r.grid_cells(n)
         count = int((y_hi - y_lo).sum())
         if count == 0:
             continue
         total = 0.0
         for c, a, b in zip(cols.tolist(), y_lo.tolist(), y_hi.tolist()):
             total += f.values[c, a:b].sum()  # per-column sums fix the rounding
-        cs, ys, m = _box(r, n)
+        cs, ys, m = _box(*cells)
         box = out[cs, ys]
         np.maximum(box, total / count, out=box, where=m)
     return GridFunction2D(f.resolution, out)

@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .covering import Parallelogram, SlopeField
+from .covering import Parallelogram, SlopeField, densities
 from .gridfn import GridFunction2D
 from .selection import Tree
 from .tiles import Bitile, BitileRows, down_sums, scale_arrays, scale_members, up_sums
@@ -162,28 +162,27 @@ def dense_parallelograms(
 
     Each candidate centers its slope on the field value at a random cell
     of its body, which makes the density condition |E(R)| >= delta |R|
-    achievable; candidates failing it are discarded.
+    achievable; candidates failing it are discarded.  Candidates are drawn
+    in rounds no larger than the remaining need and tested a round at a
+    time, so the draws and the picks are those of one candidate at a time.
     """
-    from .covering import density
-
     n = u.n
     out = []
     tries = 0
     while len(out) < count and tries < DENSE_MAX_TRIES:
-        tries += 1
-        scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
-        index = int(rng.integers(0, 1 << -scale))
-        height = float(rng.uniform(*DENSE_HEIGHTS))
-        x_left = index * 2.0 ** scale
-        cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
-        cy = int(rng.integers(0, n))
-        slope = float(min(max(u.values[cx, cy], -1.0), 1.0))
-        base = (cy + 0.5) / n - 0.5 * height - slope * (
-            (cx + 0.5) / n - x_left
-        )
-        r = Parallelogram(DyadicInterval(scale, index), base, slope, height)
-        if density(r, u) >= delta:
-            out.append(r)
+        batch = []
+        for _ in range(min(count - len(out), DENSE_MAX_TRIES - tries)):
+            scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
+            index = int(rng.integers(0, 1 << -scale))
+            height = float(rng.uniform(*DENSE_HEIGHTS))
+            x_left = index * 2.0 ** scale
+            cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
+            cy = int(rng.integers(0, n))
+            slope = float(min(max(u.values[cx, cy], -1.0), 1.0))
+            base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
+            batch.append(Parallelogram(DyadicInterval(scale, index), base, slope, height))
+        tries += len(batch)
+        out += [r for r, d in zip(batch, densities(batch, u)) if d >= delta]
     return out
 
 

@@ -282,6 +282,22 @@ def max_mod_haar(
     return GridFunction1D(K, W[row, cell] * G[row, cell])
 
 
+def max_mod_haar_sup(weights: ScaleWeights, f: GridFunction1D) -> GridFunction1D:
+    """x -> max over every grid frequency N of |w_N(x) H^eps(w_N f)(x)|.
+
+    The characters take the Haar pass in blocks of at most 2^20 cell values.
+    """
+    K = f.resolution
+    n = 1 << K
+    rows = max(1, (1 << 20) // n)
+    best = np.zeros(n)
+    for first in range(0, n, rows):
+        W = walsh_rows(np.arange(first, min(first + rows, n)), K)
+        G = _haar_rows(weights, W * f.values, K)
+        np.maximum(best, np.abs(W * G).max(axis=0), out=best)
+    return GridFunction1D(K, best)
+
+
 def substitution_modulated(f: GridFunction1D, g: GridFunction1D, labels):
     """Data triple whose form reproduces the modulated Haar pairing."""
     K = f.resolution

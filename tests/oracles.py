@@ -14,7 +14,15 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from walshlab.covering import Parallelogram, SlopeField, _e_cells, _vertical_margin
+from walshlab.covering import (
+    VERTICAL_THRESHOLD,
+    CoverStep,
+    CoverTrace,
+    Parallelogram,
+    SlopeField,
+    _vertical_margin,
+)
+from walshlab.ensembles import DENSE_HEIGHTS, DENSE_MAX_TRIES
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.maximal import _check_exponent
 from walshlab.tiles import BaseTile, Bitile, le
@@ -294,6 +302,19 @@ def center_y(r: Parallelogram, x: float) -> float:
     return r.base_y + r.slope * (x - r.x_left) + 0.5 * r.height
 
 
+def grid_cells_scalar(r: Parallelogram, n: int):
+    """`Parallelogram.grid_cells` for one member on its own, with scalar bounds."""
+    if r.length * n < 1.0:
+        raise ValueError("shadow finer than the grid")
+    cols = np.arange(int(round(r.x_left * n)), int(round(r.x_right * n)))
+    x = (cols + 0.5) / n
+    lo = r.base_y + r.slope * (x - r.x_left)
+    edges = np.ceil((lo + np.array([[0.0], [r.height]])) * n - 0.5)
+    y_lo, y_hi = edges.clip(0, n).astype(np.int64)
+    np.maximum(y_hi, y_lo, out=y_hi)
+    return cols, y_lo, y_hi
+
+
 def cell_mask(r: Parallelogram, n: int) -> np.ndarray:
     """The cells of R on the n x n grid, one column range at a time."""
     out = np.zeros((n, n), dtype=bool)
@@ -319,9 +340,77 @@ def full_dilate(r: Parallelogram, a: float) -> ExpandedParallelogram:
 
 def e_set(r: Parallelogram, u: SlopeField) -> np.ndarray:
     """Cells of R whose slope value lies in the uncertainty interval."""
-    out = np.zeros((u.n, u.n), dtype=bool)
-    cs, ys, _, e = _e_cells(r, u)
-    out[cs, ys] = e
+    lo, hi = r.uncertainty
+    return cell_mask(r, u.n) & (u.values >= lo) & (u.values <= hi)
+
+
+def density(r: Parallelogram, u: SlopeField) -> float:
+    """|E(R)| / |R| in grid cells for one member; vacuously 1 for a cell-free R."""
+    total = int(cell_mask(r, u.n).sum())
+    if not total:
+        return 1.0
+    return int(e_set(r, u).sum()) / total
+
+
+def all_member_cover(parallelograms: Sequence[Parallelogram], u: SlopeField, delta=None):
+    """`greedy_cover` re-gathering every member's margin after each pick."""
+    rs = parallelograms
+    n = u.n
+    if not rs:
+        return [], CoverTrace((), ())
+    spans = [r.grid_cells(n) for r in rs]
+    cols, y_lo, y_hi = map(np.concatenate, zip(*spans))
+    widths = y_hi - y_lo
+    ends = np.cumsum(widths)
+    index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(ends[-1])
+    ncols = np.array([len(c) for c, _, _ in spans])
+    sizes = np.add.reduceat(widths, np.cumsum(ncols) - ncols)
+    held = np.flatnonzero(sizes)
+    starts = (np.cumsum(sizes) - sizes)[held]
+    failures = ()
+    if delta is not None:
+        failures = tuple(i for i, r in enumerate(rs) if density(r, u) < delta)
+    order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
+    left = np.ones(len(rs), dtype=bool)
+    margins = np.full(len(rs), np.inf)
+    field = np.zeros((n, n))
+    best = np.full((n, n), -VERTICAL_THRESHOLD)
+    selected, steps = [], []
+    for pick in order:
+        if not left[pick]:
+            continue
+        selected.append(pick)
+        d = rs[pick].height_dilate(7.0)
+        dcols = d.grid_cells(n)[0]
+        field += cell_mask(d, n)
+        best[dcols] = _vertical_margin(field[dcols], VERTICAL_THRESHOLD)
+        if held.size:
+            margins[held] = np.minimum.reduceat(best.ravel()[index], starts)
+        removed = np.flatnonzero(left & (margins >= 0.0))
+        left[removed] = False
+        witnesses = VERTICAL_THRESHOLD + margins[removed] / n
+        steps.append(CoverStep(pick, tuple(removed.tolist()), tuple(witnesses)))
+    return [rs[i] for i in selected], CoverTrace(tuple(steps), failures)
+
+
+def dense_one_at_a_time(rng, u: SlopeField, delta: float, count: int, scale_range=(-5, -3)):
+    """`dense_parallelograms` drawing and testing one candidate at a time."""
+    n = u.n
+    out = []
+    tries = 0
+    while len(out) < count and tries < DENSE_MAX_TRIES:
+        tries += 1
+        scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
+        index = int(rng.integers(0, 1 << -scale))
+        height = float(rng.uniform(*DENSE_HEIGHTS))
+        x_left = index * 2.0 ** scale
+        cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
+        cy = int(rng.integers(0, n))
+        slope = float(min(max(u.values[cx, cy], -1.0), 1.0))
+        base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
+        r = Parallelogram(DyadicInterval(scale, index), base, slope, height)
+        if density(r, u) >= delta:
+            out.append(r)
     return out
 
 

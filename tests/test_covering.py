@@ -12,25 +12,31 @@ from walshlab.covering import (
     CoverTrace,
     Parallelogram,
     SlopeField,
-    density,
+    densities,
     greedy_cover,
     intersection_measure,
     lemma7r_check,
     lk_maximal,
     overlap_check,
+    square_integral,
     _box,
+    _columns,
+    _segments,
     _vertical_margin,
 )
-from walshlab.ensembles import cone_slope_field, linear_slope_field
+from walshlab.ensembles import cone_slope_field, dense_parallelograms, linear_slope_field
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
 
 from .oracles import (
     ExpandedParallelogram,
+    all_member_cover,
     cell_mask,
     center_y,
+    density,
     e_set,
     full_dilate,
+    grid_cells_scalar,
     lk_maximal_masked,
     uncertainty_overlap,
     vertical_maximal,
@@ -143,13 +149,13 @@ class TestCellSetsAgainstBruteForce:
             assert np.array_equal(cell_mask(r, n), m)
             assert np.array_equal(e_set(r, u), e)
             want = e.sum() / m.sum() if m.any() else 1.0
-            assert density(r, u) == want
+            assert densities([r], u)[0] == want
             cols, y_lo, y_hi = r.grid_cells(n)
             rows = np.arange(n)
             ranges = (rows >= y_lo[:, None]) & (rows < y_hi[:, None])
             assert np.array_equal(ranges, m[cols])
             assert not m[np.setdiff1d(np.arange(n), cols)].any()
-            cs, ys, bm = _box(r, n)
+            cs, ys, bm = _box(*r.grid_cells(n))
             assert np.array_equal(bm, m[cs, ys])
             assert m[cs, ys].sum() == m.sum() == (y_hi - y_lo).sum()
             empty += not m.any()
@@ -158,49 +164,83 @@ class TestCellSetsAgainstBruteForce:
         assert empty and clipped_lo and clipped_hi
 
 
-class TestCellMemo:
-    def test_arrays_are_read_only(self):
-        for a in make(-2, 1, 0.3, 0.25, 0.125).grid_cells(32):
-            with pytest.raises(ValueError):
-                a[0] = 0
+def one_column_members(rng, n, count):
+    """Members whose shadow is a single grid column."""
+    scale = -(n.bit_length() - 1)
+    return [
+        make(
+            scale,
+            int(rng.integers(0, n)),
+            float(rng.uniform(-0.2, 1.0)),
+            float(rng.uniform(-1, 1)),
+            float(rng.uniform(0.0, 0.5)),
+        )
+        for _ in range(count)
+    ]
 
-    def test_warm_instance_matches_a_fresh_equal_one(self):
-        rng = np.random.default_rng(60)
-        for r in random_members(rng, 32, 20):
-            warm = r.grid_cells(32)
-            assert r.grid_cells(32) is warm
-            cold = dataclasses.replace(r).grid_cells(32)
-            for a, b in zip(warm, cold):
-                assert np.array_equal(a, b)
 
-    def test_memo_leaves_equality_hash_and_repr(self):
-        warm = make(-1, 1, 0.2, -0.5, 0.1)
-        warm.grid_cells(16)
-        cold = make(-1, 1, 0.2, -0.5, 0.1)
-        assert warm == cold
-        assert hash(warm) == hash(cold)
-        assert repr(warm) == repr(cold)
-        assert len({warm, cold}) == 1
+class TestFamilyCells:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segments_match_per_member_cells_and_brute_force(self, n, seed):
+        rng = np.random.default_rng(110 + seed)
+        rs = random_members(rng, n, 40) + one_column_members(rng, n, 6)
+        rs.insert(3, make(-2, 1, 3.1 / n, 0.0, 0.4 / n))  # between two rows of centres
+        index, counts, starts = _segments(rs, n)
+        cols, y_lo, y_hi, ncols = _columns(rs, n)
+        first = np.cumsum(ncols) - ncols
+        assert np.array_equal(starts, np.cumsum(counts) - counts)
+        assert starts[-1] + counts[-1] == index.size
+        empty = clipped_lo = clipped_hi = 0
+        for i, r in enumerate(rs):
+            span = slice(first[i], first[i] + ncols[i])
+            want = grid_cells_scalar(r, n)
+            for got, one, w in zip((cols[span], y_lo[span], y_hi[span]), r.grid_cells(n), want):
+                assert np.array_equal(got, w) and np.array_equal(one, w)
+            m = brute_mask(r, n)
+            seg = index[starts[i] : starts[i] + counts[i]]
+            assert np.array_equal(seg, np.flatnonzero(m))  # column by column, rows upward
+            empty += not m.any()
+            clipped_lo += bool(m[:, 0].any()) and r.base_y < 0.0
+            clipped_hi += bool(m[:, -1].any()) and r.base_y + r.height > 1.0
+        assert empty and clipped_lo and clipped_hi
+        assert (ncols == 1).sum() >= 6
 
     def test_grid_sides_are_kept_apart(self):
         r = make(-3, 5, 0.1, 0.7, 0.3)
-        first = r.grid_cells(64)
-        second = r.grid_cells(128)
-        assert r.grid_cells(64) is first
-        for n, (cols, y_lo, y_hi) in ((64, first), (128, second)):
+        for n in (64, 128):
+            cols, y_lo, y_hi = r.grid_cells(n)
             assert y_lo.shape == y_hi.shape == cols.shape
             x = (np.arange(n) + 0.5) / n
             assert np.array_equal(cols, np.flatnonzero((x >= r.x_left) & (x < r.x_right)))
             assert np.array_equal(cell_mask(r, n), brute_mask(r, n))
 
-    def test_cached_entry_is_three_int64_per_column(self):
-        rng = np.random.default_rng(61)
-        n = 256
-        u = cone_slope_field(rng, n, 0.3)
-        for r in random_members(rng, n, 20):
-            density(r, u)  # fills the cache the way the covering path does
-            cols = r.grid_cells(n)[0]
-            assert sum(a.nbytes for a in r._cells[n]) <= 3 * 8 * len(cols)
+    def test_batch_raises_finer_than_grid(self):
+        fine = make(-5, 0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="finer than the grid"):
+            _segments([make(-1, 0, 0.2, 0.0, 0.3), fine], 16)
+        u = SlopeField.constant(16, 0.0)
+        with pytest.raises(ValueError, match="finer than the grid"):
+            densities([fine], u)
+
+    def test_empty_family(self):
+        index, counts, starts = _segments([], 16)
+        assert index.size == counts.size == starts.size == 0
+        assert densities([], SlopeField.constant(16, 0.0)).size == 0
+        assert square_integral([], 16) == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_densities_match_scalar_oracle(self, seed):
+        rng = np.random.default_rng(120 + seed)
+        n = 32
+        rs = random_members(rng, n, 40) + one_column_members(rng, n, 4)
+        seen = set()
+        for u in (SlopeField(rng.uniform(-1, 1, (n, n))), *slope_fields(rng, n)):
+            got = densities(rs, u)
+            want = [density(r, u) for r in rs]
+            assert [float(d).hex() for d in got] == [float(d).hex() for d in want]
+            seen |= {min(d, 0.5) if d < 1.0 else 1.0 for d in want if d > 0.0}
+        assert seen >= {0.5, 1.0}  # both proper fractions and full densities
 
 
 class TestSlopeField:
@@ -233,20 +273,20 @@ class TestESet:
         r = make(-1, 0, 0.1, 0.4, 0.2)
         u = SlopeField.constant(16, 0.4)
         assert np.array_equal(e_set(r, u), cell_mask(r, 16))
-        assert density(r, u) == 1.0
+        assert densities([r], u)[0] == 1.0
 
     def test_constant_outside_uncertainty_is_empty(self):
         r = make(-1, 0, 0.1, 0.4, 0.2)
         u = SlopeField.constant(16, -0.9)
         assert not e_set(r, u).any()
-        assert density(r, u) == 0.0
+        assert densities([r], u)[0] == 0.0
 
     def test_uncertainty_endpoints_are_inside(self):
         r = make(-1, 0, 0.1, 0.2, 0.1)
         for end in r.uncertainty:
             u = SlopeField.constant(16, end)
             assert np.array_equal(e_set(r, u), cell_mask(r, 16))
-            assert density(r, u) == 1.0
+            assert densities([r], u)[0] == 1.0
 
     def test_linear_field_strip_fraction(self):
         # u(x, y) = y against a slope-0 box [0,1) x [1/4, 3/4): the
@@ -255,7 +295,7 @@ class TestESet:
         y = (np.arange(n) + 0.5) / n
         u = SlopeField(np.tile(y[None, :], (n, 1)))
         r = make(0, 0, 0.25, 0.0, 0.5)
-        assert density(r, u) == pytest.approx(0.5)
+        assert densities([r], u)[0] == pytest.approx(0.5)
 
 
 class TestVerticalMaximal:
@@ -462,6 +502,24 @@ class TestGreedyCover:
                 failed += len(trace.density_failures)
             assert failed  # the sweep reaches deltas that some members fail
 
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shadow_local_regather_matches_all_member_gather(self, n, seed):
+        rng = np.random.default_rng(130 + seed)
+        for u in slope_fields(rng, n):
+            # narrow shadows, so most picks leave most members alone
+            rs = dense_parallelograms(rng, u, 0.3, 40, scale_range=(-5, -3))
+            rs += [r for r in random_members(rng, n, 20) if r.length <= 0.125]
+            rs += one_column_members(rng, n, 4)
+            rs.insert(7, make(-2, 1, 3.1 / n, 0.0, 0.4 / n))  # cell-free
+            for delta in (None, 0.3, 0.8):
+                chosen, trace = greedy_cover(rs, u, delta)
+                want_chosen, want = all_member_cover(rs, u, delta)
+                assert chosen == want_chosen
+                assert trace == want
+                assert witness_bits(trace) == witness_bits(want)
+            assert len(trace.steps) >= 6
+
     def test_density_failures_reported(self):
         u = SlopeField.constant(32, 0.9)
         close = make(-1, 0, 0.2, 0.9, 0.1)
@@ -568,6 +626,18 @@ class TestOverlapCheck:
         r_field = sum(cell_mask(r, n).astype(float) for r in rs)
         assert report["e_integral"] == float((e_field ** q).sum() / n ** 2)
         assert report["square_integral"] == float((r_field ** 2).sum() / n ** 2)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_square_integral_matches_overlap_check(self, seed):
+        rng = np.random.default_rng(140 + seed)
+        n = 64
+        for u in slope_fields(rng, n):
+            rs = dense_parallelograms(rng, u, 0.5, 12, scale_range=(-4, -2))
+            rs += random_members(rng, n, 8)
+            report = overlap_check(rs, u, 2, 0.5)
+            assert square_integral(rs, n) == report["square_integral"]
+            r_field = sum(cell_mask(r, n).astype(float) for r in rs)
+            assert report["square_integral"] == float((r_field ** 2).sum() / n ** 2)
 
     def test_validation(self):
         u = SlopeField.constant(8, 0.0)

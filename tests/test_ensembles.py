@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from walshlab.covering import density
 from walshlab.ensembles import (
+    DENSE_MAX_TRIES,
     cone_slope_field,
     dense_parallelograms,
     indicator_with_measure,
@@ -20,7 +20,7 @@ from walshlab.ensembles import (
 from walshlab.selection import Tree
 from walshlab.tiles import all_bitiles, is_convex, le
 
-from .oracles import down_set
+from .oracles import dense_one_at_a_time, density, down_set
 
 
 def _canon(b):
@@ -127,3 +127,25 @@ def test_dense_parallelograms_meet_density():
     assert rs
     for r in rs:
         assert density(r, u) >= 0.5
+
+
+@pytest.mark.parametrize(
+    "n, delta, count, scale_range",
+    [
+        (64, 0.5, 30, (-5, -3)),  # fills count over several rounds
+        (32, 0.9, 12, (-5, -1)),
+        (16, 1.0, 10**6, (-4, -1)),  # stops at DENSE_MAX_TRIES
+    ],
+)
+def test_dense_rounds_match_one_candidate_at_a_time(n, delta, count, scale_range):
+    u = cone_slope_field(np.random.default_rng(11), n, 0.5)
+    rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+    got = dense_parallelograms(rng, u, delta, count, scale_range)
+    want = dense_one_at_a_time(ref, u, delta, count, scale_range)
+    assert got == want
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert 0 < len(got) <= count
+    if count > DENSE_MAX_TRIES:
+        assert len(got) < DENSE_MAX_TRIES
+    else:
+        assert len(got) == count

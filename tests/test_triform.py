@@ -21,6 +21,7 @@ from walshlab.triform import (
     lambda_direct,
     lambda_tree,
     max_mod_haar,
+    max_mod_haar_sup,
     offset_form,
     random_interval_weights,
     substitution_endpoint,
@@ -348,6 +349,17 @@ class TestArrayPassesMatchScalarLoops:
         for labels in (rng.integers(0, n, size=n), single, distinct):
             got = max_mod_haar(w, labels, f).values
             assert got.tobytes() == max_mod_haar_per_label(w, labels, f).values.tobytes()
+
+    @pytest.mark.parametrize("K", [1, 5, 11])  # K = 11 takes four blocks
+    def test_max_mod_haar_sup_bytes(self, K):
+        n = 1 << K
+        rng = np.random.default_rng(30 + K)
+        f = GridFunction1D(K, rng.normal(size=n))
+        w = random_interval_weights(K, rng)
+        want = np.zeros(n)
+        for nu in range(n):
+            np.maximum(want, np.abs(max_mod_haar(w, np.full(n, nu), f).values), out=want)
+        assert max_mod_haar_sup(w, f).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nu", [-1, 8])
     def test_label_out_of_range(self, nu):
