@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -272,94 +273,124 @@ def _emit_csv(
     _write_bytes(path + ".meta", f"seed={seed}\nsha256={digest}\n".encode())
 
 
+# -- trial map ---------------------------------------------------------------
+
+# Filled only inside pool workers, by the pool's initializer, with the calls
+# the parent built (inherited through fork, so no callable is pickled).  The
+# process that calls `_map_trials` leaves it empty.
+_worker_calls: List[Callable[[], object]] = []
+
+
+def _call(i: int):
+    return _worker_calls[i]()
+
+
+def _map_trials(calls: Sequence[Callable[[], object]]) -> list:
+    """The results of `calls`, in order, computed on every CPU we may use.
+
+    Each call is one case, a pure function of (seed, tag, index), so its
+    result does not depend on where it ran.  The calls go one at a time
+    (so cases of different cost balance) to a fork pool of one worker per
+    CPU in this process's affinity mask; on one CPU they run here.
+    """
+    jobs = 1
+    if hasattr(os, "sched_getaffinity"):  # it exists only where fork does
+        jobs = min(len(os.sched_getaffinity(0)), len(calls))
+    if jobs <= 1:
+        return [call() for call in calls]
+    # imported here, not at the top: importing them costs set-up time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    # leaving the block joins every worker, also when a call raises; a
+    # worker that dies raises BrokenProcessPool here instead of hanging
+    with ProcessPoolExecutor(jobs, fork, _worker_calls.extend, (calls,)) as pool:
+        return list(pool.map(_call, range(len(calls))))
+
+
 # -- verify suites -----------------------------------------------------------
+#
+# A suite runner maps (cfg, t) to the rows of case t: trial t, or for
+# telescoping the t-th scale offset m = t - (K - 1).
 
 
-def _suite_telescoping(cfg: Config) -> List[Row]:
-    rows = []
+def _suite_telescoping(cfg: Config, t: int) -> List[Row]:
     K = cfg.resolution
-    for m in range(-(K - 1), 1):
-        kernel, target = telescoping_profile(K, m)
-        dev = float(np.max(np.abs(kernel - target)))
-        rows.append(_row("telescoping", f"m{m}", dev, TOL))
-    return rows
+    m = t - (K - 1)
+    kernel, target = telescoping_profile(K, m)
+    dev = float(np.max(np.abs(kernel - target)))
+    return [_row("telescoping", f"m{m}", dev, TOL)]
 
 
-def _suite_bitile_sum(cfg: Config) -> List[Row]:
-    rows = []
+def _suite_bitile_sum(cfg: Config, t: int) -> List[Row]:
     K = cfg.resolution
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 2, t)
-        eps = EpsilonField.random(K, rng)
-        F0, F1, F2 = (uniform_cells_2d(rng, K) for _ in range(3))
-        direct = lambda_direct(eps, F0, F1, F2)
-        summed = lambda_bitile_sum(eps, F0, F1, F2)
-        dev = abs(direct - summed) / max(1.0, abs(direct))
-        rows.append(_row("bitile_sum", f"t{t}", dev, TOL))
-    return rows
+    rng = _rng(cfg.seed, 2, t)
+    eps = EpsilonField.random(K, rng)
+    F0, F1, F2 = (uniform_cells_2d(rng, K) for _ in range(3))
+    direct = lambda_direct(eps, F0, F1, F2)
+    summed = lambda_bitile_sum(eps, F0, F1, F2)
+    dev = abs(direct - summed) / max(1.0, abs(direct))
+    return [_row("bitile_sum", f"t{t}", dev, TOL)]
 
 
-def _suite_adaptedness(cfg: Config) -> List[Row]:
-    rows = []
+def _suite_adaptedness(cfg: Config, t: int) -> List[Row]:
     K = cfg.resolution
     n = 1 << K
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 3, t)
-        coll = random_convex_collection(rng, K)
-        P = coll[int(rng.integers(len(coll)))]
-        f = GridFunction1D(K, rng.normal(size=n))
-        if cfg.mode == "diagonal":
-            a = WalshNumber.from_float(_a_value(cfg))
-            data0 = diagonal_data(f, a)
-            mode = ProjectionMode.diagonal(a)
-        else:
-            labels = rng.integers(0, n, size=n)
-            data0 = fiberwise_data(f, labels)
-            mode = ProjectionMode.fiberwise(labels)
-        F1 = GridFunction2D(K, rng.normal(size=(n, n)))
-        F2 = GridFunction2D(K, rng.normal(size=(n, n)))
-        lhs = lambda_bitile(P, data0, F1, F2)
-        rhs = lambda_bitile(
-            P,
-            proj_collection(coll, 0, data0, mode),
-            proj_collection(coll, 1, F1, mode),
-            proj_collection(coll, 2, F2, mode),
-        )
-        dev = abs(lhs - rhs) / max(1.0, abs(lhs))
-        rows.append(_row("adaptedness", f"{cfg.mode}_t{t}", dev, TOL))
-    return rows
-
-
-def _suite_appendix(cfg: Config) -> List[Row]:
-    rows = []
-    K = cfg.resolution
-    n = 1 << K
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 4, t)
-        f, g, h = (GridFunction1D(K, rng.normal(size=n)) for _ in range(3))
+    rng = _rng(cfg.seed, 3, t)
+    coll = random_convex_collection(rng, K)
+    P = coll[int(rng.integers(len(coll)))]
+    f = GridFunction1D(K, rng.normal(size=n))
+    if cfg.mode == "diagonal":
+        a = WalshNumber.from_float(_a_value(cfg))
+        data0 = diagonal_data(f, a)
+        mode = ProjectionMode.diagonal(a)
+    else:
         labels = rng.integers(0, n, size=n)
-        w = random_interval_weights(K, rng)
-        eps = EpsilonField.from_interval_weights(w, K)
+        data0 = fiberwise_data(f, labels)
+        mode = ProjectionMode.fiberwise(labels)
+    F1 = GridFunction2D(K, rng.normal(size=(n, n)))
+    F2 = GridFunction2D(K, rng.normal(size=(n, n)))
+    lhs = lambda_bitile(P, data0, F1, F2)
+    rhs = lambda_bitile(
+        P,
+        proj_collection(coll, 0, data0, mode),
+        proj_collection(coll, 1, F1, mode),
+        proj_collection(coll, 2, F2, mode),
+    )
+    dev = abs(lhs - rhs) / max(1.0, abs(lhs))
+    return [_row("adaptedness", f"{cfg.mode}_t{t}", dev, TOL)]
 
-        lhs = lambda_direct(eps, *substitution_modulated(f, g, labels))
-        rhs = max_mod_haar(w, labels, f).inner(g)
-        dev = abs(lhs - rhs) / max(1.0, abs(rhs))
-        rows.append(_row("appendix", f"modulated_t{t}", dev, TOL))
 
-        lhs = lambda_direct(eps, *substitution_endpoint(f, g, h))
-        rhs = f.inner(haar_multiplier(w, g * h))
-        dev = abs(lhs - rhs) / max(1.0, abs(rhs))
-        rows.append(_row("appendix", f"endpoint_t{t}", dev, TOL))
+def _suite_appendix(cfg: Config, t: int) -> List[Row]:
+    K = cfg.resolution
+    n = 1 << K
+    rng = _rng(cfg.seed, 4, t)
+    f, g, h = (GridFunction1D(K, rng.normal(size=n)) for _ in range(3))
+    labels = rng.integers(0, n, size=n)
+    w = random_interval_weights(K, rng)
+    eps = EpsilonField.from_interval_weights(w, K)
+    rows = []
 
-        proj, coef = offset_form(w, cfg.L, f, g, h)
-        dev = abs(proj - coef) / max(1.0, abs(coef))
-        rows.append(_row("appendix", f"offset_routes_t{t}", dev, TOL))
-        direct = lambda_direct(
-            EpsilonField.from_offset_weights(w, K, cfg.L),
-            *substitution_offset(f, g, h, cfg.L),
-        )
-        dev = abs(direct - coef) / max(1.0, abs(coef))
-        rows.append(_row("appendix", f"offset_direct_t{t}", dev, TOL))
+    lhs = lambda_direct(eps, *substitution_modulated(f, g, labels))
+    rhs = max_mod_haar(w, labels, f).inner(g)
+    dev = abs(lhs - rhs) / max(1.0, abs(rhs))
+    rows.append(_row("appendix", f"modulated_t{t}", dev, TOL))
+
+    lhs = lambda_direct(eps, *substitution_endpoint(f, g, h))
+    rhs = f.inner(haar_multiplier(w, g * h))
+    dev = abs(lhs - rhs) / max(1.0, abs(rhs))
+    rows.append(_row("appendix", f"endpoint_t{t}", dev, TOL))
+
+    proj, coef = offset_form(w, cfg.L, f, g, h)
+    dev = abs(proj - coef) / max(1.0, abs(coef))
+    rows.append(_row("appendix", f"offset_routes_t{t}", dev, TOL))
+    direct = lambda_direct(
+        EpsilonField.from_offset_weights(w, K, cfg.L),
+        *substitution_offset(f, g, h, cfg.L),
+    )
+    dev = abs(direct - coef) / max(1.0, abs(coef))
+    rows.append(_row("appendix", f"offset_direct_t{t}", dev, TOL))
     return rows
 
 
@@ -376,16 +407,13 @@ def _certificate_case(cfg: Config, t: int):
     return cert, F
 
 
-def _suite_certificates(cfg: Config) -> List[Row]:
-    rows = []
-    for t in range(cfg.trials):
-        cert, F = _certificate_case(cfg, t)
-        ok, report = verify_certificate(cert, F)
-        rows.append(_row("certificates", f"t{t}_verify", 0.0 if ok else 1.0, 0.0))
-        rows.append(
-            _row("certificates", f"t{t}_counting", report["counting_worst_ratio"], 1.0)
-        )
-    return rows
+def _suite_certificates(cfg: Config, t: int) -> List[Row]:
+    cert, F = _certificate_case(cfg, t)
+    ok, report = verify_certificate(cert, F)
+    return [
+        _row("certificates", f"t{t}_verify", 0.0 if ok else 1.0, 0.0),
+        _row("certificates", f"t{t}_counting", report["counting_worst_ratio"], 1.0),
+    ]
 
 
 def _replacement_case(rng, K: int, cfg: Config | None = None):
@@ -414,35 +442,31 @@ def _replacement_case(rng, K: int, cfg: Config | None = None):
     return sets, f0, f1, f2, cert.trees
 
 
-def _suite_replacement(cfg: Config) -> List[Row]:
-    rows = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 6, t)
-        sets, f0, f1, f2, forest = _replacement_case(rng, cfg.resolution, cfg)
-        good = build_good_function(f2, forest, sets.b2)
-        # the trees of a selection are disjoint: each member enters once
-        members = BitileRows.concat(tree.members for tree in forest)
-        dev, violations = replacement_check(members, f0, f1, f2, good)
-        rows.append(_row("replacement", f"t{t}_identity", dev, TOL))
-        rows.append(_row("replacement", f"t{t}_violations", float(len(violations)), 0.0))
-    return rows
+def _suite_replacement(cfg: Config, t: int) -> List[Row]:
+    rng = _rng(cfg.seed, 6, t)
+    sets, f0, f1, f2, forest = _replacement_case(rng, cfg.resolution, cfg)
+    good = build_good_function(f2, forest, sets.b2)
+    # the trees of a selection are disjoint: each member enters once
+    members = BitileRows.concat(tree.members for tree in forest)
+    dev, violations = replacement_check(members, f0, f1, f2, good)
+    return [
+        _row("replacement", f"t{t}_identity", dev, TOL),
+        _row("replacement", f"t{t}_violations", float(len(violations)), 0.0),
+    ]
 
 
-def _suite_lemma7r(cfg: Config) -> List[Row]:
-    rows = []
+def _suite_lemma7r(cfg: Config, t: int) -> List[Row]:
     pairs = 50
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 7, t)
-        failures = 0
-        for _ in range(pairs):
-            r, rp = lemma7r_pair(rng)
-            if lemma7r_check(r, rp) is not True:
-                failures += 1
-        rows.append(_row("lemma7r", f"t{t}", float(failures), 0.0))
-    return rows
+    rng = _rng(cfg.seed, 7, t)
+    failures = 0
+    for _ in range(pairs):
+        r, rp = lemma7r_pair(rng)
+        if lemma7r_check(r, rp) is not True:
+            failures += 1
+    return [_row("lemma7r", f"t{t}", float(failures), 0.0)]
 
 
-SUITE_RUNNERS: Dict[str, Callable[[Config], List[Row]]] = {
+SUITE_RUNNERS: Dict[str, Callable[[Config, int], List[Row]]] = {
     "telescoping": _suite_telescoping,
     "bitile_sum": _suite_bitile_sum,
     "adaptedness": _suite_adaptedness,
@@ -454,9 +478,12 @@ SUITE_RUNNERS: Dict[str, Callable[[Config], List[Row]]] = {
 
 
 def run_verify(cfg: Config, out_dir: str) -> int:
-    rows: List[Row] = []
-    for name in cfg.suite:
-        rows.extend(SUITE_RUNNERS[name](cfg))
+    calls = [
+        partial(SUITE_RUNNERS[name], cfg, t)
+        for name in cfg.suite
+        for t in range(cfg.resolution if name == "telescoping" else cfg.trials)
+    ]
+    rows = [row for case in _map_trials(calls) for row in case]
     _emit_csv(
         os.path.join(out_dir, "verify_report.csv"), REPORT_HEADER, rows, cfg.seed
     )
@@ -582,13 +609,13 @@ PROBES = (
 
 
 def run_constants(cfg: Config, out_dir: str) -> int:
+    T = cfg.trials
+    cases = _map_trials([partial(probe, cfg, t) for _, probe in PROBES for t in range(T)])
     rows: List[Row] = []
-    for name, probe in PROBES:
-        ratios = []
-        for t in range(cfg.trials):
-            produced = probe(cfg, t)
-            rows.extend(produced)
-            ratios.extend(r[4] for r in produced)
+    for i, (name, _) in enumerate(PROBES):
+        produced = [row for case in cases[i * T : (i + 1) * T] for row in case]
+        rows.extend(produced)
+        ratios = [r[4] for r in produced]
         if not ratios:
             continue
         top = max(ratios)
@@ -698,53 +725,53 @@ def run_transform(cfg: Config, op: str, inputs: Sequence[str], out_dir: str) -> 
 # -- cover -------------------------------------------------------------------
 
 
-def run_cover(cfg: Config, out_dir: str) -> int:
-    rows: List[Row] = []
-    selected_rows = []
+def _cover_trial(cfg: Config, t: int) -> Tuple[List[Row], List[tuple]]:
+    """Report rows and selected-parallelogram rows of cover trial t."""
     n = cfg.grid
-    kinds = ("constant", "linear", "cone")
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 31, t)
-        kind = kinds[t % 3]
-        if kind == "constant":
-            u = SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
-        elif kind == "linear":
-            u = linear_slope_field(
-                n,
-                float(rng.uniform(-0.3, 0.3)),
-                float(rng.uniform(-0.3, 0.3)),
-                float(rng.uniform(-0.3, 0.3)),
-            )
-        else:
-            u = cone_slope_field(rng, n, 0.3)
-        family = dense_parallelograms(
-            rng, u, cfg.delta, count=40, scale_range=_dense_scales(n)
+    rng = _rng(cfg.seed, 31, t)
+    kind = ("constant", "linear", "cone")[t % 3]
+    if kind == "constant":
+        u = SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
+    elif kind == "linear":
+        u = linear_slope_field(
+            n,
+            float(rng.uniform(-0.3, 0.3)),
+            float(rng.uniform(-0.3, 0.3)),
+            float(rng.uniform(-0.3, 0.3)),
         )
-        selected, trace = greedy_cover(family, u, cfg.delta)
-        removed = sum(len(step.removed) for step in trace.steps)
-        rows.append(
-            _row("cover", f"{kind}_t{t}_uncovered", float(len(family) - removed), 0.0)
-        )
-        rows.append(
-            _row(
-                "cover",
-                f"{kind}_t{t}_density_failures",
-                float(len(trace.density_failures)),
-                0.0,
-            )
-        )
-        rows.append(
-            _probe_row(
-                "cover",
-                f"{kind}_t{t}_square",
-                square_integral(selected, n),
-                sum(r.measure for r in selected) / cfg.delta,
-            )
-        )
-        for r in selected:
-            selected_rows.append(
-                (t, r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height)
-            )
+    else:
+        u = cone_slope_field(rng, n, 0.3)
+    family = dense_parallelograms(
+        rng, u, cfg.delta, count=40, scale_range=_dense_scales(n)
+    )
+    selected, trace = greedy_cover(family, u, cfg.delta)
+    removed = sum(len(step.removed) for step in trace.steps)
+    rows = [
+        _row("cover", f"{kind}_t{t}_uncovered", float(len(family) - removed), 0.0),
+        _row(
+            "cover",
+            f"{kind}_t{t}_density_failures",
+            float(len(trace.density_failures)),
+            0.0,
+        ),
+        _probe_row(
+            "cover",
+            f"{kind}_t{t}_square",
+            square_integral(selected, n),
+            sum(r.measure for r in selected) / cfg.delta,
+        ),
+    ]
+    selected_rows = [
+        (t, r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height)
+        for r in selected
+    ]
+    return rows, selected_rows
+
+
+def run_cover(cfg: Config, out_dir: str) -> int:
+    trials = _map_trials([partial(_cover_trial, cfg, t) for t in range(cfg.trials)])
+    rows = [row for trial_rows, _ in trials for row in trial_rows]
+    selected_rows = [row for _, trial_selected in trials for row in trial_selected]
     _emit_csv(
         os.path.join(out_dir, "cover_report.csv"), REPORT_HEADER, rows, cfg.seed
     )

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,14 @@ def run_main(args):
     return main([str(a) for a in args])
 
 
+def src_env():
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 SMALL = "resolution=3\ntrials=1\ngrid=32\n"
 
 
@@ -133,7 +144,7 @@ class TestVerify:
         assert body and all(line.startswith("telescoping,") for line in body)
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
-        bad = lambda cfg: [cli._row("telescoping", "forced", 1.0, 0.0)]
+        bad = lambda cfg, t: [cli._row("telescoping", "forced", 1.0, 0.0)]
         monkeypatch.setitem(cli.SUITE_RUNNERS, "telescoping", bad)
         cfg = write_config(tmp_path, SMALL)
         code = run_main(
@@ -145,6 +156,28 @@ class TestVerify:
         cfg = write_config(tmp_path, "resolution=1\n")
         assert run_main(["verify", "--config", cfg, "--out", tmp_path]) == 2
         assert "resolution too small for bitiles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            # the verify-k6 and kernels-k8 benchmark workloads on seed 0
+            (
+                "resolution=6\ntrials=4\n"
+                "suite=telescoping,bitile_sum,appendix,certificates,replacement,lemma7r\n",
+                "5b95b69abe11f9ffd0e1b5f70d1e47ee13f93181a96e2ec509aa6ea9c649c9ae",
+            ),
+            (
+                "resolution=8\ntrials=2\nsuite=telescoping,bitile_sum,appendix\n",
+                "9082bc4f8624f5841948269f7470614775e1f7caa9f9d2a010cb4d05417d390e",
+            ),
+        ],
+        ids=["verify-k6", "kernels-k8"],
+    )
+    def test_benchmark_reports_pinned(self, tmp_path, config, digest):
+        cfg = write_config(tmp_path, config)
+        assert run_main(["verify", "--config", cfg, "--seed", 0, "--out", tmp_path]) == 0
+        data = (tmp_path / "verify_report.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestConstants:
@@ -284,14 +317,11 @@ class TestTopResolution:
     def test_certificates_at_k8_fit_in_memory(self, tmp_path):
         # a dense order over the 32640 bitiles of K = 8 needs about 8 GiB
         cfg = write_config(tmp_path, "resolution=8\ntrials=1\n")
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         with open(tmp_path / "stderr.txt", "wb") as err:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "walshlab.cli", "verify", "--config", cfg,
                  "--suite", "certificates", "--out", str(tmp_path)],
-                env=env,
+                env=src_env(),
                 stdout=subprocess.DEVNULL,
                 stderr=err,
             )
@@ -341,3 +371,116 @@ class TestCover:
         cfg = write_config(tmp_path, "delta=0\n")
         assert run_main(["cover", "--config", cfg, "--out", tmp_path]) == 2
         assert "delta" in capsys.readouterr().err
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def echo_after(i, delay):
+    time.sleep(delay)
+    return i, os.getpid()
+
+
+class TestTrialMap:
+    def test_results_in_call_order_from_workers(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        # later calls finish first, so completion order is not call order
+        calls = [partial(echo_after, i, 0.002 * (8 - i)) for i in range(8)]
+        got = cli._map_trials(calls)
+        assert [i for i, _ in got] == list(range(8))
+        assert os.getpid() not in {pid for _, pid in got}
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        got = cli._map_trials([partial(echo_after, i, 0.0) for i in range(3)])
+        assert got == [(i, os.getpid()) for i in range(3)]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("verify", "resolution=3\ntrials=2\nmode=diagonal\n"),
+            ("verify", "resolution=3\ntrials=2\nmode=fiberwise\n"),
+            ("constants", "resolution=3\ntrials=2\ngrid=16\n"),
+            ("cover", "trials=4\ngrid=32\n"),
+        ],
+        ids=["verify-diagonal", "verify-fiberwise", "constants", "cover"],
+    )
+    def test_pool_writes_the_in_process_bytes(
+        self, tmp_path, monkeypatch, command, config, seed
+    ):
+        cfg = write_config(tmp_path, config)
+        outputs = {}
+        for cpus in (1, 3):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert run_main([command, "--config", cfg, "--seed", seed, "--out", out]) == 0
+            assert multiprocessing.active_children() == []
+            outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert outputs[1] == outputs[3]
+        assert len(outputs[1]) >= 2  # a report and its .meta at least
+
+    def test_usage_error_raised_in_a_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def bad(cfg, t):
+            if os.getpid() == parent:
+                raise AssertionError("case ran in the parent")
+            if t == 1:
+                raise CliError("forced in a worker")
+            return [cli._row("bitile_sum", f"t{t}", 0.0, 1.0)]
+
+        monkeypatch.setitem(cli.SUITE_RUNNERS, "bitile_sum", bad)
+        use_cpus(monkeypatch, 2)
+        cfg = write_config(tmp_path, "resolution=3\ntrials=4\n")
+        code = run_main(
+            ["verify", "--config", cfg, "--out", tmp_path, "--suite", "bitile_sum"]
+        )
+        assert code == 2
+        assert "walshlab: forced in a worker" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_other_errors_keep_their_type(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def bad(cfg, t):
+            if os.getpid() == parent:
+                raise AssertionError("case ran in the parent")
+            raise ZeroDivisionError(f"probe case {t}")
+
+        monkeypatch.setattr(cli, "PROBES", (("restricted", bad),))
+        use_cpus(monkeypatch, 2)
+        cfg = write_config(tmp_path, "resolution=3\ntrials=4\n")
+        with pytest.raises(ZeroDivisionError, match="probe case 0"):
+            run_main(["constants", "--config", cfg, "--out", tmp_path])
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        # a worker killed mid-case (say, by the out-of-memory killer) must
+        # not leave the parent waiting for its result; run apart, with a
+        # timeout, so a regression fails instead of hanging the suite
+        code = (
+            "import multiprocessing, os\n"
+            "from walshlab import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "try:\n"
+            "    cli._map_trials([int, lambda: os._exit(9), int, int])\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, multiprocessing.active_children())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "BrokenProcessPool []", out.stderr
+
+    def test_import_leaves_multiprocessing_out(self):
+        # importing it costs set-up time on every run, pool or not
+        code = "import sys, walshlab.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
