@@ -40,6 +40,7 @@ from .triform import (
     telescoping_profile,
 )
 from .selection import (
+    Forest,
     SelectionCertificate,
     Tree,
     select_trees,
@@ -97,6 +98,7 @@ __all__ = [
     "max_mod_haar",
     "telescoping_profile",
     "Tree",
+    "Forest",
     "SelectionCertificate",
     "select_trees",
     "size",

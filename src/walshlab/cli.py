@@ -46,7 +46,6 @@ from .mfcz import (
 )
 from .selection import select_trees, single_tree_report, verify_certificate
 from .tiles import (
-    BitileRows,
     ProjectionMode,
     all_bitiles,
     diagonal_data,
@@ -447,8 +446,7 @@ def _suite_replacement(cfg: Config, t: int) -> List[Row]:
     sets, f0, f1, f2, forest = _replacement_case(rng, cfg.resolution, cfg)
     good = build_good_function(f2, forest, sets.b2)
     # the trees of a selection are disjoint: each member enters once
-    members = BitileRows.concat(tree.members for tree in forest)
-    dev, violations = replacement_check(members, f0, f1, f2, good)
+    dev, violations = replacement_check(forest.members, f0, f1, f2, good)
     return [
         _row("replacement", f"t{t}_identity", dev, TOL),
         _row("replacement", f"t{t}_violations", float(len(violations)), 0.0),

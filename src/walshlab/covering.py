@@ -12,7 +12,6 @@ two; measures of single parallelograms are exact shadow times height.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -415,40 +414,40 @@ def overlap_check(
     }
 
 
-def _fractions(r: Parallelogram):
-    xl = Fraction(r.shadow.index) * Fraction(2) ** r.shadow.scale
-    xr = Fraction(r.shadow.index + 1) * Fraction(2) ** r.shadow.scale
-    return xl, xr, Fraction(r.base_y), Fraction(r.slope), Fraction(r.height)
-
-
 def lemma7r_check(r: Parallelogram, rp: Parallelogram):
-    """Containment of 7-fold height-dilates, in exact rational arithmetic.
+    """Containment of 7-fold height-dilates, in exact integer arithmetic.
 
     Hypotheses: equal shadows, touching uncertainty intervals, nonempty
     intersection, and 7 H(R) <= H(R').  When any fails the answer is the
     string "inapplicable" rather than False; under the hypotheses the
     containment 7R inside 7R' is checked at the shadow endpoints, which
     suffices because the boundary gaps are linear in x.
+
+    Every input (slopes times the shadow length) is a dyadic rational: all
+    are integers over one power of two, each comparison is the rational one
+    multiplied through by it, and nan or inf raises as `Fraction` would.
     """
     if r.shadow != rp.shadow:
         return "inapplicable"
-    xl, xr, b, s, h = _fractions(r)
-    _, _, bp, sp, hp = _fractions(rp)
+    terms = [
+        (v.as_integer_ratio(), shift)
+        for q in (r, rp)
+        for v, shift in ((q.base_y, 0), (q.slope, -r.shadow.scale), (q.height, 0))
+    ]
+    e = max(d.bit_length() + shift for (_, d), shift in terms)
+    b, s, h, bp, sp, hp = (n << (e - d.bit_length() - t) for (n, d), t in terms)
     if 7 * h > hp:
         return "inapplicable"
-    length = xr - xl
-    if abs(s - sp) * length > h + hp:  # uncertainty intervals disjoint
+    if abs(s - sp) > h + hp:  # uncertainty intervals disjoint
         return "inapplicable"
-
-    def center_gap(x):
-        return (bp + sp * (x - xl) + hp / 2) - (b + s * (x - xl) + h / 2)
-
-    g_l, g_r = center_gap(xl), center_gap(xr)
-    touch = (h + hp) / 2
+    # twice the gaps between the centre lines at the shadow's two ends
+    g_l = 2 * (bp - b) + hp - h
+    g_r = g_l + 2 * (sp - s)
+    touch = h + hp
     crosses = (g_l <= 0 <= g_r) or (g_r <= 0 <= g_l)
     if not (crosses or abs(g_l) < touch or abs(g_r) < touch):
         return "inapplicable"
-    slack = (7 * hp - 7 * h) / 2
+    slack = 7 * (hp - h)
     return abs(g_l) <= slack and abs(g_r) <= slack
 
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from .gridfn import GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
+from .selection import Forest
 from .tiles import Bitile, BitileRows, scale_arrays, scale_members
 from .triform import bitile_table
-from .walsh import DyadicInterval
 from .wavelets import coefficient_rows, synthesis_rows
 
 
@@ -111,19 +111,14 @@ def exceptional_sets(
     return ExceptionalSets(b0, b2, b1, e1_prime, b1.integral())
 
 
-@dataclass(frozen=True)
-class GoodPiece:
-    """One maximal interval of a directional-region row with its packets."""
-
-    cell0: int
-    time: DyadicInterval
-    freqs: Tuple[DyadicInterval, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoodFunction:
+    """g with its pieces, rows (x0, scale, index) of maximal region intervals,
+    and packets, rows (piece, dual cell nu) sorted by piece, then nu."""
+
     g: GridFunction2D
-    pieces: Tuple[GoodPiece, ...]
+    pieces: np.ndarray
+    packets: np.ndarray
     b2: GridFunction2D
 
 
@@ -177,7 +172,7 @@ def build_good_function(
     # (piece, dual cell nu) pairs, keyed piece * n + nu: nu < 2^(K + scale) <= n;
     # per top scale k, pieces finer than k join the tops on the box key (m0, m1)
     keys = [np.zeros(0, dtype=np.int64)]
-    tops = BitileRows(t.top for t in forest).rows
+    tops = Forest.of(forest).tops.rows
     for k in np.unique(tops[:, 0]).tolist():
         _, m0, m2, top_n = tops[tops[:, 0] == k].T
         box = (m0 << -k) + (m0 ^ m2)
@@ -207,15 +202,8 @@ def build_good_function(
             hot[np.arange(len(j)), v] = coef[j, v]
             g[row[blocks[j]][:, None], cells[j]] += synthesis_rows(hot, bk)
 
-    scales = scale.tolist()
-    freqs: List[List[DyadicInterval]] = [[] for _ in scales]
-    for p, v in zip(piece.tolist(), nu.tolist()):
-        freqs[p].append(DyadicInterval(-scales[p], v))
-    pieces = tuple(
-        GoodPiece(r, DyadicInterval(s, i), tuple(f))
-        for r, s, i, f in zip(row.tolist(), scales, index.tolist(), freqs)
-    )
-    return GoodFunction(GridFunction2D(K, g), pieces, b2)
+    pieces = np.column_stack((row, scale, index))
+    return GoodFunction(GridFunction2D(K, g), pieces, np.column_stack((piece, nu)), b2)
 
 
 def replacement_check(
@@ -291,13 +279,10 @@ def admissible_bitiles(b1: GridFunction2D) -> BitileRows:
 def counting_function(forest, resolution: int) -> GridFunction2D:
     """Number of tree tops whose spatial box covers each (x0, x1) cell."""
     acc = np.zeros((1 << resolution, 1 << resolution))
-    for tree in forest:
-        top = tree.top
-        width = 1 << (resolution + top.scale)
-        acc[
-            top.m0 * width : (top.m0 + 1) * width,
-            top.m1 * width : (top.m1 + 1) * width,
-        ] += 1.0
+    for k, m0, m2, _ in Forest.of(forest).tops.rows.tolist():
+        width = 1 << (resolution + k)
+        m1 = m0 ^ m2
+        acc[m0 * width : (m0 + 1) * width, m1 * width : (m1 + 1) * width] += 1.0
     return GridFunction2D(resolution, acc)
 
 

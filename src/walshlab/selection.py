@@ -12,15 +12,16 @@ The partial-order work runs on one array per scale (see `tiles`): the
 size functional, the selection phases and the disjointness checks are
 down-set or up-set sums, one pass across the scales each, and all trees
 of phase 1 are cut out of the remaining arrays by one up-set minimum.
-Collections, tree members and the remainder travel as `BitileRows`.
-Per-tile projection norms come from local coefficient tables, not from
-forming any projection explicitly.
+Collections, tree members and the remainder travel as `BitileRows`, a
+forest as one `Forest` of rows.  Per-tile projection norms come from local
+coefficient tables, not from forming any projection explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .wavelets import coefficient_rows
 
 __all__ = [
     "Tree",
+    "Forest",
     "SelectionCertificate",
     "size",
     "select_trees",
@@ -71,10 +73,60 @@ class Tree:
 
 
 @dataclass(frozen=True, eq=False)
+class Forest(Sequence):
+    """Trees as rows: the tops, all members tree after tree, each member's tree.
+
+    owner is nondecreasing.  Only indexing and iteration build `Tree`s; a
+    forest equals any sequence of the same trees in the same order.
+    """
+
+    tops: BitileRows
+    members: BitileRows
+    owner: np.ndarray
+
+    @classmethod
+    def of(cls, trees) -> "Forest":
+        """The trees of an iterable of trees and forests, in order."""
+        if isinstance(trees, Forest):
+            return trees
+        parts = [
+            t if isinstance(t, Forest)
+            else cls(BitileRows([t.top]), t.members, np.zeros(len(t.members), np.int64))
+            for t in trees
+        ]
+        start = np.cumsum([0] + [len(f) for f in parts]).tolist()
+        owner = [np.zeros(0, np.int64)] + [f.owner + i for f, i in zip(parts, start)]
+        return cls(
+            BitileRows.concat(f.tops for f in parts),
+            BitileRows.concat(f.members for f in parts),
+            np.concatenate(owner),
+        )
+
+    def __len__(self) -> int:
+        return len(self.tops)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return Forest.of(self[j] for j in i)
+        lo, hi = np.searchsorted(self.owner, [i, i + 1])
+        return Tree(self.tops[i], self.members.rows[lo:hi])
+
+    def __eq__(self, other):
+        if isinstance(other, Forest):
+            mine, theirs = (self.tops, self.members), (other.tops, other.members)
+            return mine == theirs and np.array_equal(self.owner, other.owner)
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
 class SelectionCertificate:
     """Everything needed to re-check a selection run.
 
-    `select_trees` gives collection and remainder as `BitileRows`.  counting
+    `select_trees` gives collection and remainder as `BitileRows`; forests
+    may be given as any tree sequences and are held as `Forest`s.  counting
     maps each test-box scale kJ to arrays (lhs, rhs) of shape (2^-kJ, 2^-kJ):
     at [m0, m2], the sum of the tree areas inside the box (kJ, m0, m2) and
     the bound allowed for it.
@@ -82,14 +134,17 @@ class SelectionCertificate:
 
     collection: BitileRows
     remainder: BitileRows
-    forests: tuple[tuple[Tree, ...], tuple[Tree, ...], tuple[Tree, ...]]
+    forests: tuple[Forest, Forest, Forest]
     slot: int
     level: int
     mode: ProjectionMode | None
     counting: dict[int, tuple[np.ndarray, np.ndarray]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "forests", tuple(Forest.of(f) for f in self.forests))
+
     def __eq__(self, other):
-        """Field by field; the counting arrays compare by shape and value."""
+        """Field by field; forests and counting arrays compare by value."""
         if not isinstance(other, SelectionCertificate):
             return NotImplemented
 
@@ -102,8 +157,8 @@ class SelectionCertificate:
         return fields(self) == fields(other)
 
     @property
-    def trees(self) -> tuple[Tree, ...]:
-        return tuple(t for forest in self.forests for t in forest)
+    def trees(self) -> Forest:
+        return Forest.of(self.forests)
 
 
 # -- projection norm tables --------------------------------------------------
@@ -247,10 +302,10 @@ def _box_energy(F: GridFunction2D, slot: int):
     return out
 
 
-def _counting_tables(trees, F, slot, level):
+def _counting_tables(forest, F, slot, level):
     """Per-scale (sum of contained tree areas, bound) arrays over all dyadic boxes."""
     box_rhs = _box_energy(F, slot)
-    kT, a0, a2, _ = _coords([t.top for t in trees]).T
+    kT, a0, a2, _ = Forest.of(forest).tops.rows.T
     bound = 9.0 * 4.0**level
     counting = {}
     for kJ, rhs in box_rhs.items():
@@ -264,7 +319,7 @@ def _counting_tables(trees, F, slot, level):
     return counting
 
 
-def _take_trees(remaining, tops: BitileRows) -> tuple[Tree, ...]:
+def _take_trees(remaining, tops: BitileRows) -> Forest:
     """Cut the down-set of each top, in the given order, out of the remaining masks.
 
     Taken one at a time, each remaining bitile goes to the first top above
@@ -280,11 +335,10 @@ def _take_trees(remaining, tops: BitileRows) -> tuple[Tree, ...]:
     owner = up_sums(rank, np.minimum)
     owned = {k: r & (owner[k] < len(tops)) for k, r in remaining.items()}
     of = np.concatenate([owner[k][owned[k]] for k in sorted(owned, reverse=True)])
-    rows = scale_members(owned).rows[np.argsort(of, kind="stable")]
+    order = np.argsort(of, kind="stable")
     for k, o in owned.items():
         remaining[k] &= ~o
-    parts = np.split(rows, np.cumsum(np.bincount(of, minlength=len(tops)))[:-1])
-    return tuple(Tree(q, part) for q, part in zip(tops, parts))
+    return Forest(tops, BitileRows(scale_members(owned).rows[order]), of[order])
 
 
 def select_trees(
@@ -343,13 +397,12 @@ def select_trees(
             else:
                 endpoint = -((ns + 1) << (1 - ks))
             first = np.lexsort((m2s, m0s, ks, endpoint))[0]
-            picked.extend(_take_trees(remaining, BitileRows(cand[[first]])))
-        half_forests.append(tuple(picked))
+            picked.append(_take_trees(remaining, BitileRows(cand[[first]])))
+        half_forests.append(Forest.of(picked))
 
     remainder = scale_members(remaining)
     forests = (forest1, half_forests[0], half_forests[1])
-    all_trees = [t for forest in forests for t in forest]
-    counting = _counting_tables(all_trees, F, slot, level)
+    counting = _counting_tables(Forest.of(forests), F, slot, level)
     return SelectionCertificate(
         collection, remainder, forests, slot, level, mode, counting
     )
@@ -365,6 +418,16 @@ def _pack(tag, k, m0, m2, n, resolution: int) -> np.ndarray:
     """
     K = resolution
     return (((tag * K - k) << K | m0) << K | m2) << K | n
+
+
+def _row_keys(c: np.ndarray, resolution: int) -> np.ndarray:
+    """One integer key per row, equal exactly for equal rows.
+
+    Their `_pack` keys when all rows fit, else their ranks in row order.
+    """
+    if _fits(c, resolution).all():
+        return _pack(0, *c.T, resolution)
+    return np.unique(c, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _incomparable(c: np.ndarray, resolution: int) -> bool:
@@ -384,11 +447,10 @@ def _incomparable(c: np.ndarray, resolution: int) -> bool:
     return not np.isin(ancestors, _pack(d, k, m0, m2, n >> d, resolution)).any()
 
 
-def _tree_arrays(trees):
+def _tree_arrays(forest):
     """Member rows of all trees, each with its tree's index and top row."""
-    owner = np.repeat(np.arange(len(trees)), [len(t.members) for t in trees])
-    members = BitileRows.concat(t.members for t in trees).rows
-    return owner, members, _coords([t.top for t in trees])[owner]
+    forest = Forest.of(forest)
+    return forest.owner, forest.members.rows, forest.tops.rows[forest.owner]
 
 
 def _below_top(c: np.ndarray, top: np.ndarray):
@@ -488,22 +550,26 @@ def verify_certificate(cert: SelectionCertificate, F: GridFunction2D):
     def check(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    # partition, on coordinate rows: sorted unique rows compare as sets
+    # partition, on one key per row: sorted unique keys compare as sets
     K = F.resolution
-    owner, members, tops = _tree_arrays(cert.trees)
-    parts = np.concatenate((_coords(cert.remainder), members))
-    seen = np.unique(parts, axis=0)
-    union = np.unique(_coords(cert.collection), axis=0)
-    check("partition-disjoint", len(seen) == len(parts))
-    check("partition-union", np.array_equal(seen, union))
+    trees = cert.trees
+    owner, members, tops = _tree_arrays(trees)
+    parts = len(cert.remainder) + len(members)
+    keys = _row_keys(
+        np.concatenate((_coords(cert.remainder), members, _coords(cert.collection))), K
+    )
+    seen = np.unique(keys[:parts])
+    check("partition-disjoint", len(seen) == parts)
+    check("partition-union", np.array_equal(seen, np.unique(keys[parts:])))
 
     # convexity of remainder and of each tree, tree tops dominate members
     check("remainder-convex", is_convex(cert.remainder))
-    check("trees-convex-with-top", _trees_ok(owner, members, tops, K))
+    # rows, unlike `Tree`s, can hold a tree without members
+    nonempty = np.bincount(owner, minlength=len(trees)).all()
+    check("trees-convex-with-top", nonempty and _trees_ok(owner, members, tops, K))
 
     # phase 1 tops pairwise disjoint (as bitiles: no two comparable)
-    tops1 = _coords(t.top for t in cert.forests[0])
-    check("phase1-tops-disjoint", _incomparable(tops1, K))
+    check("phase1-tops-disjoint", _incomparable(cert.forests[0].tops.rows, K))
 
     # phases 2, 3: selected opposite halves pairwise disjoint per phase; a
     # tile at resolution K orders like the bitile with its indices at K + 1
@@ -524,7 +590,7 @@ def verify_certificate(cert: SelectionCertificate, F: GridFunction2D):
 
     # counting bound, recomputed from scratch; the stored tables must match
     # it in scale keys, then in shapes, then in values
-    recomputed = _counting_tables(cert.trees, F, slot, level)
+    recomputed = _counting_tables(trees, F, slot, level)
     stored = {kJ: [np.asarray(t) for t in p] for kJ, p in cert.counting.items()}
     match = stored.keys() == recomputed.keys() and all(
         [a.shape for a in stored[kJ]] == [b.shape for b in p]

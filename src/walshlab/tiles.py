@@ -148,9 +148,9 @@ def _coords(objs) -> np.ndarray:
 
 
 def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
-    """Which rows fit the resolution: scale at least 1 - K, localized, n < 2^(K+k-1)."""
+    """Which rows fit: 1 - K <= scale <= 0, localized, 0 <= n < 2^(K+k-1)."""
     k, m0, m2, n = c.T
-    ok = k >= 1 - resolution
+    ok = (k >= 1 - resolution) & (k <= 0) & (np.minimum(np.minimum(m0, m2), n) >= 0)
     k = np.where(ok, k, 0)  # keeps the shifts below in range
     return ok & (np.maximum(m0, m2) < 1 << -k) & (n < 1 << (resolution + k - 1))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -235,6 +236,26 @@ def dyadic_maximal_1d(f: GridFunction1D, p: float = 1.0) -> GridFunction1D:
         width *= 2
         np.maximum(best, np.repeat(avg, width), out=best)
     return GridFunction1D(f.resolution, best ** (1.0 / p))
+
+
+@dataclass(frozen=True)
+class GoodPiece:
+    """One maximal interval of a directional-region row with its packets."""
+
+    cell0: int
+    time: DyadicInterval
+    freqs: Tuple[DyadicInterval, ...]
+
+
+def good_pieces(good) -> Tuple[GoodPiece, ...]:
+    """The pieces and packets of a `GoodFunction`, one `GoodPiece` per piece."""
+    freqs = [[] for _ in good.pieces]
+    for p, nu in good.packets.tolist():
+        freqs[p].append(DyadicInterval(-int(good.pieces[p, 1]), nu))
+    return tuple(
+        GoodPiece(row, DyadicInterval(scale, index), tuple(f))
+        for (row, scale, index), f in zip(good.pieces.tolist(), freqs)
+    )
 
 
 def maximal_dyadic_intervals(cells: np.ndarray) -> List[DyadicInterval]:
@@ -463,3 +484,33 @@ def uncertainty_overlap(rs: Sequence[Parallelogram]) -> bool:
     lo = max(r.uncertainty[0] for r in rs)
     hi = min(r.uncertainty[1] for r in rs)
     return lo <= hi
+
+
+def _fractions(r: Parallelogram):
+    xl = Fraction(r.shadow.index) * Fraction(2) ** r.shadow.scale
+    xr = Fraction(r.shadow.index + 1) * Fraction(2) ** r.shadow.scale
+    return xl, xr, Fraction(r.base_y), Fraction(r.slope), Fraction(r.height)
+
+
+def lemma7r_fraction(r: Parallelogram, rp: Parallelogram):
+    """`lemma7r_check` in exact rational arithmetic, one `Fraction` per input."""
+    if r.shadow != rp.shadow:
+        return "inapplicable"
+    xl, xr, b, s, h = _fractions(r)
+    _, _, bp, sp, hp = _fractions(rp)
+    if 7 * h > hp:
+        return "inapplicable"
+    length = xr - xl
+    if abs(s - sp) * length > h + hp:  # uncertainty intervals disjoint
+        return "inapplicable"
+
+    def center_gap(x):
+        return (bp + sp * (x - xl) + hp / 2) - (b + s * (x - xl) + h / 2)
+
+    g_l, g_r = center_gap(xl), center_gap(xr)
+    touch = (h + hp) / 2
+    crosses = (g_l <= 0 <= g_r) or (g_r <= 0 <= g_l)
+    if not (crosses or abs(g_l) < touch or abs(g_r) < touch):
+        return "inapplicable"
+    slack = (7 * hp - 7 * h) / 2
+    return abs(g_l) <= slack and abs(g_r) <= slack

@@ -16,6 +16,7 @@ import pytest
 from walshlab import cli
 from walshlab.cli import CliError, build_config, main
 from walshlab.gridfn import GridFunction2D
+from walshlab.selection import Tree
 from walshlab.triform import EpsilonField, lambda_direct
 from walshlab.wavelets import walsh_fn
 
@@ -178,6 +179,25 @@ class TestVerify:
         assert run_main(["verify", "--config", cfg, "--seed", 0, "--out", tmp_path]) == 0
         data = (tmp_path / "verify_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        cli.SUITE_RUNNERS["certificates"],
+        cli.SUITE_RUNNERS["replacement"],
+        dict(cli.PROBES)["counting"],
+        dict(cli.PROBES)["gnorm"],
+    ],
+)
+def test_forest_cases_build_no_tree(case, monkeypatch):
+    # forests reach verify_certificate, the replacement and its norm bound as rows
+    def no_tree(tree):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(Tree, "__post_init__", no_tree)
+    for t in range(3):
+        assert case(cli.Config(resolution=5, seed=3), t)
 
 
 class TestConstants:
@@ -477,10 +497,12 @@ class TestTrialMap:
         assert out.stdout.strip() == "BrokenProcessPool []", out.stderr
 
     def test_import_leaves_multiprocessing_out(self):
-        # importing it costs set-up time on every run, pool or not
-        code = "import sys, walshlab.cli; print('multiprocessing' in sys.modules)"
+        # importing them costs set-up time on every run, pool or not; the
+        # exact Lemma 7R check needs no `fractions` (which imports `decimal`)
+        names = ("multiprocessing", "fractions", "decimal")
+        code = f"import sys, walshlab.cli; print([m in sys.modules for m in {names}])"
         out = subprocess.run(
             [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False, False]"

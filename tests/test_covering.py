@@ -24,7 +24,12 @@ from walshlab.covering import (
     _segments,
     _vertical_margin,
 )
-from walshlab.ensembles import cone_slope_field, dense_parallelograms, linear_slope_field
+from walshlab.ensembles import (
+    cone_slope_field,
+    dense_parallelograms,
+    lemma7r_pair,
+    linear_slope_field,
+)
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
 
@@ -37,6 +42,7 @@ from .oracles import (
     e_set,
     full_dilate,
     grid_cells_scalar,
+    lemma7r_fraction,
     lk_maximal_masked,
     uncertainty_overlap,
     vertical_maximal,
@@ -708,6 +714,79 @@ class TestLemma7R:
             hits += 1
             assert got is True
         assert hits > 200
+
+
+def free_7r_pair(rng):
+    """Two parallelograms drawn without the hypotheses, scales -4..0.
+
+    Most pairs share a shadow; heights, slopes and bases are spread so that
+    every hypothesis both holds and fails, with mantissas of every length.
+    """
+    scale = int(rng.integers(-4, 1))
+    shadow = DyadicInterval(scale, int(rng.integers(0, 1 << -scale)))
+    other = shadow
+    if rng.random() < 0.1:
+        other = DyadicInterval(scale, int(rng.integers(0, 1 << -scale)))
+    h = float(rng.uniform(0.0, 0.05)) * 2.0 ** -int(rng.integers(0, 20))
+    hp = h * float(rng.uniform(5.0, 12.0)) + float(rng.uniform(0, 1e-3))
+    s = float(rng.uniform(-1, 1))
+    sp = s + float(rng.normal()) * (h + hp) / shadow.length
+    b = float(rng.uniform(-1, 1))
+    bp = b + float(rng.normal()) * (h + hp) + (h - hp) / 2
+    return Parallelogram(shadow, b, s, h), Parallelogram(other, bp, sp, hp)
+
+
+class TestLemma7RExactIntegers:
+    """The integer check against the `Fraction` one it replaced."""
+
+    @pytest.mark.parametrize("pairs", [lemma7r_pair, free_7r_pair])
+    def test_matches_fraction_oracle(self, pairs):
+        rng = np.random.default_rng(70)
+        seen = set()
+        for _ in range(3000):
+            r, rp = pairs(rng)
+            got, want = lemma7r_check(r, rp), lemma7r_fraction(r, rp)
+            assert (type(got), got) == (type(want), want), (r, rp)
+            seen.add(got)
+        # under the hypotheses |gap| <= 3(h + h')/2 < 7(h' - h)/2, so no
+        # pair is ever found uncontained
+        assert seen == ({True} if pairs is lemma7r_pair else {True, "inapplicable"})
+
+    @pytest.mark.parametrize(
+        "r, rp, want",
+        [
+            # 7 h = h', centre lines equal
+            (make(-1, 0, 0.5, 0.0, 0.0625), make(-1, 0, 0.3125, 0.0, 0.4375), True),
+            (make(-1, 0, 0.5, 0.0, 0.0625), make(-1, 0, 0.3125, 0.0, 0.4375 - 2**-40),
+             "inapplicable"),
+            # slope gap times length = h + h' (uncertainty intervals touch)
+            (make(-1, 0, 0.25, 0.5, 0.0625), make(-1, 0, 0.28125, -0.625, 0.5), True),
+            (make(-1, 0, 0.25, 0.5, 0.0625), make(-1, 0, 0.28125, -0.625 - 2**-40, 0.5),
+             "inapplicable"),
+            # |centre gap| = (h + h') / 2 at both ends, no crossing
+            (make(-1, 0, 0.25, 0.0, 0.0625), make(-1, 0, 0.3125, 0.0, 0.5),
+             "inapplicable"),
+            (make(-1, 0, 0.25, 0.0, 0.0625), make(-1, 0, 0.3125 - 2**-40, 0.0, 0.5),
+             True),
+            # the centre gap is 0 at the left end and grows: a crossing
+            (make(-2, 1, 0.25, 0.0, 0.0625), make(-2, 1, 0.03125, 2.25, 0.5), True),
+        ],
+    )
+    def test_comparisons_at_equality(self, r, rp, want):
+        assert lemma7r_check(r, rp) == lemma7r_fraction(r, rp) == want
+
+    @pytest.mark.parametrize(
+        "value, error", [(np.nan, ValueError), (np.inf, OverflowError)]
+    )
+    @pytest.mark.parametrize("at", range(6))
+    def test_non_finite_inputs_raise_like_fractions(self, value, error, at):
+        fields = [0.25, 0.0, 0.0625, 0.3125, 0.0, 0.4375]
+        fields[at] = value
+        r = make(-1, 0, *fields[:3])
+        rp = make(-1, 0, *fields[3:])
+        for check in (lemma7r_check, lemma7r_fraction):
+            with pytest.raises(error):
+                check(r, rp)
 
 
 class TestLKMaximal:

@@ -7,7 +7,6 @@ import pytest
 
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.mfcz import (
-    GoodPiece,
     admissible_bitiles,
     build_good_function,
     counting_function,
@@ -21,7 +20,13 @@ from walshlab.triform import EpsilonField, lambda_bitile, lambda_direct
 from walshlab.walsh import DyadicInterval
 from walshlab.wavelets import WavePacketSpec, project_rows, wave_packet
 
-from .oracles import maximal_dyadic_intervals, project_tile_1d, transpose_instance
+from .oracles import (
+    GoodPiece,
+    good_pieces,
+    maximal_dyadic_intervals,
+    project_tile_1d,
+    transpose_instance,
+)
 
 
 def indicator(K, rng, density):
@@ -141,7 +146,7 @@ class TestGoodFunction:
             f2, [Tree(top, (top,))], GridFunction2D.zeros(K)
         )
         assert good.g.norm(2) == 0.0
-        assert good.pieces == ()
+        assert good_pieces(good) == ()
 
     def test_empty_forest_gives_zero(self):
         K = 4
@@ -150,7 +155,7 @@ class TestGoodFunction:
         b2 = indicator(K, rng, 0.5)
         good = build_good_function(f2, [], b2)
         assert good.g.norm(2) == 0.0
-        assert all(p.freqs == () for p in good.pieces)
+        assert all(p.freqs == () for p in good_pieces(good))
 
     def test_single_tree_matches_hand_assembly(self):
         # Region rows are the left half line, so every row contributes the
@@ -164,8 +169,8 @@ class TestGoodFunction:
         )
         top = Bitile(0, 0, 0, 2)
         good = build_good_function(f2, [Tree(top, (top,))], b2)
-        assert len(good.pieces) == 16
-        for piece in good.pieces:
+        assert len(good_pieces(good)) == 16
+        for piece in good_pieces(good):
             assert piece.time == DyadicInterval(-1, 0)
             assert piece.freqs == (DyadicInterval(1, 2),)
         for i0 in range(16):
@@ -190,7 +195,7 @@ class TestGoodFunction:
         good = build_good_function(f2, forest, b2)
         # Rows in the lower half line sit below both tops; the derived
         # interval [4, 8) still appears exactly once.
-        for piece in good.pieces:
+        for piece in good_pieces(good):
             assert piece.freqs == (DyadicInterval(2, 1),)
 
     def test_pieces_partition_region_rows(self):
@@ -200,7 +205,7 @@ class TestGoodFunction:
         f2 = GridFunction2D(K, rng.standard_normal((32, 32)))
         good = build_good_function(f2, [], b2)
         cover = np.zeros_like(b2.values)
-        for piece in good.pieces:
+        for piece in good_pieces(good):
             for c in cells_of(piece.time, K):
                 assert cover[piece.cell0, c] == 0.0
                 cover[piece.cell0, c] = 1.0
@@ -214,7 +219,7 @@ class TestGoodFunction:
         tops = [Bitile(0, 0, 0, 3), Bitile(-1, 1, 0, 2)]
         good = build_good_function(f2, [Tree(t, (t,)) for t in tops], b2)
         assert np.all(good.g.values[b2.values == 0.0] == 0.0)
-        for piece in good.pieces:
+        for piece in good_pieces(good):
             cells = list(cells_of(piece.time, K))
             gj = good.g.values[piece.cell0, cells]
             norm = np.sqrt((gj ** 2).sum() * 2.0 ** -K)
@@ -305,7 +310,7 @@ class TestGoodFunctionArrays:
             good = build_good_function(f2, forest, b2)
             g, pieces = reference_good_function(f2, forest, b2)
             assert good.g.values.tobytes() == g.tobytes()
-            assert good.pieces == pieces
+            assert good_pieces(good) == pieces
             most = max([most] + [len(p.freqs) for p in pieces])
         # three packets on one piece: a single union-mask projection would
         # re-associate their sum
@@ -318,7 +323,7 @@ class TestGoodFunctionArrays:
         good = build_good_function(f2, forest, sets.b2)
         g, pieces = reference_good_function(f2, forest, sets.b2)
         assert good.g.values.tobytes() == g.tobytes()
-        assert good.pieces == pieces
+        assert good_pieces(good) == pieces
         assert any(p.freqs for p in pieces)
 
 
@@ -326,7 +331,7 @@ def reference_bad_fibers(bitiles, f1, good):
     """Captured fibers on which the middle function lives, one loop per cell."""
     K = f1.resolution
     by_row = {}
-    for piece in good.pieces:
+    for piece in good_pieces(good):
         by_row.setdefault(piece.cell0, []).append(piece.time)
     bad = 0
     for p in bitiles:

@@ -9,6 +9,7 @@ its whole-array checks are held to per-object references.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from walshlab.ensembles import (
 )
 from walshlab.gridfn import GridFunction2D
 from walshlab.selection import (
+    Forest,
     SelectionCertificate,
     Tree,
     _box_energy,
@@ -30,6 +32,7 @@ from walshlab.selection import (
     _counting_bound,
     _counting_tables,
     _incomparable,
+    _row_keys,
     _selected_halves,
     _take_trees,
     _tree_arrays,
@@ -163,11 +166,16 @@ class TestVectorizedOrder:
             Bitile(-1, 2, 0, 0),  # not localized
             Bitile(-1, 0, 0, 4),  # frequency beyond 2^K
             Bitile(0, 0, 0, 8),
+            # rows no `Bitile` can hold: negative indices, positive scale
+            np.array([[-1, -1, 0, 0]]),
+            np.array([[-1, 0, -1, 0]]),
+            np.array([[0, 0, 0, -1]]),
+            np.array([[1, 0, 0, 0]]),
         ],
     )
     def test_scale_arrays_rejects_misfits(self, bad):
         with pytest.raises(ValueError, match="does not fit"):
-            scale_arrays([bad], 4)
+            scale_arrays(bad if isinstance(bad, np.ndarray) else [bad], 4)
 
     def test_convexity_matches_reference(self):
         K = 4
@@ -339,7 +347,7 @@ class TestSelectTrees:
                         2 * tree.top.n,
                     )
                     new_tree = Tree(big, (*tree.members, big))
-                    new_forest = forest[:ti] + (new_tree,) + forest[ti + 1 :]
+                    new_forest = (*forest[:ti], new_tree, *forest[ti + 1 :])
                     forests = (
                         cert.forests[:fi] + (new_forest,) + cert.forests[fi + 1 :]
                     )
@@ -439,6 +447,24 @@ class TestCertificateChecks:
             "phase3-halves-disjoint",
             "trees-convex-with-top",
         }
+
+    def test_tree_without_members_fails(self):
+        # rows can hold trees that `Tree` rejects: one without members, and
+        # one without its top (which the parent-chain test already fails)
+        q, b, p = Bitile(0, 0, 0, 0), Bitile(-1, 0, 0, 0), Bitile(0, 0, 0, 1)
+        qb = BitileRows([q, b])
+        for forest in (
+            Forest(BitileRows([q, p]), qb, np.array([0, 0])),
+            Forest(BitileRows([p, q]), qb, np.array([1, 1])),
+            Forest(BitileRows([q]), BitileRows([b]), np.array([0])),
+        ):
+            cert = dataclasses.replace(
+                self.cert(((Tree(q, (q, b)),), (), ())),
+                collection=forest.members,
+                forests=(forest, (), ()),
+                counting=_counting_tables(forest, self.F, 0, 1),
+            )
+            assert self.names(cert) == {"trees-convex-with-top"}
 
     def test_misfit_remainder_fails_without_raising(self):
         # scale -4 is below the finest bitile scale at the resolution 4 of F
@@ -593,6 +619,30 @@ class TestArrayChecks:
         assert count >= 1600
         assert seen == {True, False}
         assert _trees_ok(*_tree_arrays([]), 3)
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_row_keys_equal_exactly_for_equal_rows(self, K):
+        # fitting rows from the pool; misfits below the finest scale, above
+        # scale 0, unlocalized, with n too large, negative or huge.  Packed,
+        # n = 2^K spills into the m2 field: the last three misfits would
+        # share a key with each other or with the fitting (-1, 0, 1, 0)
+        rng = np.random.default_rng(80 + K)
+        pool = np.concatenate((all_bitiles(K).rows, [[-1, 0, 1, 0]]))
+        misfits = np.array(
+            [[-K, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0],
+             [0, 0, 0, -3], [-1, 0, 2**40, 0], [-2**40, 0, 0, 0],
+             [0, 0, 0, 1 << K], [0, 0, 1, 0], [-1, 0, 0, 1 << K]]
+        )
+        for _ in range(20):
+            rows = np.concatenate(
+                (pool[rng.integers(len(pool), size=30)], pool[-1:],
+                 misfits[rng.integers(len(misfits), size=int(rng.integers(0, 8)))])
+            )
+            rows = rows[rng.permutation(len(rows))]
+            keys = _row_keys(rows, K)
+            same_key = keys[:, None] == keys[None, :]
+            same_row = (rows[:, None, :] == rows[None, :, :]).all(-1)
+            assert np.array_equal(same_key, same_row)
 
     def test_partition_matches_set_version(self):
         # the coordinate-row partition checks give the verdicts of the
@@ -785,8 +835,8 @@ class TestRowSelection:
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_selection_builds_no_bitile_per_member(self, slot, monkeypatch):
-        # pool, tree members, remainder and counting boxes stay rows: only
-        # the tree tops are built as objects
+        # pool, forests, remainder and counting boxes stay rows: no bitile
+        # and no tree is built as an object
         built = 0
         post_init = BaseTile.__post_init__
 
@@ -795,17 +845,21 @@ class TestRowSelection:
             built += 1
             post_init(tile)
 
+        def no_tree(tree):
+            raise AssertionError("a Tree was built")
+
         K = 6
         rng = np.random.default_rng(40 + slot)
         e = indicator_with_measure(rng, K, float(rng.uniform(0.05, 0.4)))
         F = signed_indicator(rng, e, scale=float(e.values.mean()) ** -0.5)
         mode = ProjectionMode.diagonal(WalshNumber.from_float(1.0)) if slot == 1 else None
         monkeypatch.setattr(BaseTile, "__post_init__", counted)
+        monkeypatch.setattr(Tree, "__post_init__", no_tree)
         cert = select_trees(slot, all_bitiles(K), F, mode=mode, level=1 + slot % 2)
         ok, _ = verify_certificate(cert, F)
         monkeypatch.undo()
         assert ok and len(cert.collection) == 2016 and len(cert.trees) > 0
-        assert built <= len(cert.trees) + 4
+        assert built == 0
 
 
 class TestSingleTreeReport:
@@ -864,3 +918,176 @@ class TestSingleTreeReport:
     def test_top_must_be_member(self):
         with pytest.raises(ValueError, match="top must be a member"):
             Tree(Bitile(0, 0, 0, 0), (Bitile(-1, 0, 0, 0),))
+
+
+class TestForest:
+    """A forest of rows against the tuple of `Tree`s it stands for."""
+
+    def trees(self):
+        rng = np.random.default_rng(60)
+        return tuple(random_tree(rng, 4) for _ in range(5))
+
+    def test_sequence_of_trees(self):
+        trees = self.trees()
+        forest = Forest.of(trees)
+        assert len(forest) == 5 and forest == trees and tuple(forest) == trees
+        assert [forest[i] for i in range(-5, 5)] == list(trees * 2)
+        assert forest[1:4] == trees[1:4] and isinstance(forest[1:4], Forest)
+        assert forest[::-2] == trees[::-2] and Forest.of(forest) is forest
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                forest[i]
+        empty = Forest.of(())
+        assert empty == () and len(empty) == 0 and empty != trees and forest != 1
+
+    def test_rows_and_owners(self):
+        trees = self.trees()
+        forest = Forest.of(trees)
+        assert forest.tops == [t.top for t in trees]
+        assert forest.members == [p for t in trees for p in t.members]
+        assert forest.owner.tolist() == [
+            i for i, t in enumerate(trees) for _ in t.members
+        ]
+        # the same rows split between the trees another way
+        moved = Forest(forest.tops, forest.members, forest.owner.copy())
+        moved.owner[np.searchsorted(moved.owner, 1) - 1] = 1
+        assert moved != forest
+
+    def test_forests_concatenate(self):
+        trees = self.trees()
+        parts = (Forest.of(trees[:2]), Forest.of(()), trees[2], Forest.of(trees[3:]))
+        joined = Forest.of(parts)
+        assert joined == Forest.of(trees) and joined == trees
+        assert Forest.of([]) == ()
+
+    def test_certificate_holds_forests(self):
+        # forests given as tree tuples compare equal to the selection's own
+        F = rand2d(4, 61)
+        cert = select_trees(0, all_bitiles(4), F, level=1)
+        assert all(isinstance(f, Forest) for f in cert.forests)
+        as_tuples = dataclasses.replace(
+            cert, forests=tuple(tuple(f) for f in cert.forests)
+        )
+        assert as_tuples == cert and as_tuples.trees == tuple(cert.trees)
+        assert verify_certificate(as_tuples, F) == verify_certificate(cert, F)
+        one_less = dataclasses.replace(
+            cert, forests=(cert.forests[0][1:],) + cert.forests[1:]
+        )
+        assert one_less != cert
+
+
+def half_phase_case(rng, K):
+    """(F, fiberwise mode, level) whose selection picks trees in phases 2 and 3.
+
+    Tops q sit on the diagonal boxes of one scale k, one row block each.  A
+    fiber's label decides its tile, so q's rows alternate between a label in
+    O_1 and one in O_2, the opposite halves of q's members one and two
+    scales down; q's frequency index ends in bits 00 (a phase-3 top) or 11
+    (phase 2), so both depths count.  Each quarter of q's box puts its O_1
+    energy on one of its four sub-boxes, at 4a times the threshold T there,
+    so phase 1 removes that sub-box; the rest hold O_2 energy b.  No bitile
+    left is heavy (a, b <= T), while q's half sum reads a + 3b/4 > T.
+    """
+    n = 1 << K
+    k = -int(rng.integers(1, K - 2))  # boxes of side 2^(K+k) >= 8
+    w = 1 << (K + k)
+    level = int(rng.integers(3))
+    T = 4.0**-level / 3.0
+    labels = np.zeros(n, dtype=np.int64)
+    sq = np.zeros((n, n))  # F^2 at [i2, i0]
+    even = np.arange(w) % 2 == 0
+    for m in range(1 << -k):
+        top_n = int(rng.integers(1 << (K + k - 3))) << 2 | int(rng.choice([0, 3]))
+        o1 = ((top_n ^ 1) << (1 - k)) + int(rng.integers(1 << (1 - k)))
+        o2 = (((top_n >> 1) ^ 1) << (2 - k)) + int(rng.integers(1 << (2 - k)))
+        box = slice(m * w, (m + 1) * w)
+        labels[box] = np.where(even, o1, o2)
+        a, b = T * rng.uniform(0.6, 0.95, 2)
+        heavy = np.zeros((4, 4))
+        for i, j in np.ndindex(2, 2):
+            s = int(rng.integers(4))
+            heavy[2 * i + s // 2, 2 * j + s % 2] = 1
+        on = np.kron(heavy, np.ones((w // 4, w // 4))) > 0
+        sq[box, box] = np.where(on, 8 * a * even[:, None], 2 * b * ~even[:, None])
+    signs = rng.choice([-1.0, 1.0], size=(n, n))
+    F = GridFunction2D(K, signs * np.sqrt(sq))
+    return F, ProjectionMode.fiberwise(labels), level
+
+
+def certificate_digest(cases) -> str:
+    """sha256 over each (certificate, F): collection, remainder, every tree's
+    top and member rows in order, the counting arrays and the report of
+    `verify_certificate`."""
+    h = hashlib.sha256()
+
+    def put(a):
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+
+    for cert, F in cases:
+        put(_coords(cert.collection))
+        put(_coords(cert.remainder))
+        for forest in cert.forests:
+            h.update(b"forest %d" % len(forest))
+            for tree in forest:
+                put(_coords([tree.top]))
+                put(tree.members.rows)
+        for kJ, pair in cert.counting.items():
+            h.update(b"scale %d" % kJ)
+            for t in pair:
+                put(np.asarray(t))
+        h.update(repr(verify_certificate(cert, F)).encode())
+    return h.hexdigest()
+
+
+class TestPinnedSelections:
+    """Selections whose trees, counting tables and reports are pinned.
+
+    The digests were recorded before forests were held as rows.
+    """
+
+    def test_gate_certificates(self):
+        # K = 4..6; indicator, normal and sparse F; three slots; two modes;
+        # levels 0-2: 162 certificates
+        cases = []
+        for K in (4, 5, 6):
+            n = 1 << K
+            rng = np.random.default_rng(50 + K)
+            normal = rng.normal(size=(n, n))
+            values = (
+                (rng.random((n, n)) < 0.3).astype(float),
+                normal,
+                normal * (rng.random((n, n)) < 0.1),
+            )
+            modes = (
+                ProjectionMode.diagonal(WalshNumber.from_float(1.0)),
+                ProjectionMode.fiberwise(rng.integers(0, n, size=n)),
+            )
+            pool = all_bitiles(K)
+            for v, slot, mode, level in itertools.product(
+                values, range(3), modes, range(3)
+            ):
+                F = GridFunction2D(K, v)
+                cases.append((select_trees(slot, pool, F, mode=mode, level=level), F))
+        assert len(cases) == 162
+        assert certificate_digest(cases) == GATE_DIGEST
+
+    def test_forced_half_phase_picks(self):
+        # phases 2 and 3 cut their trees one top at a time
+        cases, picks = [], [0, 0, 0]
+        for K in (5, 6):
+            for seed in range(6):
+                F, mode, level = half_phase_case(np.random.default_rng(seed), K)
+                cert = select_trees(1, all_bitiles(K), F, mode=mode, level=level)
+                ok, _ = verify_certificate(cert, F)
+                assert ok, (K, seed)
+                assert len(cert.forests[1]) + len(cert.forests[2]) > 0, (K, seed)
+                picks = [p + len(f) for p, f in zip(picks, cert.forests)]
+                cases.append((cert, F))
+        assert min(picks) >= 10
+        assert certificate_digest(cases) == HALF_PHASE_DIGEST
+
+
+GATE_DIGEST = "bf35698959c9ae1f9b50dd05b63113cc9bef372f5534242d99363cea210ed9d4"
+HALF_PHASE_DIGEST = "a975a686423c74e4b9715909229edb3a72ff7af790afa2744d904570738ed496"
