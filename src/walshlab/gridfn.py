@@ -27,150 +27,101 @@ def _interval_slice(interval: DyadicInterval, resolution: int) -> slice:
     return slice(interval.index * width, (interval.index + 1) * width)
 
 
-class GridFunction1D:
+class _GridFunction:
+    """The body of the 1D and 2D grid functions; `ndim` counts the variables."""
+
     __slots__ = ("resolution", "values")
+    ndim: int
 
     def __init__(self, resolution: int, values):
         _check_resolution(resolution)
         v = np.asarray(values, dtype=np.float64)
-        if v.shape != (1 << resolution,):
-            raise ValueError("values length must be 2^resolution")
+        if v.shape != (1 << resolution,) * self.ndim:
+            raise ValueError(
+                "values length must be 2^resolution"
+                if self.ndim == 1
+                else "values shape must be (2^resolution, 2^resolution)"
+            )
         self.resolution = int(resolution)
         self.values = v
 
     @classmethod
-    def zeros(cls, resolution: int) -> "GridFunction1D":
-        return cls(resolution, np.zeros(1 << resolution))
+    def zeros(cls, resolution: int):
+        return cls(resolution, np.zeros((1 << resolution,) * cls.ndim))
 
-    @classmethod
-    def indicator(cls, interval: DyadicInterval, resolution: int) -> "GridFunction1D":
-        v = np.zeros(1 << resolution)
-        v[_interval_slice(interval, resolution)] = 1.0
-        return cls(resolution, v)
-
-    def _compat(self, other: "GridFunction1D"):
+    def _compat(self, other):
         if self.resolution != other.resolution:
             raise ValueError("resolution mismatch")
 
+    def _cell(self) -> float:
+        """Measure of one grid cell, 2^(-ndim K)."""
+        return 2.0 ** (-self.ndim * self.resolution)
+
     def integral(self) -> float:
-        return float(self.values.sum()) * 2.0 ** (-self.resolution)
+        return float(self.values.sum()) * self._cell()
 
     def norm(self, p: float = 2.0) -> float:
         if p == np.inf:
             return float(np.abs(self.values).max(initial=0.0))
         if p < 1:
             raise ValueError("norm exponent must be >= 1 or inf")
-        s = float((np.abs(self.values) ** p).sum()) * 2.0 ** (-self.resolution)
-        return s ** (1.0 / p)
+        return (float((np.abs(self.values) ** p).sum()) * self._cell()) ** (1.0 / p)
 
-    def inner(self, other: "GridFunction1D") -> float:
+    def inner(self, other) -> float:
         self._compat(other)
-        return float(self.values @ other.values) * 2.0 ** (-self.resolution)
+        return float(np.vdot(self.values, other.values)) * self._cell()
 
-    def restrict(self, interval: DyadicInterval) -> "GridFunction1D":
-        """Zero outside the interval."""
+    def restrict(self, *intervals: DyadicInterval):
+        """Zero outside the dyadic box of the intervals, one per variable."""
+        if len(intervals) != self.ndim:
+            raise TypeError(f"restrict takes {self.ndim} interval(s)")
+        box = tuple(_interval_slice(i, self.resolution) for i in intervals)
         v = np.zeros_like(self.values)
-        sl = _interval_slice(interval, self.resolution)
-        v[sl] = self.values[sl]
-        return GridFunction1D(self.resolution, v)
+        v[box] = self.values[box]
+        return type(self)(self.resolution, v)
 
     def __add__(self, other):
         self._compat(other)
-        return GridFunction1D(self.resolution, self.values + other.values)
+        return type(self)(self.resolution, self.values + other.values)
 
     def __sub__(self, other):
         self._compat(other)
-        return GridFunction1D(self.resolution, self.values - other.values)
+        return type(self)(self.resolution, self.values - other.values)
 
     def __mul__(self, other):
-        if isinstance(other, GridFunction1D):
+        if isinstance(other, type(self)):
             self._compat(other)
-            return GridFunction1D(self.resolution, self.values * other.values)
-        return GridFunction1D(self.resolution, self.values * float(other))
+            return type(self)(self.resolution, self.values * other.values)
+        return type(self)(self.resolution, self.values * float(other))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GridFunction1D(self.resolution, -self.values)
+        return type(self)(self.resolution, -self.values)
 
     def __repr__(self):
-        return f"GridFunction1D(K={self.resolution})"
+        return f"{type(self).__name__}(K={self.resolution})"
 
 
-class GridFunction2D:
-    __slots__ = ("resolution", "values")
-
-    def __init__(self, resolution: int, values):
-        _check_resolution(resolution)
-        n = 1 << resolution
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (n, n):
-            raise ValueError("values shape must be (2^resolution, 2^resolution)")
-        self.resolution = int(resolution)
-        self.values = v
+class GridFunction1D(_GridFunction):
+    __slots__ = ()
+    ndim = 1
 
     @classmethod
-    def zeros(cls, resolution: int) -> "GridFunction2D":
-        n = 1 << resolution
-        return cls(resolution, np.zeros((n, n)))
+    def indicator(cls, interval: DyadicInterval, resolution: int) -> "GridFunction1D":
+        return cls(resolution, np.ones(1 << resolution)).restrict(interval)
+
+
+class GridFunction2D(_GridFunction):
+    __slots__ = ()
+    ndim = 2
 
     @classmethod
     def indicator_box(
         cls, first: DyadicInterval, second: DyadicInterval, resolution: int
     ) -> "GridFunction2D":
         n = 1 << resolution
-        v = np.zeros((n, n))
-        v[_interval_slice(first, resolution), _interval_slice(second, resolution)] = 1.0
-        return cls(resolution, v)
-
-    def _compat(self, other: "GridFunction2D"):
-        if self.resolution != other.resolution:
-            raise ValueError("resolution mismatch")
-
-    def integral(self) -> float:
-        return float(self.values.sum()) * 4.0 ** (-self.resolution)
-
-    def norm(self, p: float = 2.0) -> float:
-        if p == np.inf:
-            return float(np.abs(self.values).max(initial=0.0))
-        if p < 1:
-            raise ValueError("norm exponent must be >= 1 or inf")
-        s = float((np.abs(self.values) ** p).sum()) * 4.0 ** (-self.resolution)
-        return s ** (1.0 / p)
-
-    def inner(self, other: "GridFunction2D") -> float:
-        self._compat(other)
-        return float(np.vdot(self.values, other.values)) * 4.0 ** (-self.resolution)
-
-    def restrict(self, first: DyadicInterval, second: DyadicInterval) -> "GridFunction2D":
-        """Zero outside the dyadic box first x second."""
-        v = np.zeros_like(self.values)
-        s1 = _interval_slice(first, self.resolution)
-        s2 = _interval_slice(second, self.resolution)
-        v[s1, s2] = self.values[s1, s2]
-        return GridFunction2D(self.resolution, v)
+        return cls(resolution, np.ones((n, n))).restrict(first, second)
 
     def transpose(self) -> "GridFunction2D":
         return GridFunction2D(self.resolution, self.values.T.copy())
-
-    def __add__(self, other):
-        self._compat(other)
-        return GridFunction2D(self.resolution, self.values + other.values)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return GridFunction2D(self.resolution, self.values - other.values)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction2D):
-            self._compat(other)
-            return GridFunction2D(self.resolution, self.values * other.values)
-        return GridFunction2D(self.resolution, self.values * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction2D(self.resolution, -self.values)
-
-    def __repr__(self):
-        return f"GridFunction2D(K={self.resolution})"

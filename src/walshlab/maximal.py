@@ -1,16 +1,16 @@
 """Dyadic maximal operators on the grid.
 
 All suprema run over dyadic cells through the point (intervals in 1D,
-squares in 2D, axis-parallel intervals for the directional variant), down
-to single grid cells.  With dyadic cells the weak (1,1) constant is one,
-which the tests exercise.
+squares in 2D, intervals along the second argument for the directional
+variant), down to single grid cells.  With dyadic cells the weak (1,1)
+constant is one, which the tests exercise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gridfn import GridFunction1D, GridFunction2D
+from .gridfn import GridFunction2D
 
 
 def _check_exponent(p: float):
@@ -33,20 +33,10 @@ def dyadic_maximal_2d(f: GridFunction2D, p: float = 1.0) -> GridFunction2D:
     return GridFunction2D(f.resolution, best ** (1.0 / p))
 
 
-def directional_maximal(
-    f: GridFunction2D, axis: int, p: float = 1.0
-) -> GridFunction2D:
-    """1D dyadic maximal along one argument, the other held fixed.
-
-    axis = 0 averages over the first argument, axis = 1 over the second.
-    """
+def directional_maximal(f: GridFunction2D, p: float = 1.0) -> GridFunction2D:
+    """1D dyadic maximal over the second argument, the first held fixed."""
     _check_exponent(p)
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
     v = np.abs(f.values) ** p
-    if axis == 0:
-        v = v.T
-    v = np.ascontiguousarray(v)
     best = v.copy()
     avg = v
     width = 1
@@ -54,12 +44,9 @@ def directional_maximal(
         avg = avg.reshape(avg.shape[0], -1, 2).mean(axis=2)
         width *= 2
         np.maximum(best, np.repeat(avg, width, axis=1), out=best)
-    if axis == 0:
-        best = best.T
     return GridFunction2D(f.resolution, best ** (1.0 / p))
 
 
 def level_set(f, threshold: float):
     """Indicator of the strict superlevel set {f > threshold}."""
-    cls = GridFunction2D if isinstance(f, GridFunction2D) else GridFunction1D
-    return cls(f.resolution, (f.values > threshold).astype(np.float64))
+    return type(f)(f.resolution, (f.values > threshold).astype(np.float64))

@@ -93,7 +93,7 @@ def exceptional_sets(
     b2 = superlevel(
         m2,
         meas2 ** (-1.0 / p2) if meas2 else 0.0,
-        lambda f: directional_maximal(f, axis=1, p=p2),
+        lambda f: directional_maximal(f, p=p2),
     )
 
     # A diagonal point (x0, x0 ^ x2, x2) sits over the slot-1 cell

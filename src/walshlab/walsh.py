@@ -32,6 +32,7 @@ def _clmul(x: int, y: int) -> int:
     return acc
 
 
+@dataclass(frozen=True)
 class WalshNumber:
     """An element of the field, immutable and canonical.
 
@@ -39,9 +40,11 @@ class WalshNumber:
     (then mantissa = shift = 0).  shift may be negative for even integers.
     """
 
-    __slots__ = ("mantissa", "shift")
+    mantissa: int
+    shift: int = 0
 
-    def __init__(self, mantissa: int, shift: int = 0):
+    def __post_init__(self):
+        mantissa, shift = self.mantissa, self.shift
         if mantissa < 0:
             raise ValueError("walsh numbers are nonnegative")
         if mantissa == 0:
@@ -56,9 +59,6 @@ class WalshNumber:
             raise OverflowError("walsh number overflow: integer width > 16 bits")
         object.__setattr__(self, "mantissa", mantissa)
         object.__setattr__(self, "shift", shift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WalshNumber is immutable")
 
     @classmethod
     def from_float(cls, x: float) -> "WalshNumber":
@@ -93,14 +93,6 @@ class WalshNumber:
     def magnitude(self) -> float:
         """Value of the leading bit, 2^(-lo); 0 for the zero element."""
         return 0.0 if self.mantissa == 0 else 2.0 ** (-self.lo)
-
-    def __eq__(self, other):
-        if not isinstance(other, WalshNumber):
-            return NotImplemented
-        return self.mantissa == other.mantissa and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.mantissa, self.shift))
 
     def __xor__(self, other: "WalshNumber") -> "WalshNumber":
         return walsh_add(self, other)

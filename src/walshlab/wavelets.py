@@ -94,10 +94,7 @@ def wave_packet(spec: WavePacketSpec, resolution: int) -> GridFunction1D:
 
 def coefficient_rows(values: np.ndarray, resolution: int) -> np.ndarray:
     """Batched analysis along the last axis of a (rows, 2^K) array."""
-    rev = bit_reversal(resolution)
-    out = np.ascontiguousarray(values[..., rev], dtype=np.float64)
-    flat = out.reshape(-1, out.shape[-1])
-    wht_rows(flat)
+    out = synthesis_rows(values, resolution)
     out *= 2.0 ** (-resolution)
     return out
 
@@ -105,8 +102,7 @@ def coefficient_rows(values: np.ndarray, resolution: int) -> np.ndarray:
 def synthesis_rows(coeffs: np.ndarray, resolution: int) -> np.ndarray:
     rev = bit_reversal(resolution)
     out = np.ascontiguousarray(coeffs[..., rev], dtype=np.float64)
-    flat = out.reshape(-1, out.shape[-1])
-    wht_rows(flat)
+    wht_rows(out.reshape(-1, out.shape[-1]))
     return out
 
 

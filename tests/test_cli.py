@@ -171,8 +171,17 @@ class TestVerify:
                 "resolution=8\ntrials=2\nsuite=telescoping,bitile_sum,appendix\n",
                 "9082bc4f8624f5841948269f7470614775e1f7caa9f9d2a010cb4d05417d390e",
             ),
+            # the adaptedness suite, which no benchmark workload runs
+            (
+                "resolution=6\ntrials=2\nsuite=adaptedness\nmode=diagonal\na_bits=3\n",
+                "45350c9b4181c9b3a4c5a53f1600feb383dd446152d7adc46a899c94ca51bffc",
+            ),
+            (
+                "resolution=6\ntrials=2\nsuite=adaptedness\nmode=fiberwise\n",
+                "e8e533799cea142f3b5d4609bf847145c68a4ee7d246e34a606f8012bdc1ae28",
+            ),
         ],
-        ids=["verify-k6", "kernels-k8"],
+        ids=["verify-k6", "kernels-k8", "adaptedness-diagonal", "adaptedness-fiberwise"],
     )
     def test_benchmark_reports_pinned(self, tmp_path, config, digest):
         cfg = write_config(tmp_path, config)

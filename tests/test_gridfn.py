@@ -46,7 +46,7 @@ class TestGridFunction1D:
         assert (-f).values.tolist() == [-1, -2]
 
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length must be 2\\^resolution"):
             GridFunction1D(2, [1.0, 2.0])
 
 
@@ -72,3 +72,33 @@ class TestGridFunction2D:
     def test_inner_mismatch(self):
         with pytest.raises(ValueError, match="resolution mismatch"):
             GridFunction2D.zeros(1).inner(GridFunction2D.zeros(2))
+
+    def test_bad_shape(self):
+        with pytest.raises(ValueError, match=r"\(2\^resolution, 2\^resolution\)"):
+            GridFunction2D(1, [1.0, 2.0])
+
+
+class TestSharedBody:
+    def test_restrict_takes_one_interval_per_variable(self):
+        half = DyadicInterval(-1, 0)
+        with pytest.raises(TypeError):
+            GridFunction1D.zeros(2).restrict(half, half)
+        with pytest.raises(TypeError):
+            GridFunction2D.zeros(2).restrict(half)
+
+    def test_results_keep_their_class(self):
+        rng = np.random.default_rng(1)
+        f = GridFunction2D(2, rng.normal(size=(4, 4)))
+        g = GridFunction1D(2, rng.normal(size=4))
+        unit = DyadicInterval(0, 0)
+        for h in (f + f, f - f, f * f, 2 * f, -f, f.restrict(unit, unit)):
+            assert type(h) is GridFunction2D
+        for h in (g + g, g - g, g * g, 2 * g, -g, g.restrict(unit)):
+            assert type(h) is GridFunction1D
+        assert not isinstance(f, GridFunction1D) and not isinstance(g, GridFunction2D)
+        assert repr(f) == "GridFunction2D(K=2)" and repr(g) == "GridFunction1D(K=2)"
+
+    def test_cell_measure_per_dimension(self):
+        f, g = GridFunction2D(1, np.ones((2, 2))), GridFunction1D(1, np.ones(2))
+        assert f.integral() == g.integral() == 1.0
+        assert f.inner(f) == g.inner(g) == f.norm(1) == g.norm(1) == 1.0

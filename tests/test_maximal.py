@@ -83,20 +83,9 @@ class TestDirectional:
     def test_axis_1_rows(self):
         rng = np.random.default_rng(6)
         f = GridFunction2D(4, rng.normal(size=(16, 16)))
-        got = directional_maximal(f, axis=1, p=1.5)
+        got = directional_maximal(f, p=1.5)
         for r in range(16):
             assert np.allclose(got.values[r], brute_1d(f.values[r], 1.5), atol=1e-12)
-
-    def test_axis_0_columns(self):
-        rng = np.random.default_rng(7)
-        f = GridFunction2D(3, rng.normal(size=(8, 8)))
-        got = directional_maximal(f, axis=0)
-        for c in range(8):
-            assert np.allclose(got.values[:, c], brute_1d(f.values[:, c], 1.0), atol=1e-12)
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError, match="axis"):
-            directional_maximal(GridFunction2D.zeros(2), axis=2)
 
 
 class TestLevelSet:

@@ -38,3 +38,29 @@ def test_every_definition_is_used_or_exported():
             }
     unused = sorted(f"{m}.{n}" for m, n in defined - read if n not in walshlab.__all__)
     assert not unused, unused
+
+
+def test_every_import_is_read():
+    """Each name a module imports is loaded in that module.
+
+    In `__init__.py`, listing the name in `__all__` counts as a read.
+    """
+    unused = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            read |= set(walshlab.__all__)
+        unused += sorted(f"{path.stem}.{name}" for name in imported - read)
+    assert not unused, unused

@@ -74,6 +74,15 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             WalshNumber(-1, 0)
 
+    def test_immutable_and_hashed_by_value(self):
+        x = WalshNumber(6, 3)
+        for name in ("mantissa", "shift", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        assert hash(x) == hash(WalshNumber(3, 2)) == hash((3, 2))
+        assert repr(x) == "WalshNumber(3, 2)"
+        assert x != (3, 2) and WalshNumber(mantissa=3, shift=2) == x
+
 
 class TestArithmetic:
     def test_mul_matches_oracle_spot(self):
