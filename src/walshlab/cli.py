@@ -14,11 +14,12 @@ import argparse
 import hashlib
 import math
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,13 @@ from .mfcz import (
     g_norm_report,
     replacement_check,
 )
-from .selection import select_trees, single_tree_report, verify_certificate
+from .selection import (
+    Forest,
+    select_forests,
+    select_trees,
+    single_tree_report,
+    verify_certificate,
+)
 from .tiles import (
     ProjectionMode,
     all_bitiles,
@@ -274,38 +281,95 @@ def _emit_csv(
 
 # -- trial map ---------------------------------------------------------------
 
-# Filled only inside pool workers, by the pool's initializer, with the calls
-# the parent built (inherited through fork, so no callable is pickled).  The
-# process that calls `_map_trials` leaves it empty.
-_worker_calls: List[Callable[[], object]] = []
+
+class WorkerError(RuntimeError):
+    """A trial worker ended without results, or raised what cannot be pickled.
+
+    It also carries, as the cause of a case's exception, the worker's
+    traceback of it.
+    """
 
 
-def _call(i: int):
-    return _worker_calls[i]()
+def _run_share(calls, first: int, step: int, fd: int) -> NoReturn:
+    """In a forked worker: run calls[first::step], write one pickle to fd, exit.
+
+    The pickle is (None, results), or (i, (exception, traceback text)) for
+    the first case i that raised; an exception that does not survive
+    pickling goes as a `WorkerError` naming it.  The worker never returns
+    into the caller.
+    """
+    try:
+        i, results = first, []
+        try:
+            for i in range(first, len(calls), step):
+                results.append(calls[i]())
+            data = pickle.dumps((None, results), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # the parent raises it
+            import traceback  # only here: importing it costs set-up time
+
+            where = "".join(traceback.format_exception(exc))
+            try:
+                data = pickle.dumps((i, (exc, where)))
+                pickle.loads(data)  # some exceptions pickle but cannot be rebuilt
+            except Exception:
+                name = f"{type(exc).__module__}.{type(exc).__qualname__}"
+                error = WorkerError(f"case {i} raised {name}: {exc}")
+                data = pickle.dumps((i, (error, where)))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
 
 
 def _map_trials(calls: Sequence[Callable[[], object]]) -> list:
     """The results of `calls`, in order, computed on every CPU we may use.
 
     Each call is one case, a pure function of (seed, tag, index), so its
-    result does not depend on where it ran.  The calls go one at a time
-    (so cases of different cost balance) to a fork pool of one worker per
-    CPU in this process's affinity mask; on one CPU they run here.
+    result does not depend on where it ran.  On one CPU of this process's
+    affinity mask the calls run here.  With J > 1, J forked workers take
+    static interleaved shares, calls[w::J], each sending one pickle
+    through its own pipe.  The parent runs no case, only reads the pipes
+    and reaps every worker: a worker starts without the parent's
+    file-backed pages, so a share run here would raise the peak RSS of
+    the largest process, which the benchmark reads.  The earliest case's
+    exception is raised with its type, as on one CPU; a worker that ends
+    without results raises `WorkerError` instead of hanging the run.
     """
     jobs = 1
     if hasattr(os, "sched_getaffinity"):  # it exists only where fork does
         jobs = min(len(os.sched_getaffinity(0)), len(calls))
     if jobs <= 1:
         return [call() for call in calls]
-    # imported here, not at the top: importing them costs set-up time
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = multiprocessing.get_context("fork")
-    # leaving the block joins every worker, also when a call raises; a
-    # worker that dies raises BrokenProcessPool here instead of hanging
-    with ProcessPoolExecutor(jobs, fork, _worker_calls.extend, (calls,)) as pool:
-        return list(pool.map(_call, range(len(calls))))
+    pids, pipes = [], []
+    try:
+        for w in range(jobs):
+            r, fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _run_share(calls, w, jobs, fd)
+            finally:
+                os.close(fd)  # the parent's copy; the worker never returns here
+            pids.append(pid)
+        sent = [fh.read() for fh in pipes]
+    finally:
+        for fh in pipes:
+            fh.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for w, (data, code) in enumerate(zip(sent, codes)):
+        if code or not data:
+            raise WorkerError(
+                f"trial worker {w} ended without results (exit code {code})"
+            )
+    shares = [pickle.loads(data) for data in sent]
+    failed = [share for share in shares if share[0] is not None]
+    if failed:
+        exc, where = min(failed, key=lambda share: share[0])[1]
+        raise exc from WorkerError(where)
+    results = [None] * len(calls)
+    for w, (_, share) in enumerate(shares):
+        results[w::jobs] = share
+    return results
 
 
 # -- verify suites -----------------------------------------------------------
@@ -437,8 +501,9 @@ def _replacement_case(rng, K: int, cfg: Config | None = None):
     f0 = normalized(e0, cfg.p0)
     f1 = normalized(sets.e1_prime, cfg.p1)
     f2 = normalized(e2, cfg.p2)
-    cert = select_trees(0, admissible_bitiles(sets.b1), f0, level=2)
-    return sets, f0, f1, f2, cert.trees
+    # no certificate: nothing verifies this forest's counting tables
+    _, _, forests = select_forests(0, admissible_bitiles(sets.b1), f0, level=2)
+    return sets, f0, f1, f2, Forest.of(forests)
 
 
 def _suite_replacement(cfg: Config, t: int) -> List[Row]:

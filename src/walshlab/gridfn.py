@@ -50,6 +50,10 @@ class _GridFunction:
         return cls(resolution, np.zeros((1 << resolution,) * cls.ndim))
 
     def _compat(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.resolution != other.resolution:
             raise ValueError("resolution mismatch")
 
@@ -89,7 +93,7 @@ class _GridFunction:
         return type(self)(self.resolution, self.values - other.values)
 
     def __mul__(self, other):
-        if isinstance(other, type(self)):
+        if isinstance(other, _GridFunction):
             self._compat(other)
             return type(self)(self.resolution, self.values * other.values)
         return type(self)(self.resolution, self.values * float(other))

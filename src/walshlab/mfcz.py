@@ -23,7 +23,7 @@ import numpy as np
 from .gridfn import GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
 from .selection import Forest
-from .tiles import Bitile, BitileRows, scale_arrays, scale_members
+from .tiles import Bitile, BitileRows, _unique_ints, scale_arrays, scale_members
 from .triform import bitile_table
 from .wavelets import coefficient_rows, synthesis_rows
 
@@ -173,7 +173,7 @@ def build_good_function(
     # per top scale k, pieces finer than k join the tops on the box key (m0, m1)
     keys = [np.zeros(0, dtype=np.int64)]
     tops = Forest.of(forest).tops.rows
-    for k in np.unique(tops[:, 0]).tolist():
+    for k in _unique_ints(tops[:, 0]).tolist():
         _, m0, m2, top_n = tops[tops[:, 0] == k].T
         box = (m0 << -k) + (m0 ^ m2)
         order = np.argsort(box)
@@ -185,14 +185,14 @@ def build_good_function(
         hit = np.repeat(at, count)  # a piece's j-th top is box[lo + j]
         top = np.arange(len(hit)) + np.repeat(lo + count - np.cumsum(count), count)
         keys.append(hit * n + (top_n[top] >> (k - 1 - scale[hit])))
-    piece, nu = np.divmod(np.unique(np.concatenate(keys)), n)
+    piece, nu = np.divmod(_unique_ints(np.concatenate(keys)), n)
     rank = np.arange(len(piece)) - np.searchsorted(piece, piece)
 
     g = np.zeros_like(f2_tilde.values)
-    for s in np.unique(scale[piece]).tolist():
+    for s in _unique_ints(scale[piece]).tolist():
         bk = K + s
         at = scale[piece] == s
-        blocks = np.unique(piece[at])
+        blocks = _unique_ints(piece[at])
         cells = (index[blocks] << bk)[:, None] + np.arange(1 << bk)
         coef = coefficient_rows(f2_tilde.values[row[blocks][:, None], cells], bk)
         local, nu_s, rank_s = np.searchsorted(blocks, piece[at]), nu[at], rank[at]

@@ -33,7 +33,9 @@ from .tiles import (
     _coords,
     _fits,
     _image_cells,
+    _isin_ints,
     _require_half_tile_regions,
+    _unique_ints,
     convex_scales,
     half_down_sums,
     is_convex,
@@ -48,6 +50,7 @@ __all__ = [
     "Forest",
     "SelectionCertificate",
     "size",
+    "select_forests",
     "select_trees",
     "verify_certificate",
     "single_tree_report",
@@ -341,13 +344,13 @@ def _take_trees(remaining, tops: BitileRows) -> Forest:
     return Forest(tops, BitileRows(scale_members(owned).rows[order]), of[order])
 
 
-def select_trees(
+def select_forests(
     slot: int,
     bitiles,
     F: GridFunction2D,
     mode: ProjectionMode | None = None,
     level: int = 0,
-) -> SelectionCertificate:
+) -> tuple[BitileRows, BitileRows, tuple[Forest, Forest, Forest]]:
     """Three-phase tree removal at size threshold 2^(-level).
 
     Phase 1 removes down-sets of the maximal bitiles whose own projection
@@ -355,13 +358,13 @@ def select_trees(
     iteratively remove the down-set of the top with extremal frequency
     endpoint among those whose half-sums are heavy.  Every removal is a
     down-set, so the remainder and all removed collections stay convex.
+    Returns the collection, the remainder and the three phases' forests;
+    `select_trees` adds the counting tables that make them a certificate.
     """
     K = F.resolution
     member = _members(bitiles, K)
     if member is None:
-        return SelectionCertificate(
-            (), (), ((), (), ()), slot, level, mode, _counting_tables([], F, slot, level)
-        )
+        return (), (), (Forest.of(()),) * 3
     if not convex_scales(member):
         raise ValueError("collection is not convex")
     collection = scale_members(member)
@@ -400,8 +403,18 @@ def select_trees(
             picked.append(_take_trees(remaining, BitileRows(cand[[first]])))
         half_forests.append(Forest.of(picked))
 
-    remainder = scale_members(remaining)
-    forests = (forest1, half_forests[0], half_forests[1])
+    return collection, scale_members(remaining), (forest1, *half_forests)
+
+
+def select_trees(
+    slot: int,
+    bitiles,
+    F: GridFunction2D,
+    mode: ProjectionMode | None = None,
+    level: int = 0,
+) -> SelectionCertificate:
+    """The certificate of `select_forests`: its forests and their counting tables."""
+    collection, remainder, forests = select_forests(slot, bitiles, F, mode, level)
     counting = _counting_tables(Forest.of(forests), F, slot, level)
     return SelectionCertificate(
         collection, remainder, forests, slot, level, mode, counting
@@ -439,12 +452,12 @@ def _incomparable(c: np.ndarray, resolution: int) -> bool:
     """
     if not _fits(c, resolution).all():
         return False
-    if np.unique(_pack(0, *c.T, resolution)).size < len(c):
+    if _unique_ints(_pack(0, *c.T, resolution)).size < len(c):
         return False
     k, m0, m2, n = c.T
     d = np.arange(1, resolution)[:, None]
     ancestors = _pack(d, k + d, m0 >> d, m2 >> d, n, resolution)[k + d <= 0]
-    return not np.isin(ancestors, _pack(d, k, m0, m2, n >> d, resolution)).any()
+    return not _isin_ints(ancestors, _pack(d, k, m0, m2, n >> d, resolution)).any()
 
 
 def _tree_arrays(forest):
@@ -490,7 +503,7 @@ def _trees_ok(owner, c, top, resolution: int) -> bool:
     k, m0, m2, _ = c[inner].T
     parent_n = top[inner, 3] >> (d[inner] - 1)
     parents = _pack(owner[inner], k + 1, m0 >> 1, m2 >> 1, parent_n, resolution)
-    return bool(np.isin(parents, _pack(owner, *c.T, resolution)).all())
+    return bool(_isin_ints(parents, _pack(owner, *c.T, resolution)).all())
 
 
 def _selected_halves(forest, j: int) -> np.ndarray:
@@ -558,9 +571,9 @@ def verify_certificate(cert: SelectionCertificate, F: GridFunction2D):
     keys = _row_keys(
         np.concatenate((_coords(cert.remainder), members, _coords(cert.collection))), K
     )
-    seen = np.unique(keys[:parts])
+    seen = _unique_ints(keys[:parts])
     check("partition-disjoint", len(seen) == parts)
-    check("partition-union", np.array_equal(seen, np.unique(keys[parts:])))
+    check("partition-union", np.array_equal(seen, _unique_ints(keys[parts:])))
 
     # convexity of remainder and of each tree, tree tops dominate members
     check("remainder-convex", is_convex(cert.remainder))

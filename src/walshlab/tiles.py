@@ -147,6 +147,26 @@ def _coords(objs) -> np.ndarray:
     ).reshape(-1, 4)
 
 
+def _unique_ints(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending: `np.unique(a)` by one sort.
+
+    numpy's own `np.unique` without index outputs imports `numpy.ma` on its
+    first call, which every forked trial worker would pay for again.
+    """
+    s = np.sort(a, axis=None)
+    first = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
+
+
+def _isin_ints(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each value of the integer array `a` occurs in `table` (`np.isin`)."""
+    t = np.sort(table, axis=None)
+    if not t.size:
+        return np.zeros(np.shape(a), dtype=bool)
+    return t[np.searchsorted(t, a).clip(max=t.size - 1)] == a
+
+
 def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
     """Which rows fit: 1 - K <= scale <= 0, localized, 0 <= n < 2^(K+k-1)."""
     k, m0, m2, n = c.T

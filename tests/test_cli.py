@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshlab import cli
+from walshlab import cli, selection
 from walshlab.cli import CliError, build_config, main
 from walshlab.gridfn import GridFunction2D
+from walshlab.mfcz import admissible_bitiles
 from walshlab.selection import Tree
 from walshlab.triform import EpsilonField, lambda_direct
 from walshlab.wavelets import walsh_fn
@@ -207,6 +207,26 @@ def test_forest_cases_build_no_tree(case, monkeypatch):
     monkeypatch.setattr(Tree, "__post_init__", no_tree)
     for t in range(3):
         assert case(cli.Config(resolution=5, seed=3), t)
+
+
+@pytest.mark.parametrize(
+    "case", [cli.SUITE_RUNNERS["replacement"], dict(cli.PROBES)["gnorm"]]
+)
+def test_replacement_cases_build_no_counting_tables(case, monkeypatch):
+    # nothing verifies the replacement forest, so it needs no certificate
+    def no_tables(*args):
+        raise AssertionError("counting tables built")
+
+    monkeypatch.setattr(selection, "_counting_tables", no_tables)
+    for t in range(3):
+        assert case(cli.Config(resolution=5, seed=3), t)
+
+
+def test_replacement_forest_is_the_certificates_forest():
+    for t in range(3):
+        sets, f0, _, _, forest = cli._replacement_case(cli._rng(3, 6, t), 5)
+        cert = selection.select_trees(0, admissible_bitiles(sets.b1), f0, level=2)
+        assert forest == cert.trees and len(forest) > 0
 
 
 class TestConstants:
@@ -411,6 +431,24 @@ def echo_after(i, delay):
     return i, os.getpid()
 
 
+def raise_after(exc, delay):
+    time.sleep(delay)
+    raise exc
+
+
+def assert_no_child_left():
+    # every forked worker has been reaped: none is left to wait for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its one pickled argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
 class TestTrialMap:
     def test_results_in_call_order_from_workers(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -419,7 +457,7 @@ class TestTrialMap:
         got = cli._map_trials(calls)
         assert [i for i, _ in got] == list(range(8))
         assert os.getpid() not in {pid for _, pid in got}
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         use_cpus(monkeypatch, 1)
@@ -446,7 +484,7 @@ class TestTrialMap:
             use_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus{cpus}"
             assert run_main([command, "--config", cfg, "--seed", seed, "--out", out]) == 0
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             outputs[cpus] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outputs[1] == outputs[3]
         assert len(outputs[1]) >= 2  # a report and its .meta at least
@@ -469,7 +507,7 @@ class TestTrialMap:
         )
         assert code == 2
         assert "walshlab: forced in a worker" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_other_errors_keep_their_type(self, tmp_path, monkeypatch):
         parent = os.getpid()
@@ -484,28 +522,83 @@ class TestTrialMap:
         cfg = write_config(tmp_path, "resolution=3\ntrials=4\n")
         with pytest.raises(ZeroDivisionError, match="probe case 0"):
             run_main(["constants", "--config", cfg, "--out", tmp_path])
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_dead_worker_raises_instead_of_hanging(self):
         # a worker killed mid-case (say, by the out-of-memory killer) must
         # not leave the parent waiting for its result; run apart, with a
         # timeout, so a regression fails instead of hanging the suite
         code = (
-            "import multiprocessing, os\n"
+            "import os, signal\n"
             "from walshlab import cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "try:\n"
-            "    cli._map_trials([int, lambda: os._exit(9), int, int])\n"
-            "except Exception as exc:\n"
-            "    print(type(exc).__name__, multiprocessing.active_children())\n"
+            "def killed():\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "for die in (lambda: os._exit(9), killed):\n"
+            "    try:\n"
+            "        cli._map_trials([int, die, int, int])\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        print('no child left')\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
             timeout=120,
         )
-        assert out.stdout.strip() == "BrokenProcessPool []", out.stderr
+        assert out.stdout.splitlines() == [
+            "WorkerError trial worker 1 ended without results (exit code 9)",
+            "no child left",
+            "WorkerError trial worker 1 ended without results (exit code -9)",
+            "no child left",
+        ], out.stderr
 
-    def test_import_leaves_multiprocessing_out(self):
+    def test_result_larger_than_a_pipe_buffer(self, monkeypatch):
+        # each share is megabytes, far past the 64 KiB a pipe holds
+        use_cpus(monkeypatch, 2)
+        got = cli._map_trials([partial(np.arange, 100_000 + i) for i in range(5)])
+        for i, a in enumerate(got):
+            np.testing.assert_array_equal(a, np.arange(100_000 + i))
+        assert_no_child_left()
+
+    def test_earliest_failing_case_raises(self, monkeypatch):
+        # worker 0 fails at case 4 first; worker 1's case 3 comes earlier
+        use_cpus(monkeypatch, 2)
+        calls = [partial(echo_after, i, 0.0) for i in range(6)]
+        calls[3] = partial(raise_after, KeyError("case 3"), 0.05)
+        calls[4] = partial(raise_after, KeyError("case 4"), 0.0)
+        with pytest.raises(KeyError, match="case 3") as info:
+            cli._map_trials(calls)
+        # the worker's traceback comes along as the cause
+        assert isinstance(info.value.__cause__, cli.WorkerError)
+        assert "in raise_after" in str(info.value.__cause__)
+        assert_no_child_left()
+
+    def test_every_child_reaped_when_one_raises(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        calls = [partial(echo_after, i, 0.1) for i in range(6)]
+        calls[0] = partial(raise_after, ValueError("first"), 0.0)
+        with pytest.raises(ValueError, match="first"):
+            cli._map_trials(calls)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_is_named(self, monkeypatch):
+        class LocalError(Exception):
+            pass  # a local class: pickle cannot find it by name
+
+        use_cpus(monkeypatch, 2)
+        for exc, name in (
+            (LocalError("boom"), "LocalError: boom"),
+            (TwoArgError("x", "y"), "TwoArgError: x y"),
+        ):
+            calls = [partial(echo_after, 0, 0.0), partial(raise_after, exc, 0.0)]
+            with pytest.raises(cli.WorkerError, match=f"case 1 raised .*{name}"):
+                cli._map_trials(calls)
+            assert_no_child_left()
+
+    def test_import_leaves_multiprocessing_out(self, tmp_path, monkeypatch):
         # importing them costs set-up time on every run, pool or not; the
         # exact Lemma 7R check needs no `fractions` (which imports `decimal`)
         names = ("multiprocessing", "fractions", "decimal")
@@ -515,3 +608,41 @@ class TestTrialMap:
             check=True,
         )
         assert out.stdout.strip() == "[False, False, False]"
+
+        # a two-CPU run forks without `multiprocessing` or
+        # `concurrent.futures`, and no worker imports `numpy.ma` (about
+        # 16 ms each); its reports are the one-CPU bytes
+        code = (
+            "import os, sys\n"
+            "from walshlab import cli\n"
+            "parent = os.getpid()\n"
+            "def checked(run):\n"
+            "    def case(cfg, t):\n"
+            "        rows = run(cfg, t)\n"
+            "        assert os.getpid() != parent, 'case ran in the parent'\n"
+            "        assert 'numpy.ma' not in sys.modules, f'numpy.ma in case {t}'\n"
+            "        return rows\n"
+            "    return case\n"
+            "for name in ('certificates', 'replacement'):\n"
+            "    cli.SUITE_RUNNERS[name] = checked(cli.SUITE_RUNNERS[name])\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "args = ['verify', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "assert cli.main(args) == 0\n"
+            "names = ('multiprocessing', 'concurrent.futures')\n"
+            "print([m in sys.modules for m in names])\n"
+        )
+        cfg = write_config(
+            tmp_path, "resolution=4\ntrials=4\nsuite=certificates,replacement\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, cfg, str(tmp_path / "cpus2")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert out.stdout.splitlines()[-1:] == ["[False, False]"], out.stderr
+        use_cpus(monkeypatch, 1)
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "cpus1"]) == 0
+        two, one = (
+            {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+            for d in ("cpus2", "cpus1")
+        )
+        assert two == one and "verify_report.csv" in one

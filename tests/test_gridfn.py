@@ -102,3 +102,19 @@ class TestSharedBody:
         f, g = GridFunction2D(1, np.ones((2, 2))), GridFunction1D(1, np.ones(2))
         assert f.integral() == g.integral() == 1.0
         assert f.inner(f) == g.inner(g) == f.norm(1) == g.norm(1) == 1.0
+
+    @pytest.mark.parametrize(
+        "combine",
+        [
+            lambda f, g: f + g,  # broadcast to a 2D function once
+            lambda f, g: g + f,  # failed once only after building the sum
+            lambda f, g: f.inner(g),  # failed once inside np.vdot
+            lambda f, g: g - f,
+            lambda f, g: g * f,
+        ],
+        ids=["2d-plus-1d", "1d-plus-2d", "2d-inner-1d", "1d-minus-2d", "1d-times-2d"],
+    )
+    def test_one_and_two_variables_do_not_mix(self, combine):
+        f, g = GridFunction2D(1, np.zeros((2, 2))), GridFunction1D(1, [1.0, 2.0])
+        with pytest.raises(TypeError, match="cannot combine GridFunction"):
+            combine(f, g)

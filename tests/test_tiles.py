@@ -18,6 +18,8 @@ from walshlab.tiles import (
     ProjectionMode,
     Tile,
     _image_cells,
+    _isin_ints,
+    _unique_ints,
     all_bitiles,
     down_sums,
     diagonal_data,
@@ -473,3 +475,32 @@ class TestFrequencyTables:
         labels[3] = nu
         with pytest.raises(ValueError, match="frequency beyond resolution"):
             fiberwise_data(GridFunction1D(3, np.ones(8)), labels)
+
+
+class TestIntegerSets:
+    """The sort-based set helpers against `np.unique` and `np.isin`."""
+
+    CASES = {
+        "random": lambda rng: rng.integers(-(1 << 62), 1 << 62, size=500),
+        "duplicates": lambda rng: rng.integers(-3, 4, size=(40, 25)),
+        "one": lambda rng: np.array([7]),
+        "empty": lambda rng: np.zeros(0, dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_unique_matches_numpy(self, case):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a = self.CASES[case](rng)
+            got, want = _unique_ints(a), np.unique(a)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("table", list(CASES))
+    @pytest.mark.parametrize("keys", list(CASES))
+    def test_isin_matches_numpy(self, keys, table):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            a, t = self.CASES[keys](rng), self.CASES[table](rng)
+            a = np.concatenate([a.reshape(-1), t.reshape(-1)[:5]])  # some hits
+            got, want = _isin_ints(a, t), np.isin(a, t)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
