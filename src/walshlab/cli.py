@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import mmap
 import os
 import pickle
 import sys
@@ -290,19 +291,24 @@ class WorkerError(RuntimeError):
     """
 
 
-def _run_share(calls, first: int, step: int, fd: int) -> NoReturn:
-    """In a forked worker: run calls[first::step], write one pickle to fd, exit.
+def _run_queue(calls, tasks, fd: int, taken, w: int) -> NoReturn:
+    """In a forked worker: run the cases it pulls, write one pickle to fd, exit.
 
-    The pickle is (None, results), or (i, (exception, traceback text)) for
-    the first case i that raised; an exception that does not survive
-    pickling goes as a `WorkerError` naming it.  The worker never returns
-    into the caller.
+    Each pull reads one 4-byte case index (every buffer of the pipe holds
+    whole indices) and stores i + 1 in the worker's shared slot taken[w]
+    for the parent to name if the worker dies.  At EOF the pickle is
+    (None, [(i, result), ...]); the first case i that raises ends the
+    pulls and sends (i, (exception, traceback text)) instead, and an
+    exception that does not survive pickling goes as a `WorkerError`
+    naming it.  The worker never returns into the caller.
     """
     try:
-        i, results = first, []
+        i, results = None, []
         try:
-            for i in range(first, len(calls), step):
-                results.append(calls[i]())
+            while index := tasks.read(4):
+                i = int.from_bytes(index, "little")
+                taken[w] = i + 1
+                results.append((i, calls[i]()))
             data = pickle.dumps((None, results), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # the parent raises it
             import traceback  # only here: importing it costs set-up time
@@ -315,6 +321,7 @@ def _run_share(calls, first: int, step: int, fd: int) -> NoReturn:
                 name = f"{type(exc).__module__}.{type(exc).__qualname__}"
                 error = WorkerError(f"case {i} raised {name}: {exc}")
                 data = pickle.dumps((i, (error, where)))
+        tasks.close()  # a failed worker must not hold the queue open while it writes
         with open(fd, "wb") as fh:
             fh.write(data)
     finally:
@@ -326,20 +333,26 @@ def _map_trials(calls: Sequence[Callable[[], object]]) -> list:
 
     Each call is one case, a pure function of (seed, tag, index), so its
     result does not depend on where it ran.  On one CPU of this process's
-    affinity mask the calls run here.  With J > 1, J forked workers take
-    static interleaved shares, calls[w::J], each sending one pickle
-    through its own pipe.  The parent runs no case, only reads the pipes
-    and reaps every worker: a worker starts without the parent's
-    file-backed pages, so a share run here would raise the peak RSS of
-    the largest process, which the benchmark reads.  The earliest case's
-    exception is raised with its type, as on one CPU; a worker that ends
-    without results raises `WorkerError` instead of hanging the run.
+    affinity mask the calls run here.  With J > 1 the parent forks J
+    workers, then writes every case index, in call order, into one shared
+    pipe; each worker pulls one at a time, so a slow case holds up only
+    its own worker, and at EOF sends its (index, result) pairs as one
+    pickle through its own pipe.  The parent runs no case: a worker starts
+    without the parent's file-backed pages, so a case run here would raise
+    the peak RSS of the largest process, which the benchmark reads.  As
+    indices are taken in order and a worker stops at its first failure,
+    the earliest failing case is raised, with its type, as on one CPU; a
+    worker that ends without results raises `WorkerError` naming its case
+    instead of hanging the run.
     """
     jobs = 1
     if hasattr(os, "sched_getaffinity"):  # it exists only where fork does
         jobs = min(len(os.sched_getaffinity(0)), len(calls))
     if jobs <= 1:
         return [call() for call in calls]
+    taken = memoryview(mmap.mmap(-1, 4 * jobs)).cast("i")  # shared, zeroed
+    r, fd = os.pipe()
+    tasks, queue = open(r, "rb", buffering=0), open(fd, "wb", buffering=0)
     pids, pipes = [], []
     try:
         for w in range(jobs):
@@ -347,28 +360,41 @@ def _map_trials(calls: Sequence[Callable[[], object]]) -> list:
             pipes.append(open(r, "rb"))
             try:
                 if (pid := os.fork()) == 0:
-                    _run_share(calls, w, jobs, fd)
+                    queue.close()  # so the workers see EOF once the parent closes it
+                    _run_queue(calls, tasks, fd, taken, w)
             finally:
                 os.close(fd)  # the parent's copy; the worker never returns here
             pids.append(pid)
+        tasks.close()  # with no worker left to read, a write fails, not blocks
+        data = np.arange(len(calls), dtype="<i4").tobytes()
+        try:
+            while data:  # blocks while the pipe is full, so fork first
+                data = data[queue.write(data) :]
+        except BrokenPipeError:
+            pass  # every worker has ended; its pipe says how
+        queue.close()
         sent = [fh.read() for fh in pipes]
     finally:
-        for fh in pipes:
+        for fh in (tasks, queue, *pipes):
             fh.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results, failed = [None] * len(calls), []
     for w, (data, code) in enumerate(zip(sent, codes)):
         if code or not data:
-            raise WorkerError(
-                f"trial worker {w} ended without results (exit code {code})"
-            )
-    shares = [pickle.loads(data) for data in sent]
-    failed = [share for share in shares if share[0] is not None]
+            case = taken[w] - 1
+            at = f" in case {case}" if case >= 0 else ""
+            message = f"trial worker ended without results{at} (exit code {code})"
+            failed.append((case, WorkerError(message), None))
+            continue
+        i, share = pickle.loads(data)
+        if i is not None:
+            failed.append((i, share[0], WorkerError(share[1])))
+            continue
+        for i, result in share:
+            results[i] = result
     if failed:
-        exc, where = min(failed, key=lambda share: share[0])[1]
-        raise exc from WorkerError(where)
-    results = [None] * len(calls)
-    for w, (_, share) in enumerate(shares):
-        results[w::jobs] = share
+        _, exc, cause = min(failed, key=lambda f: f[0])
+        raise exc from cause
     return results
 
 
@@ -671,6 +697,19 @@ PROBES = (
 )
 
 
+def _percentile(values: Sequence[float], q: float) -> float:
+    """`np.percentile(values, q)` of finite values, bit for bit, without the
+    `numpy.ma` import it costs: numpy 2.4's default linear method, from the
+    virtual index (n - 1) * (q / 100) and its `_lerp` of the neighbours."""
+    x = sorted(values)
+    v = (len(x) - 1) * (q / 100)
+    if v >= len(x) - 1:
+        return x[-1]
+    i = math.floor(v)
+    a, b, t = x[i], x[i + 1], v - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def run_constants(cfg: Config, out_dir: str) -> int:
     T = cfg.trials
     cases = _map_trials([partial(probe, cfg, t) for _, probe in PROBES for t in range(T)])
@@ -682,9 +721,7 @@ def run_constants(cfg: Config, out_dir: str) -> int:
         if not ratios:
             continue
         top = max(ratios)
-        p95 = float(np.percentile(ratios, 95)) if all(
-            math.isfinite(r) for r in ratios
-        ) else math.inf
+        p95 = _percentile(ratios, 95) if all(map(math.isfinite, ratios)) else math.inf
         rows.append(
             ("constants", f"{name}_max", top, 1.0, top, math.isfinite(top))
         )

@@ -25,7 +25,7 @@ from .maximal import directional_maximal, dyadic_maximal_2d, level_set
 from .selection import Forest
 from .tiles import Bitile, BitileRows, _unique_ints, scale_arrays, scale_members
 from .triform import bitile_table
-from .wavelets import coefficient_rows, synthesis_rows
+from .wavelets import coefficient_rows, walsh_rows
 
 
 def _require_cell_set(e: GridFunction2D, name: str) -> np.ndarray:
@@ -158,8 +158,8 @@ def build_good_function(
     row fiber, so it is supported on the region by construction.
 
     Each time scale takes one batched transform of all its pieces.  The
-    projection onto one packet is the synthesis of a one-hot coefficient
-    row, exactly +-c on every cell, so adding each piece's packets in
+    projection onto one packet is its coefficient c times its character,
+    exactly +-c on every cell, so adding each piece's packets in
     frequency order (first packets of all pieces, then second ones, ...)
     gives every cell the float sums of a packet-by-packet projection.
     """
@@ -198,9 +198,8 @@ def build_good_function(
         local, nu_s, rank_s = np.searchsorted(blocks, piece[at]), nu[at], rank[at]
         for r in range(rank_s.max() + 1):
             j, v = local[rank_s == r], nu_s[rank_s == r]
-            hot = np.zeros((len(j), 1 << bk))
-            hot[np.arange(len(j)), v] = coef[j, v]
-            g[row[blocks[j]][:, None], cells[j]] += synthesis_rows(hot, bk)
+            packets = coef[j, v][:, None] * walsh_rows(v, bk)
+            g[row[blocks[j]][:, None], cells[j]] += packets
 
     pieces = np.column_stack((row, scale, index))
     return GoodFunction(GridFunction2D(K, g), pieces, np.column_stack((piece, nu)), b2)

@@ -193,7 +193,7 @@ def tile_norm_table(
             raise ValueError("scale outside resolution range")
         B = 1 << (K + k)
         nb = 1 << -k
-        g0, g2 = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
+        g0, g2 = np.arange(nb)[:, None], np.arange(nb)
         if slot == 0:
             # C[i2, m1, nu] -> S[m2, m1, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
@@ -294,7 +294,7 @@ def _box_energy(F: GridFunction2D, slot: int):
         B = 1 << (K + kJ)
         nb = 1 << -kJ
         BS = SQ.reshape(nb, B, nb, B).sum(axis=(1, 3))  # [arg1_blk, arg2_blk]
-        grid0, grid2 = np.meshgrid(np.arange(nb), np.arange(nb), indexing="ij")
+        grid0, grid2 = np.arange(nb)[:, None], np.arange(nb)
         if slot == 0:
             energy = BS[grid0 ^ grid2, grid2]
         elif slot == 1:

@@ -35,6 +35,7 @@ from walshlab.wavelets import (
     _check_time,
     coefficient_rows,
     project_rows,
+    synthesis_rows,
     wave_packet,
 )
 
@@ -256,6 +257,33 @@ def good_pieces(good) -> Tuple[GoodPiece, ...]:
         GoodPiece(row, DyadicInterval(scale, index), tuple(f))
         for (row, scale, index), f in zip(good.pieces.tolist(), freqs)
     )
+
+
+def good_function_by_transforms(f2_tilde: GridFunction2D, good) -> np.ndarray:
+    """g of a `GoodFunction` by inverse transforms of one-hot coefficient rows.
+
+    The packets of its pieces are added in rank order (every piece's first
+    packet, then every second one, ...), each rank as one batch of rows
+    holding a single coefficient, synthesised back to cell values.
+    """
+    K = f2_tilde.resolution
+    row, scale, index = good.pieces.T
+    piece, nu = good.packets.T
+    rank = np.arange(len(piece)) - np.searchsorted(piece, piece)
+    g = np.zeros_like(f2_tilde.values)
+    for s in np.unique(scale[piece]).tolist():
+        bk = K + s
+        at = scale[piece] == s
+        blocks = np.unique(piece[at])
+        cells = (index[blocks] << bk)[:, None] + np.arange(1 << bk)
+        coef = coefficient_rows(f2_tilde.values[row[blocks][:, None], cells], bk)
+        local, nu_s, rank_s = np.searchsorted(blocks, piece[at]), nu[at], rank[at]
+        for r in range(rank_s.max() + 1):
+            j, v = local[rank_s == r], nu_s[rank_s == r]
+            hot = np.zeros((len(j), 1 << bk))
+            hot[np.arange(len(j)), v] = coef[j, v]
+            g[row[blocks[j]][:, None], cells[j]] += synthesis_rows(hot, bk)
+    return g
 
 
 def maximal_dyadic_intervals(cells: np.ndarray) -> List[DyadicInterval]:

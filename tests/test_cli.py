@@ -549,11 +549,65 @@ class TestTrialMap:
             timeout=120,
         )
         assert out.stdout.splitlines() == [
-            "WorkerError trial worker 1 ended without results (exit code 9)",
+            "WorkerError trial worker ended without results in case 1 (exit code 9)",
             "no child left",
-            "WorkerError trial worker 1 ended without results (exit code -9)",
+            "WorkerError trial worker ended without results in case 1 (exit code -9)",
             "no child left",
         ], out.stderr
+
+    def test_case_blocked_on_a_later_case_finishes(self):
+        # case 0 waits for the byte the last case writes: fixed interleaved
+        # shares hang whenever both fall in one share, as cases 0 and 4 of
+        # five do on two workers; pulled one at a time they run apart.  The
+        # alarm ends a stuck worker, so a regression fails instead of hanging
+        code = (
+            "import os, signal\n"
+            "from walshlab import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "r, w = os.pipe()\n"
+            "def wait():\n"
+            "    signal.alarm(60)\n"
+            "    return os.read(r, 1)\n"
+            "print(cli._map_trials([wait, int, int, int, lambda: os.write(w, b'x')]))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.stdout.splitlines() == ["[b'x', 0, 0, 0, 1]"], out.stderr
+
+    def test_more_cases_than_the_queue_pipe_holds(self):
+        # 64 KiB of pipe holds 16,384 indices: written before any worker
+        # pulls, the rest would block the parent forever
+        code = (
+            "import os\n"
+            "from functools import partial\n"
+            "from walshlab import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "calls = [partial(int, i) for i in range(20_000)]\n"
+            "print(cli._map_trials(calls) == list(range(20_000)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert out.stdout.splitlines() == ["True"], out.stderr
+
+    def test_each_case_runs_once_on_more_workers_than_cpus(self, tmp_path, monkeypatch):
+        # four workers race for one queue: each case appends its index to a
+        # shared file, so a case pulled twice or never shows there
+        use_cpus(monkeypatch, 4)
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            calls = [partial(os.write, log, b"%6d" % i) for i in range(3000)]
+            got = cli._map_trials(calls)
+        finally:
+            os.close(log)
+        assert got == [6] * 3000
+        ran = (tmp_path / "log").read_bytes()
+        ran = sorted(int(ran[k : k + 6]) for k in range(0, len(ran), 6))
+        assert ran == list(range(3000))
+        assert_no_child_left()
 
     def test_result_larger_than_a_pipe_buffer(self, monkeypatch):
         # each share is megabytes, far past the 64 KiB a pipe holds
@@ -564,7 +618,7 @@ class TestTrialMap:
         assert_no_child_left()
 
     def test_earliest_failing_case_raises(self, monkeypatch):
-        # worker 0 fails at case 4 first; worker 1's case 3 comes earlier
+        # case 4 fails at once while case 3 still runs; case 3 comes earlier
         use_cpus(monkeypatch, 2)
         calls = [partial(echo_after, i, 0.0) for i in range(6)]
         calls[3] = partial(raise_after, KeyError("case 3"), 0.05)
@@ -646,3 +700,34 @@ class TestTrialMap:
             for d in ("cpus2", "cpus1")
         )
         assert two == one and "verify_report.csv" in one
+
+    def test_constants_parent_leaves_numpy_ma_out(self, tmp_path):
+        # its 95th percentiles, taken in the parent, import no `numpy.ma`
+        # (about 12 ms of serial set-up)
+        code = (
+            "import os, sys\n"
+            "from walshlab import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "args = ['constants', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "assert cli.main(args) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        cfg = write_config(tmp_path, "resolution=3\ntrials=4\ngrid=16\n")
+        out = subprocess.run(
+            [sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert out.stdout.splitlines() == ["False"], out.stderr
+        assert (tmp_path / "out" / "constants_report.csv").exists()
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("q", [0, 50, 95, 100])
+    def test_bit_identical_to_numpy(self, q):
+        rng = np.random.default_rng(q)
+        for n in range(1, 201):
+            spread = rng.random(n) * 10.0 ** rng.integers(-3, 4)
+            ties = rng.integers(0, 4, n) * 0.37  # many equal values, zeros too
+            for values in (spread, ties):
+                want = float(np.percentile(values, q))
+                assert cli._percentile(values.tolist(), q).hex() == want.hex()

@@ -22,6 +22,7 @@ from walshlab.wavelets import WavePacketSpec, project_rows, wave_packet
 
 from .oracles import (
     GoodPiece,
+    good_function_by_transforms,
     good_pieces,
     maximal_dyadic_intervals,
     project_tile_1d,
@@ -315,6 +316,20 @@ class TestGoodFunctionArrays:
         # three packets on one piece: a single union-mask projection would
         # re-associate their sum
         assert most >= 3
+
+    @pytest.mark.parametrize("K", range(3, 9))
+    def test_bit_identical_to_one_hot_synthesis(self, K):
+        # c times a character is the inverse transform of a one-hot row
+        cases = [case for case in good_function_cases() if case[0].resolution == K]
+        cases += [
+            (f2, forest, sets.b2)
+            for sets, _, _, f2, forest in (replacement_instance(K, s) for s in range(4))
+        ]
+        assert any(forest for _, forest, _ in cases)
+        for f2, forest, b2 in cases:
+            good = build_good_function(f2, forest, b2)
+            want = good_function_by_transforms(f2, good)
+            assert good.g.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_on_selected_forests(self, seed):
