@@ -60,7 +60,6 @@ from .covering import (
     greedy_cover,
     lemma7r_check,
     lk_maximal,
-    overlap_check,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +110,6 @@ __all__ = [
     "Parallelogram",
     "SlopeField",
     "greedy_cover",
-    "overlap_check",
     "lemma7r_check",
     "lk_maximal",
 ]

@@ -288,130 +288,10 @@ def greedy_cover(
     return chosen, CoverTrace(tuple(steps), tuple(failures))
 
 
-def _linear_cross(p0, p1, q0, q1, xl, xr):
-    """x where two chords over [xl, xr] cross, if strictly inside."""
-    d0 = p0 - q0
-    d1 = p1 - q1
-    if d0 == d1:
-        return None
-    t = d0 / (d0 - d1)
-    if 0.0 < t < 1.0:
-        return xl + t * (xr - xl)
-    return None
-
-
-def intersection_measure(rs: Sequence[Parallelogram]) -> float:
-    """Exact area of the intersection of finitely many parallelograms."""
-    if not rs:
-        return 0.0
-    xl = max(r.x_left for r in rs)
-    xr = min(r.x_right for r in rs)
-    if xl >= xr:
-        return 0.0
-    bots = [(r.y_bounds(xl)[0], r.y_bounds(xr)[0]) for r in rs]
-    tops = [(r.y_bounds(xl)[1], r.y_bounds(xr)[1]) for r in rs]
-    cuts = {xl, xr}
-    chords = bots + tops
-    for i in range(len(chords)):
-        for j in range(i + 1, len(chords)):
-            x = _linear_cross(*chords[i], *chords[j], xl, xr)
-            if x is not None:
-                cuts.add(x)
-    xs = sorted(cuts)
-
-    def gap(x):
-        t = (x - xl) / (xr - xl)
-        top = min(a + t * (b - a) for a, b in tops)
-        bot = max(a + t * (b - a) for a, b in bots)
-        return top - bot
-
-    area = 0.0
-    for a, b in zip(xs, xs[1:]):
-        ga, gb = gap(a), gap(b)
-        if ga <= 0.0 and gb <= 0.0:
-            continue
-        if ga >= 0.0 and gb >= 0.0:
-            area += 0.5 * (ga + gb) * (b - a)
-        else:
-            # one sign change; the chord crossing zero cuts the trapezoid
-            root = a + (b - a) * ga / (ga - gb)
-            if ga > 0.0:
-                area += 0.5 * ga * (root - a)
-            else:
-                area += 0.5 * gb * (b - root)
-    return area
-
-
 def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:
     """Grid integral of the squared sum of the members' indicators."""
     field = np.bincount(_segments(selected, grid)[0], minlength=grid * grid)
     return float((field ** 2).sum() * (1.0 / grid ** 2))
-
-
-def overlap_check(
-    selected: Sequence[Parallelogram],
-    u: SlopeField,
-    q_or_n: int,
-    delta: float = 1.0,
-) -> dict:
-    """Overlap functionals of a selected family, with comparison ratios.
-
-    Computes the q-th power integral of the sum of E(R) indicators, the
-    n-fold overlap sum over ordered tuples with intersecting uncertainty
-    intervals (exact areas), and the grid square integral of the sum of R
-    indicators against delta^-1 times the total measure.
-    """
-    n = int(q_or_n)
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    grid = u.n
-    index, counts, _ = _segments(selected, grid)
-    e_field = np.bincount(index[_in_e(selected, u, index, counts)], minlength=grid * grid)
-    e_integral = float((e_field ** n).sum() * (1.0 / grid ** 2))
-    square = square_integral(selected, grid)
-    total = sum(r.measure for r in selected)
-
-    overlap = 0.0
-    if selected:
-        order = [(r, *r.uncertainty) for r in selected]
-
-        # (lo, hi) is the intersection of the chain's uncertainty intervals:
-        # they share a slope exactly when lo <= hi
-        def extend(chain: List[Parallelogram], lo: float, hi: float):
-            nonlocal overlap
-            for r, r_lo, r_hi in order:
-                t_lo, t_hi = max(lo, r_lo), min(hi, r_hi)
-                if not t_lo <= t_hi:
-                    continue
-                trial = chain + [r]
-                area = intersection_measure(trial)
-                if area <= 0.0:
-                    continue
-                if len(trial) == n:
-                    overlap += area
-                else:
-                    extend(trial, t_lo, t_hi)
-
-        extend([], -np.inf, np.inf)
-
-    def ratio(num, den):
-        if num == 0.0:
-            return 0.0
-        return num / den if den else np.inf
-
-    return {
-        "order": n,
-        "e_integral": e_integral,
-        "e_ratio": ratio(e_integral, total),
-        "u_overlap_sum": overlap,
-        "u_overlap_ratio": ratio(overlap, total),
-        "square_integral": square,
-        "square_ratio": ratio(square, total / delta),
-        "sum_measures": total,
-        "delta": delta,
-    }
 
 
 def lemma7r_check(r: Parallelogram, rp: Parallelogram):
@@ -457,15 +337,18 @@ def lk_maximal(
     """Pointwise largest average of f over a family member through the cell."""
     n = 1 << f.resolution
     out = np.zeros((n, n))
-    for r in parallelograms:
-        cells = cols, y_lo, y_hi = r.grid_cells(n)
-        count = int((y_hi - y_lo).sum())
+    cols, y_lo, y_hi, ncols = _columns(parallelograms, n)
+    starts = np.cumsum(ncols) - ncols
+    counts = np.add.reduceat(y_hi - y_lo, starts)
+    spans = cols.tolist(), y_lo.tolist(), y_hi.tolist()
+    for start, size, count in zip(starts.tolist(), ncols.tolist(), counts.tolist()):
         if count == 0:
             continue
+        member = slice(start, start + size)
         total = 0.0
-        for c, a, b in zip(cols.tolist(), y_lo.tolist(), y_hi.tolist()):
+        for c, a, b in zip(*(span[member] for span in spans)):
             total += f.values[c, a:b].sum()  # per-column sums fix the rounding
-        cs, ys, m = _box(*cells)
+        cs, ys, m = _box(cols[member], y_lo[member], y_hi[member])
         box = out[cs, ys]
         np.maximum(box, total / count, out=box, where=m)
     return GridFunction2D(f.resolution, out)

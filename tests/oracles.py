@@ -21,7 +21,10 @@ from walshlab.covering import (
     CoverTrace,
     Parallelogram,
     SlopeField,
+    _in_e,
+    _segments,
     _vertical_margin,
+    square_integral,
 )
 from walshlab.ensembles import DENSE_HEIGHTS, DENSE_MAX_TRIES
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
@@ -491,7 +494,7 @@ def vertical_maximal(values: np.ndarray) -> np.ndarray:
 def lk_maximal_masked(
     f: GridFunction2D, parallelograms: Sequence[Parallelogram]
 ) -> GridFunction2D:
-    """`lk_maximal` gathering each column's cells through a full-column mask."""
+    """`lk_maximal` member by member: its own `grid_cells` and full-column masks."""
     n = 1 << f.resolution
     out = np.zeros((n, n))
     for r in parallelograms:
@@ -542,3 +545,123 @@ def lemma7r_fraction(r: Parallelogram, rp: Parallelogram):
         return "inapplicable"
     slack = (7 * hp - 7 * h) / 2
     return abs(g_l) <= slack and abs(g_r) <= slack
+
+
+def _linear_cross(p0, p1, q0, q1, xl, xr):
+    """x where two chords over [xl, xr] cross, if strictly inside."""
+    d0 = p0 - q0
+    d1 = p1 - q1
+    if d0 == d1:
+        return None
+    t = d0 / (d0 - d1)
+    if 0.0 < t < 1.0:
+        return xl + t * (xr - xl)
+    return None
+
+
+def intersection_measure(rs: Sequence[Parallelogram]) -> float:
+    """Exact area of the intersection of finitely many parallelograms."""
+    if not rs:
+        return 0.0
+    xl = max(r.x_left for r in rs)
+    xr = min(r.x_right for r in rs)
+    if xl >= xr:
+        return 0.0
+    bots = [(r.y_bounds(xl)[0], r.y_bounds(xr)[0]) for r in rs]
+    tops = [(r.y_bounds(xl)[1], r.y_bounds(xr)[1]) for r in rs]
+    cuts = {xl, xr}
+    chords = bots + tops
+    for i in range(len(chords)):
+        for j in range(i + 1, len(chords)):
+            x = _linear_cross(*chords[i], *chords[j], xl, xr)
+            if x is not None:
+                cuts.add(x)
+    xs = sorted(cuts)
+
+    def gap(x):
+        t = (x - xl) / (xr - xl)
+        top = min(a + t * (b - a) for a, b in tops)
+        bot = max(a + t * (b - a) for a, b in bots)
+        return top - bot
+
+    area = 0.0
+    for a, b in zip(xs, xs[1:]):
+        ga, gb = gap(a), gap(b)
+        if ga <= 0.0 and gb <= 0.0:
+            continue
+        if ga >= 0.0 and gb >= 0.0:
+            area += 0.5 * (ga + gb) * (b - a)
+        else:
+            # one sign change; the chord crossing zero cuts the trapezoid
+            root = a + (b - a) * ga / (ga - gb)
+            if ga > 0.0:
+                area += 0.5 * ga * (root - a)
+            else:
+                area += 0.5 * gb * (b - root)
+    return area
+
+
+def overlap_check(
+    selected: Sequence[Parallelogram],
+    u: SlopeField,
+    q_or_n: int,
+    delta: float = 1.0,
+) -> dict:
+    """Overlap functionals of a selected family, with comparison ratios.
+
+    Computes the q-th power integral of the sum of E(R) indicators, the
+    n-fold overlap sum over ordered tuples with intersecting uncertainty
+    intervals (exact areas), and the grid square integral of the sum of R
+    indicators against delta^-1 times the total measure.
+    """
+    n = int(q_or_n)
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    grid = u.n
+    index, counts, _ = _segments(selected, grid)
+    e_field = np.bincount(index[_in_e(selected, u, index, counts)], minlength=grid * grid)
+    e_integral = float((e_field ** n).sum() * (1.0 / grid ** 2))
+    square = square_integral(selected, grid)
+    total = sum(r.measure for r in selected)
+
+    overlap = 0.0
+    if selected:
+        order = [(r, *r.uncertainty) for r in selected]
+
+        # (lo, hi) is the intersection of the chain's uncertainty intervals:
+        # they share a slope exactly when lo <= hi
+        def extend(chain: List[Parallelogram], lo: float, hi: float):
+            nonlocal overlap
+            for r, r_lo, r_hi in order:
+                t_lo, t_hi = max(lo, r_lo), min(hi, r_hi)
+                if not t_lo <= t_hi:
+                    continue
+                trial = chain + [r]
+                area = intersection_measure(trial)
+                if area <= 0.0:
+                    continue
+                if len(trial) == n:
+                    overlap += area
+                else:
+                    extend(trial, t_lo, t_hi)
+
+        extend([], -np.inf, np.inf)
+
+    def ratio(num, den):
+        if num == 0.0:
+            return 0.0
+        return num / den if den else np.inf
+
+    return {
+        "order": n,
+        "e_integral": e_integral,
+        "e_ratio": ratio(e_integral, total),
+        "u_overlap_sum": overlap,
+        "u_overlap_ratio": ratio(overlap, total),
+        "square_integral": square,
+        "square_ratio": ratio(square, total / delta),
+        "sum_measures": total,
+        "delta": delta,
+    }

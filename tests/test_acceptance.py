@@ -20,7 +20,6 @@ from walshlab.covering import (
     SlopeField,
     greedy_cover,
     lemma7r_check,
-    overlap_check,
 )
 from walshlab.ensembles import (
     cone_slope_field,
@@ -63,7 +62,7 @@ from walshlab.triform import (
 from walshlab.walsh import WalshNumber, walsh_add, walsh_mul
 from walshlab.wavelets import fwht, walsh_fn
 
-from .oracles import down_set, vertical_superlevel
+from .oracles import down_set, overlap_check, vertical_superlevel
 
 TOL = 1e-9
 

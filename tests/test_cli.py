@@ -1,12 +1,15 @@
 """Command line harness: config handling, reports, transforms, exit codes."""
 
+import ctypes
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 from functools import partial
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -731,3 +734,51 @@ class TestPercentile:
             for values in (spread, ties):
                 want = float(np.percentile(values, q))
                 assert cli._percentile(values.tolist(), q).hex() == want.hex()
+
+
+class TestHeapPolicy:
+    def test_large_temporaries_are_not_faulted_in_afresh(self, tmp_path):
+        # at K = 8 each temporary is a 512 KiB array; a one-CPU run that
+        # hands them back to the kernel on free takes about 18,000 faults
+        # more than the import, one that keeps them in the heap about 1,800
+        cfg = write_config(
+            tmp_path, "resolution=8\ntrials=1\nsuite=telescoping,bitile_sum,appendix\n"
+        )
+        env = dict(src_env(), PYTHONDONTWRITEBYTECODE="1")  # both compile alike
+        run = (
+            "import os, sys\n"
+            "from walshlab import cli\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "args = ['verify', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "sys.exit(cli.main(args))\n"
+        )
+
+        def faults(*args):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            subprocess.run(
+                [sys.executable, "-c", *args], env=env, capture_output=True, check=True,
+                timeout=120,
+            )
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        work = faults(run, cfg, str(tmp_path / "out")) - faults("import walshlab.cli")
+        assert work < 5000
+
+    def test_runs_where_the_c_library_has_no_mallopt(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, SMALL)
+        use_cpus(monkeypatch, 1)
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "with"]) == 0
+        opened = []
+
+        def c_library(name):  # one without `mallopt`
+            opened.append(name)
+            return SimpleNamespace()
+
+        monkeypatch.setattr(ctypes, "CDLL", c_library)
+        assert run_main(["verify", "--config", cfg, "--out", tmp_path / "without"]) == 0
+        assert opened == [None]
+        with_, without = (
+            {p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+            for d in ("with", "without")
+        )
+        assert with_ == without and "verify_report.csv" in with_

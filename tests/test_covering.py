@@ -14,10 +14,8 @@ from walshlab.covering import (
     SlopeField,
     densities,
     greedy_cover,
-    intersection_measure,
     lemma7r_check,
     lk_maximal,
-    overlap_check,
     square_integral,
     _box,
     _columns,
@@ -42,8 +40,10 @@ from .oracles import (
     e_set,
     full_dilate,
     grid_cells_scalar,
+    intersection_measure,
     lemma7r_fraction,
     lk_maximal_masked,
+    overlap_check,
     uncertainty_overlap,
     vertical_maximal,
     vertical_superlevel,
@@ -833,3 +833,20 @@ class TestLKMaximal:
         got = lk_maximal(f, rs).values
         assert np.array_equal(got, lk_maximal_masked(f, rs).values)
         assert got.any()
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_columns_pass_matches_per_member_cells_bit_for_bit(self, n, seed):
+        # one `_columns` pass for the family against each member's own
+        # `grid_cells`, also on dense families (as the lk_weak probe draws
+        # them) and on the empty family
+        rng = np.random.default_rng(190 + seed)
+        f = GridFunction2D(n.bit_length() - 1, rng.standard_normal((n, n)))
+        u = cone_slope_field(rng, n, 0.3)
+        for rs in (
+            random_members(rng, n, 30),
+            dense_parallelograms(rng, u, 0.5, count=15, scale_range=(-3, -1)),
+            [],
+        ):
+            got = lk_maximal(f, rs).values
+            assert np.array_equal(got, lk_maximal_masked(f, rs).values)
