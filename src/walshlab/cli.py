@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .covering import SlopeField, greedy_cover, lemma7r_check, lk_maximal, square_integral
+from .covering import SlopeField, cover_picks, lemma7r_check, lk_maximal, square_integral
 from .ensembles import (
     cone_slope_field,
     dense_parallelograms,
@@ -99,6 +99,7 @@ SUITE_NAMES = (
     "lemma7r",
 )
 MAX_RESOLUTION = 8
+MAX_GRID = 8192  # the covering's column-mass removal needs grid * 1e-4 < 1
 
 
 class CliError(Exception):
@@ -209,6 +210,8 @@ def build_config(
         raise CliError("delta must lie in (0, 1]")
     if cfg.grid < 8 or cfg.grid & (cfg.grid - 1):
         raise CliError("grid must be a power of two, at least 8")
+    if cfg.grid > MAX_GRID:
+        raise CliError(f"grid above supported range ({MAX_GRID})")
     return cfg
 
 
@@ -658,7 +661,7 @@ def _probe_cover_overlap(cfg: Config, t: int) -> List[Row]:
     family = dense_parallelograms(
         rng, u, cfg.delta, count=25, scale_range=_dense_scales(cfg.grid)
     )
-    selected, _ = greedy_cover(family, u, cfg.delta)
+    selected = [family[i] for i in cover_picks(family, u, cfg.delta)[0]]
     return [
         _probe_row(
             "constants",
@@ -845,14 +848,15 @@ def _cover_trial(cfg: Config, t: int) -> Tuple[List[Row], List[tuple]]:
     family = dense_parallelograms(
         rng, u, cfg.delta, count=40, scale_range=_dense_scales(n)
     )
-    selected, trace = greedy_cover(family, u, cfg.delta)
-    removed = sum(len(step.removed) for step in trace.steps)
+    picks, removals, failures = cover_picks(family, u, cfg.delta)
+    selected = [family[i] for i in picks]
+    removed = sum(map(len, removals))
     rows = [
         _row("cover", f"{kind}_t{t}_uncovered", float(len(family) - removed), 0.0),
         _row(
             "cover",
             f"{kind}_t{t}_density_failures",
-            float(len(trace.density_failures)),
+            float(len(failures)),
             0.0,
         ),
         _probe_row(

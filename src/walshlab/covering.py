@@ -20,7 +20,6 @@ from .gridfn import GridFunction2D
 from .walsh import DyadicInterval
 
 VERTICAL_THRESHOLD = 1e-4  # removal level of the covering iteration
-DENSITY_SLOPE_BOUND = 1.0 / 30.0  # L(R) * Lipschitz constant cap
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,6 @@ class Parallelogram:
         half = self.height / self.length
         return (self.slope - half, self.slope + half)
 
-    def y_bounds(self, x: float) -> Tuple[float, float]:
-        lo = self.base_y + self.slope * (x - self.x_left)
-        return (lo, lo + self.height)
-
     def height_dilate(self, a: float) -> "Parallelogram":
         """Same center, slope, and shadow; height scaled by a.
 
@@ -92,10 +87,13 @@ def _columns(rs: Sequence[Parallelogram], n: int):
     Returns the column indices, the half-open row ranges [y_lo, y_hi) of
     the cell centers inside the member, and each member's column count.
     """
-    scale, index, base, slope, height = np.reshape(
+    table = np.reshape(
         [(r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height) for r in rs],
         (-1, 5),
-    ).T
+    )
+    if not np.isfinite(table[:, 2:]).all():
+        raise ValueError("base, slope and height must be finite")
+    scale, index, base, slope, height = table.T
     length = np.ldexp(1.0, scale.astype(np.int64))
     if np.any(length * n < 1.0):
         raise ValueError("shadow finer than the grid")
@@ -139,7 +137,7 @@ class SlopeField:
         n = v.shape[0]
         if n & (n - 1):
             raise ValueError("grid side must be a power of two")
-        if np.any(np.abs(v) > 1.0):
+        if not np.all(np.abs(v) <= 1.0):  # NaN fails too
             raise ValueError("slopes must lie in [-1, 1]")
         self.values = v
         self.n = n
@@ -148,18 +146,6 @@ class SlopeField:
     @classmethod
     def constant(cls, n: int, value: float) -> "SlopeField":
         return cls(np.full((n, n), float(value)), lipschitz=0.0)
-
-    def measured_lipschitz(self) -> float:
-        """Largest slope between adjacent cell centers; a lower bound."""
-        dx = np.abs(np.diff(self.values, axis=0)).max(initial=0.0)
-        dy = np.abs(np.diff(self.values, axis=1)).max(initial=0.0)
-        return max(dx, dy) * self.n
-
-    def lipschitz_hypothesis(self, r: Parallelogram) -> bool:
-        """Whether L(R) times the certified constant stays under 1/30."""
-        if self.lipschitz is None:
-            raise ValueError("no Lipschitz certificate recorded")
-        return r.length * self.lipschitz <= DENSITY_SLOPE_BOUND
 
 
 def _box(cols, y_lo, y_hi):
@@ -178,17 +164,14 @@ def _in_e(rs: Sequence[Parallelogram], u: SlopeField, index, counts) -> np.ndarr
     return (v >= lo) & (v <= hi)
 
 
-def _densities(rs: Sequence[Parallelogram], u: SlopeField, index, counts, starts):
+def densities(rs: Sequence[Parallelogram], u: SlopeField) -> np.ndarray:
+    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R."""
+    index, counts, starts = _segments(rs, u.n)
     out = np.ones(len(rs))
     held = np.flatnonzero(counts)
     e = np.add.reduceat(_in_e(rs, u, index, counts), starts[held], dtype=np.int64)
     out[held] = e / counts[held]
     return out
-
-
-def densities(rs: Sequence[Parallelogram], u: SlopeField) -> np.ndarray:
-    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R."""
-    return _densities(rs, u, *_segments(rs, u.n))
 
 
 def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -222,7 +205,7 @@ class CoverTrace:
     density_failures: Tuple[int, ...]
 
 
-def greedy_cover(
+def cover_picks(
     parallelograms: Sequence[Parallelogram],
     u: SlopeField,
     delta: Optional[float] = None,
@@ -232,60 +215,103 @@ def greedy_cover(
     Repeatedly selects a remaining parallelogram of maximal shadow length
     (ties: larger height, then input order) and removes everything whose
     cells all sit where the vertical maximal function of the selection's
-    7-fold height-dilates reaches 1e-4.  The margin field is kept across
-    steps: a pick changes the dilate field only on its shadow's columns,
-    and columns are independent, so only those are rescanned and only the
-    members left over them re-read their minimum margin.  The trace
-    records, per removed input, a certified lower bound on that maximal
-    function over its cells.  When delta is given, inputs failing the
-    density condition |E(R)| >= delta |R| are reported in the trace and
-    still processed: the precondition is the caller's, not repaired here.
+    7-fold height-dilates reaches VERTICAL_THRESHOLD.  Returns the picks
+    in order, each step's removed members in input order, and the inputs
+    failing the density condition |E(R)| >= delta |R| when delta is given;
+    those are still processed: the precondition is the caller's.
+
+    Removals are decided by column mass, with no n x n array.  The dilate
+    field counts whole cells, so if a column holds one dilate cell, every
+    cell of that column lies in a vertical interval of at most n cells
+    that reaches it, whose average is at least 1/n.  A column without one
+    has maximal function 0.  So while n * VERTICAL_THRESHOLD < 1 (checked:
+    ValueError otherwise), a member is removed exactly when each column
+    holding a cell of it is massed, that is, holds a cell of a selected
+    dilate; a cell-free member leaves at the first step.
     """
     if delta is not None and not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     rs = parallelograms
     n = u.n
+    if not n * VERTICAL_THRESHOLD < 1.0:
+        raise ValueError("column mass decides removals only while n * threshold < 1")
     if not rs:
-        return [], CoverTrace((), ())
-    segments = index, counts, starts = _segments(rs, n)
+        return [], [], ()
     failures = ()
     if delta is not None:  # cell-free members pass
-        failures = np.flatnonzero(_densities(rs, u, *segments) < delta).tolist()
+        failures = tuple(np.flatnonzero(densities(rs, u) < delta).tolist())
     order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
-    x_left, x_right = np.array([(r.x_left, r.x_right) for r in rs]).T
-    *dilates, ncols = _columns([r.height_dilate(7.0) for r in rs], n)
+    cols, y_lo, y_hi, ncols = _columns(rs, n)
     first = np.cumsum(ncols) - ncols
-    # a member's margin is best's minimum over its cells: that of an empty
-    # column before any pick, +inf without cells (any step removes it)
-    held = counts > 0
+    # a dilate keeps its member's shadow, so its columns are the member's
+    _, d_lo, d_hi, _ = _columns([r.height_dilate(7.0) for r in rs], n)
+    mass = d_hi > d_lo
+    unmassed = y_hi > y_lo  # a member's cell columns that hold no dilate cell yet
+    massed = np.zeros(n, dtype=bool)
     left = np.ones(len(rs), dtype=bool)
-    margins = np.where(held, -VERTICAL_THRESHOLD, np.inf)
-    field = np.zeros((n, n))
-    best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
-    selected: List[int] = []
-    steps: List[CoverStep] = []
+    picks: List[int] = []
+    removals: List[Tuple[int, ...]] = []
     for pick in order:
         if not left[pick]:
             continue
-        selected.append(pick)
-        r = rs[pick]
+        picks.append(pick)
         span = slice(first[pick], first[pick] + ncols[pick])
-        cs, ys, m = _box(*(a[span] for a in dilates))
+        massed[cols[span][mass[span]]] = True
+        unmassed &= ~massed[cols]
+        removed = np.flatnonzero(left & ~np.logical_or.reduceat(unmassed, first))
+        left[removed] = False
+        removals.append(tuple(removed.tolist()))
+    return picks, removals, failures
+
+
+def greedy_cover(
+    parallelograms: Sequence[Parallelogram],
+    u: SlopeField,
+    delta: Optional[float] = None,
+):
+    """The covering selection of `cover_picks`, with a certified witness per removal.
+
+    Takes the picks and each step's removals from `cover_picks` and
+    replays them through the vertical margin field: each pick adds its
+    7-fold height-dilate to the field and rescans only its own columns
+    (columns are independent).  Then only that step's removed members
+    read their minimum margin, and the trace records for each a certified
+    lower bound on the vertical maximal function over its cells (+inf for
+    a cell-free member).  A removed member whose margin is negative raises
+    `RuntimeError`, so the replay checks the column-mass decision.  The
+    selected parallelograms come back in pick order; the trace also holds
+    the density failures, reported and still processed as in
+    `cover_picks`.
+    """
+    picks, removals, failures = cover_picks(parallelograms, u, delta)
+    rs = parallelograms
+    n = u.n
+    if not rs:
+        return [], CoverTrace((), ())
+    index, counts, starts = _segments(rs, n)
+    *dilates, ncols = _columns([rs[i].height_dilate(7.0) for i in picks], n)
+    first = np.cumsum(ncols) - ncols
+    field = np.zeros((n, n))
+    best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
+    steps: List[CoverStep] = []
+    for pick, removed, start, size in zip(picks, removals, first, ncols):
+        cs, ys, m = _box(*(a[start : start + size] for a in dilates))
         field[cs, ys] += m
         best[cs] = _vertical_margin(field[cs], VERTICAL_THRESHOLD)
-        # best moved on the pick's columns alone: re-gather the members
-        # left there, one segment each
-        near = np.flatnonzero(left & held & (x_left < r.x_right) & (x_right > r.x_left))
-        sizes = counts[near]
+        # min of best over each removed member's cells; +inf without cells
+        gone = np.array(removed, dtype=np.int64)
+        sizes = counts[gone]
         offsets = np.cumsum(sizes) - sizes
-        at = np.repeat(starts[near] - offsets, sizes) + np.arange(sizes.sum())
-        margins[near] = np.minimum.reduceat(best.ravel()[index[at]], offsets)
-        removed = np.flatnonzero(left & (margins >= 0.0))
-        left[removed] = False
-        witnesses = VERTICAL_THRESHOLD + margins[removed] / n
-        steps.append(CoverStep(pick, tuple(removed.tolist()), tuple(witnesses)))
-    chosen = [rs[i] for i in selected]
-    return chosen, CoverTrace(tuple(steps), tuple(failures))
+        at = np.repeat(starts[gone] - offsets, sizes) + np.arange(sizes.sum())
+        margins = np.full(gone.size, np.inf)
+        held = sizes > 0
+        if held.any():
+            margins[held] = np.minimum.reduceat(best.ravel()[index[at]], offsets[held])
+        if np.any(margins < 0.0):
+            raise RuntimeError("column mass removed a member below the threshold")
+        witnesses = VERTICAL_THRESHOLD + margins / n
+        steps.append(CoverStep(pick, removed, tuple(witnesses)))
+    return [rs[i] for i in picks], CoverTrace(tuple(steps), failures)
 
 
 def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:

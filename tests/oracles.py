@@ -350,6 +350,29 @@ class ExpandedParallelogram:
         return (self.slope - half, self.slope + half)
 
 
+DENSITY_SLOPE_BOUND = 1.0 / 30.0  # L(R) * Lipschitz constant cap
+
+
+def y_bounds(r: Parallelogram, x: float) -> Tuple[float, float]:
+    """Lower and upper edge of R's vertical section at x."""
+    lo = r.base_y + r.slope * (x - r.x_left)
+    return (lo, lo + r.height)
+
+
+def measured_lipschitz(u: SlopeField) -> float:
+    """Largest slope between adjacent cell centers; a lower bound."""
+    dx = np.abs(np.diff(u.values, axis=0)).max(initial=0.0)
+    dy = np.abs(np.diff(u.values, axis=1)).max(initial=0.0)
+    return max(dx, dy) * u.n
+
+
+def lipschitz_hypothesis(u: SlopeField, r: Parallelogram) -> bool:
+    """Whether L(R) times the certified constant stays under 1/30."""
+    if u.lipschitz is None:
+        raise ValueError("no Lipschitz certificate recorded")
+    return r.length * u.lipschitz <= DENSITY_SLOPE_BOUND
+
+
 def center_y(r: Parallelogram, x: float) -> float:
     return r.base_y + r.slope * (x - r.x_left) + 0.5 * r.height
 
@@ -567,8 +590,8 @@ def intersection_measure(rs: Sequence[Parallelogram]) -> float:
     xr = min(r.x_right for r in rs)
     if xl >= xr:
         return 0.0
-    bots = [(r.y_bounds(xl)[0], r.y_bounds(xr)[0]) for r in rs]
-    tops = [(r.y_bounds(xl)[1], r.y_bounds(xr)[1]) for r in rs]
+    bots = [(y_bounds(r, xl)[0], y_bounds(r, xr)[0]) for r in rs]
+    tops = [(y_bounds(r, xl)[1], y_bounds(r, xr)[1]) for r in rs]
     cuts = {xl, xr}
     chords = bots + tops
     for i in range(len(chords)):

@@ -61,6 +61,11 @@ class TestConfig:
         with pytest.raises(CliError, match="above supported range"):
             build_config({"resolution": "9"})
 
+    def test_grid_ceiling(self):
+        assert build_config({"grid": "8192"}).grid == 8192
+        with pytest.raises(CliError, match=r"above supported range \(8192\)"):
+            build_config({"grid": "16384"})
+
     def test_bad_integer(self):
         with pytest.raises(CliError, match="needs an integer"):
             build_config({"trials": "three"})
@@ -418,6 +423,37 @@ class TestCover:
         }
         assert got == want
         assert set(want) == {"cover_report.csv", "cover_selected.csv"}
+
+    @pytest.mark.parametrize(
+        "config, seed, digests",
+        [
+            (
+                "grid=64\ntrials=12\n",
+                1,
+                (
+                    "5b58319379f501dfa5b0f01d41787ec067b8caaa279f0bb6749a453a648b8a5c",
+                    "085921c8404632335fd5e95d5bcd47dd84b5e3dd6a7d6f04adc013400ee54fc3",
+                ),
+            ),
+            (
+                "grid=128\ntrials=6\n",
+                2,
+                (
+                    "d7ee5053bf5f581613a10c74f9c1162835e468d24fe91b23aaa11c65e43c250a",
+                    "399882f5a786f21a3f17c6d27d61841c8215b41316e6ee63f77b78995387bc04",
+                ),
+            ),
+        ],
+        ids=["g64-seed1", "g128-seed2"],
+    )
+    def test_reports_pinned(self, tmp_path, config, seed, digests):
+        cfg = write_config(tmp_path, config)
+        assert run_main(["cover", "--config", cfg, "--seed", seed, "--out", tmp_path]) == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("cover_report.csv", "cover_selected.csv")
+        )
+        assert got == digests
 
     def test_bad_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "delta=0\n")

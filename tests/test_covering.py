@@ -6,12 +6,14 @@ import itertools
 import numpy as np
 import pytest
 
+from walshlab import covering
 from walshlab.covering import (
     VERTICAL_THRESHOLD,
     CoverStep,
     CoverTrace,
     Parallelogram,
     SlopeField,
+    cover_picks,
     densities,
     greedy_cover,
     lemma7r_check,
@@ -42,11 +44,14 @@ from .oracles import (
     grid_cells_scalar,
     intersection_measure,
     lemma7r_fraction,
+    lipschitz_hypothesis,
     lk_maximal_masked,
+    measured_lipschitz,
     overlap_check,
     uncertainty_overlap,
     vertical_maximal,
     vertical_superlevel,
+    y_bounds,
 )
 
 
@@ -62,7 +67,7 @@ def brute_mask(r, n):
         x = (ix + 0.5) / n
         if not r.x_left <= x < r.x_right:
             continue
-        lo, hi = r.y_bounds(x)
+        lo, hi = y_bounds(r, x)
         for iy in range(n):
             y = (iy + 0.5) / n
             out[ix, iy] = lo <= y < hi
@@ -229,6 +234,25 @@ class TestFamilyCells:
         with pytest.raises(ValueError, match="finer than the grid"):
             densities([fine], u)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_y", np.nan),
+            ("base_y", -np.inf),
+            ("slope", np.nan),
+            ("slope", np.inf),
+            ("height", np.nan),
+            ("height", np.inf),
+        ],
+    )
+    def test_non_finite_geometry_raises(self, field, value):
+        bad = dataclasses.replace(make(-1, 0, 0.2, 0.1, 0.1), **{field: value})
+        rs = [make(-2, 1, 0.3, 0.0, 0.2), bad]
+        u = SlopeField.constant(16, 0.0)
+        for call in (lambda: _columns(rs, 16), lambda: densities(rs, u), lambda: greedy_cover(rs, u)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_empty_family(self):
         index, counts, starts = _segments([], 16)
         assert index.size == counts.size == starts.size == 0
@@ -258,20 +282,26 @@ class TestSlopeField:
         with pytest.raises(ValueError, match="lie in"):
             SlopeField(np.full((4, 4), 1.5))
 
+    def test_nan_slopes_rejected(self):
+        values = np.zeros((4, 4))
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match="lie in"):
+            SlopeField(values)
+
     def test_measured_lipschitz_of_linear_field(self):
         n = 16
         x = (np.arange(n) + 0.5) / n
         u = SlopeField(np.tile(0.5 * x[:, None], (1, n)))
-        assert u.measured_lipschitz() == pytest.approx(0.5)
-        assert SlopeField.constant(8, 0.3).measured_lipschitz() == 0.0
+        assert measured_lipschitz(u) == pytest.approx(0.5)
+        assert measured_lipschitz(SlopeField.constant(8, 0.3)) == 0.0
 
     def test_lipschitz_hypothesis(self):
         u = SlopeField(np.zeros((8, 8)), lipschitz=1.0 / 15.0)
-        assert u.lipschitz_hypothesis(make(-1, 0, 0.0, 0.0, 0.1))
-        assert not u.lipschitz_hypothesis(make(0, 0, 0.0, 0.0, 0.1))
+        assert lipschitz_hypothesis(u, make(-1, 0, 0.0, 0.0, 0.1))
+        assert not lipschitz_hypothesis(u, make(0, 0, 0.0, 0.0, 0.1))
         bare = SlopeField(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="certificate"):
-            bare.lipschitz_hypothesis(make(0, 0, 0.0, 0.0, 0.1))
+            lipschitz_hypothesis(bare, make(0, 0, 0.0, 0.0, 0.1))
 
 
 class TestESet:
@@ -541,6 +571,65 @@ class TestGreedyCover:
     def test_empty_family(self):
         for delta in (None, 0.5):
             assert greedy_cover([], self.grid(), delta) == ([], CoverTrace((), ()))
+
+
+def step_table(trace):
+    return (
+        [step.selected for step in trace.steps],
+        [step.removed for step in trace.steps],
+        trace.density_failures,
+    )
+
+
+class TestCoverPicks:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_column_mass_matches_margins(self, n, seed):
+        rng = np.random.default_rng(150 + seed)
+        lo = max(-5, 1 - n.bit_length())
+        steps = 0
+        for u in slope_fields(rng, n):
+            # narrow random members, so that picks leave others standing
+            rs = [r for r in random_members(rng, n, 30) if r.length <= 0.25]
+            rs += one_column_members(rng, n, 4)
+            rs += dense_parallelograms(rng, u, 0.3, 20, scale_range=(lo, max(-3, lo)))
+            rs.insert(5, make(-2, 1, 3.1 / n, 0.0, 0.4 / n))  # cell-free
+            # the widest member, picked first: it leaves the grid at the top
+            # early, so its dilate holds cells in a few of its columns only
+            rs.append(make(-1, 0, 0.9, 1.0, 0.02))
+            for delta in (None, 0.3, 0.8):
+                picks, removals, failures = cover_picks(rs, u, delta)
+                chosen, trace = greedy_cover(rs, u, delta)
+                want_chosen, want = all_member_cover(rs, u, delta)
+                assert (picks, removals, failures) == step_table(trace) == step_table(want)
+                assert [rs[i] for i in picks] == chosen == want_chosen
+                assert picks[0] == len(rs) - 1 and 5 in removals[0]
+                assert sorted(i for step in removals for i in step) == list(range(len(rs)))
+                steps += len(picks)
+        assert steps >= 5 * 9  # about five picks per family or more
+
+    def test_premise_checked(self, monkeypatch):
+        n = 32
+        u = SlopeField.constant(n, 0.0)
+        rs = [make(-1, 0, 0.2, 0.1, 0.1)]
+        monkeypatch.setattr(covering, "VERTICAL_THRESHOLD", 1.0 / n)
+        for call in (cover_picks, greedy_cover):
+            with pytest.raises(ValueError, match="threshold"):
+                call(rs, u)
+
+    def test_replay_refuses_an_uncovered_removal(self, monkeypatch):
+        a = make(-1, 0, 0.2, 0.1, 0.1)
+        b = make(-1, 1, 0.6, -0.2, 0.1)  # its columns hold no cell of a's dilate
+        wrong = lambda rs, u, delta=None: ([0], [(0, 1)], ())
+        monkeypatch.setattr(covering, "cover_picks", wrong)
+        with pytest.raises(RuntimeError, match="below the threshold"):
+            greedy_cover([a, b], SlopeField.constant(32, 0.0))
+
+    def test_empty_family_and_bad_delta(self):
+        u = SlopeField.constant(16, 0.0)
+        assert cover_picks([], u, 0.5) == ([], [], ())
+        with pytest.raises(ValueError, match="delta"):
+            cover_picks([], u, delta=1.5)
 
 
 class TestIntersectionMeasure:
