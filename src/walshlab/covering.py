@@ -110,12 +110,13 @@ def _columns(rs: Sequence[Parallelogram], n: int):
     return cols, y_lo, y_hi, ncols
 
 
-def _segments(rs: Sequence[Parallelogram], n: int):
+def _segments(rs: Sequence[Parallelogram], n: int, columns=None):
     """The family's cells as flat indices column * n + row, one segment per member.
 
+    `columns` is the family's `_columns(rs, n)` when the caller has it.
     Returns the indices, each member's cell count and segment start.
     """
-    cols, y_lo, y_hi, ncols = _columns(rs, n)
+    cols, y_lo, y_hi, ncols = _columns(rs, n) if columns is None else columns
     widths = y_hi - y_lo
     ends = np.cumsum(widths)
     index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(widths.sum())
@@ -139,6 +140,8 @@ class SlopeField:
             raise ValueError("grid side must be a power of two")
         if not np.all(np.abs(v) <= 1.0):  # NaN fails too
             raise ValueError("slopes must lie in [-1, 1]")
+        if lipschitz is not None and not lipschitz >= 0.0:  # NaN fails too
+            raise ValueError("Lipschitz constant must be nonnegative")
         self.values = v
         self.n = n
         self.lipschitz = None if lipschitz is None else float(lipschitz)
@@ -164,9 +167,12 @@ def _in_e(rs: Sequence[Parallelogram], u: SlopeField, index, counts) -> np.ndarr
     return (v >= lo) & (v <= hi)
 
 
-def densities(rs: Sequence[Parallelogram], u: SlopeField) -> np.ndarray:
-    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R."""
-    index, counts, starts = _segments(rs, u.n)
+def densities(rs: Sequence[Parallelogram], u: SlopeField, columns=None) -> np.ndarray:
+    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R.
+
+    `columns` is the family's `_columns(rs, u.n)` when the caller has it.
+    """
+    index, counts, starts = _segments(rs, u.n, columns)
     out = np.ones(len(rs))
     held = np.flatnonzero(counts)
     e = np.add.reduceat(_in_e(rs, u, index, counts), starts[held], dtype=np.int64)
@@ -237,11 +243,12 @@ def cover_picks(
         raise ValueError("column mass decides removals only while n * threshold < 1")
     if not rs:
         return [], [], ()
+    columns = _columns(rs, n)
     failures = ()
     if delta is not None:  # cell-free members pass
-        failures = tuple(np.flatnonzero(densities(rs, u) < delta).tolist())
+        failures = tuple(np.flatnonzero(densities(rs, u, columns) < delta).tolist())
     order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
-    cols, y_lo, y_hi, ncols = _columns(rs, n)
+    cols, y_lo, y_hi, ncols = columns
     first = np.cumsum(ncols) - ncols
     # a dilate keeps its member's shadow, so its columns are the member's
     _, d_lo, d_hi, _ = _columns([r.height_dilate(7.0) for r in rs], n)

@@ -112,18 +112,32 @@ def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeFi
 
     Each cone value + lipschitz * distance is Lipschitz with exactly that
     constant, and minima and clipping never increase it.
+
+    Cones are taken from the lowest base up, and the loop stops at the
+    first base above the running maximum of the field.  A computed cone
+    value fl(fl(hypot * lipschitz) + base) is at least its base, since
+    hypot >= 0 and rounding is monotone; the maximum only falls and later
+    bases are no lower, so no skipped cone lowers a cell, and the minimum
+    of floats does not depend on the order it is taken in.  The field is
+    the all-anchor minimum bit for bit, and the generator draws the same.
     """
+    if not lipschitz >= 0.0:  # NaN fails too
+        raise ValueError("Lipschitz constant must be nonnegative")
     x = (np.arange(n) + 0.5) / n
     ax = rng.random(anchors)
     ay = rng.random(anchors)
     base = rng.uniform(-1.0, 1.0, anchors)
     v = np.full((n, n), np.inf)
     dist = np.empty((n, n))
-    for b, cx, cy in zip(base, ax, ay):
-        np.hypot(x[:, None] - cx, x[None, :] - cy, out=dist)
+    top = np.inf
+    for i in np.argsort(base, kind="stable"):
+        if base[i] > top:
+            break
+        np.hypot(x[:, None] - ax[i], x[None, :] - ay[i], out=dist)
         dist *= lipschitz
-        dist += b  # b + lipschitz * dist, bit for bit
+        dist += base[i]  # base + lipschitz * dist, bit for bit
         np.minimum(v, dist, out=v)
+        top = v.max()
     return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
 
 

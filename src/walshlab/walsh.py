@@ -66,26 +66,12 @@ class WalshNumber:
         # den is a power of two for every finite float
         return cls(num, den.bit_length() - 1)
 
-    def to_float(self) -> float:
-        return self.mantissa * 2.0 ** (-self.shift)
-
-    @property
-    def bits(self) -> str:
-        return bin(self.mantissa)[2:] if self.mantissa else "0"
-
     @property
     def lo(self) -> int:
         """Smallest k with a nonzero coefficient of 2^(-k) (leading bit)."""
         if not self.mantissa:
             raise ValueError("zero has no bit bounds")
         return self.shift - self.mantissa.bit_length() + 1
-
-    @property
-    def hi(self) -> int:
-        """Largest k with a nonzero coefficient of 2^(-k) (trailing bit)."""
-        if not self.mantissa:
-            raise ValueError("zero has no bit bounds")
-        return self.shift
 
     def is_zero(self) -> bool:
         return self.mantissa == 0
@@ -161,19 +147,10 @@ class DyadicInterval:
     def left(self) -> WalshNumber:
         return WalshNumber(self.index, -self.scale)
 
-    def contains_point(self, x: WalshNumber) -> bool:
-        m, s = x.mantissa, x.shift
-        t = s + self.scale
-        cell = m >> t if t >= 0 else m << -t
-        return cell == self.index
-
     def contains(self, other: "DyadicInterval") -> bool:
         if other.scale > self.scale:
             return False
         return (other.index >> (self.scale - other.scale)) == self.index
-
-    def parent(self) -> "DyadicInterval":
-        return DyadicInterval(self.scale + 1, self.index >> 1)
 
     def left_half(self) -> "DyadicInterval":
         return DyadicInterval(self.scale - 1, 2 * self.index)
@@ -186,9 +163,6 @@ class DyadicInterval:
         if j not in (1, -1):
             raise ValueError("half index must be +1 or -1")
         return self.left_half() if j == 1 else self.right_half()
-
-    def sibling(self) -> "DyadicInterval":
-        return DyadicInterval(self.scale, self.index ^ 1)
 
 
 def coset_membership(

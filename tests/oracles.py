@@ -43,6 +43,36 @@ from walshlab.wavelets import (
 )
 
 
+def to_float(x: WalshNumber) -> float:
+    return x.mantissa * 2.0 ** (-x.shift)
+
+
+def bits(x: WalshNumber) -> str:
+    return bin(x.mantissa)[2:] if x.mantissa else "0"
+
+
+def hi(x: WalshNumber) -> int:
+    """Largest k with a nonzero coefficient of 2^(-k) (trailing bit)."""
+    if not x.mantissa:
+        raise ValueError("zero has no bit bounds")
+    return x.shift
+
+
+def contains_point(i: DyadicInterval, x: WalshNumber) -> bool:
+    m, s = x.mantissa, x.shift
+    t = s + i.scale
+    cell = m >> t if t >= 0 else m << -t
+    return cell == i.index
+
+
+def parent(i: DyadicInterval) -> DyadicInterval:
+    return DyadicInterval(i.scale + 1, i.index >> 1)
+
+
+def sibling(i: DyadicInterval) -> DyadicInterval:
+    return DyadicInterval(i.scale, i.index ^ 1)
+
+
 def comparable(p: BaseTile, q: BaseTile) -> bool:
     return le(p, q) or le(q, p)
 
@@ -466,6 +496,22 @@ def all_member_cover(parallelograms: Sequence[Parallelogram], u: SlopeField, del
         witnesses = VERTICAL_THRESHOLD + margins[removed] / n
         steps.append(CoverStep(pick, tuple(removed.tolist()), tuple(witnesses)))
     return [rs[i] for i in selected], CoverTrace(tuple(steps), failures)
+
+
+def cone_slope_field_all_anchors(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeField:
+    """`cone_slope_field` taking the minimum over every cone, in draw order."""
+    x = (np.arange(n) + 0.5) / n
+    ax = rng.random(anchors)
+    ay = rng.random(anchors)
+    base = rng.uniform(-1.0, 1.0, anchors)
+    v = np.full((n, n), np.inf)
+    dist = np.empty((n, n))
+    for b, cx, cy in zip(base, ax, ay):
+        np.hypot(x[:, None] - cx, x[None, :] - cy, out=dist)
+        dist *= lipschitz
+        dist += b  # b + lipschitz * dist, bit for bit
+        np.minimum(v, dist, out=v)
+    return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
 
 
 def dense_one_at_a_time(rng, u: SlopeField, delta: float, count: int, scale_range=(-5, -3)):

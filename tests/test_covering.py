@@ -288,6 +288,12 @@ class TestSlopeField:
         with pytest.raises(ValueError, match="lie in"):
             SlopeField(values)
 
+    @pytest.mark.parametrize("lipschitz", [-0.3, -1e-300, np.nan])
+    def test_negative_or_nan_certificate_rejected(self, lipschitz):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SlopeField(np.zeros((4, 4)), lipschitz=lipschitz)
+        assert SlopeField(np.zeros((4, 4)), lipschitz=0.0).lipschitz == 0.0
+
     def test_measured_lipschitz_of_linear_field(self):
         n = 16
         x = (np.arange(n) + 0.5) / n
@@ -587,7 +593,7 @@ class TestCoverPicks:
     def test_column_mass_matches_margins(self, n, seed):
         rng = np.random.default_rng(150 + seed)
         lo = max(-5, 1 - n.bit_length())
-        steps = 0
+        steps = failing = 0
         for u in slope_fields(rng, n):
             # narrow random members, so that picks leave others standing
             rs = [r for r in random_members(rng, n, 30) if r.length <= 0.25]
@@ -606,7 +612,9 @@ class TestCoverPicks:
                 assert picks[0] == len(rs) - 1 and 5 in removals[0]
                 assert sorted(i for step in removals for i in step) == list(range(len(rs)))
                 steps += len(picks)
+                failing += len(failures)
         assert steps >= 5 * 9  # about five picks per family or more
+        assert failing > 0  # the density recheck on shared columns is compared too
 
     def test_premise_checked(self, monkeypatch):
         n = 32

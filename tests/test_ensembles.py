@@ -20,7 +20,13 @@ from walshlab.ensembles import (
 from walshlab.selection import Tree
 from walshlab.tiles import all_bitiles, is_convex, le
 
-from .oracles import dense_one_at_a_time, density, down_set, measured_lipschitz
+from .oracles import (
+    cone_slope_field_all_anchors,
+    dense_one_at_a_time,
+    density,
+    down_set,
+    measured_lipschitz,
+)
 
 
 def _canon(b):
@@ -109,6 +115,26 @@ def test_slope_field_certificates():
     assert cone.lipschitz == 0.8
     assert measured_lipschitz(cone) <= 0.8 + 1e-9
     assert np.all(np.abs(cone.values) <= 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("lipschitz", [0.0, 0.3, 0.8, 4.0])  # at 4 most cells clip to 1
+@pytest.mark.parametrize("anchors", [1, 6, 9])
+def test_lowest_cones_first_match_every_cone(n, lipschitz, anchors):
+    for seed in range(5):
+        rng, ref = np.random.default_rng(400 + seed), np.random.default_rng(400 + seed)
+        got = cone_slope_field(rng, n, lipschitz, anchors)
+        want = cone_slope_field_all_anchors(ref, n, lipschitz, anchors)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.lipschitz == want.lipschitz == lipschitz
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lipschitz", [-0.3, -1e-300, np.nan])
+def test_cone_field_rejects_negative_or_nan_certificate(lipschitz):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cone_slope_field(rng, 8, lipschitz)
 
 
 def test_parallelogram_ensemble_in_window():

@@ -25,6 +25,7 @@ from .oracles import (
     good_function_by_transforms,
     good_pieces,
     maximal_dyadic_intervals,
+    parent,
     project_tile_1d,
     transpose_instance,
 )
@@ -122,7 +123,7 @@ class TestMaximalIntervals:
                 assert cover[c] == 0.0
                 cover[c] = 1.0
             if iv.scale < 0:
-                parent_cells = list(cells_of(iv.parent(), K))
+                parent_cells = list(cells_of(parent(iv), K))
                 assert not row[parent_cells].all()
         assert np.array_equal(cover, row.astype(np.float64))
 
