@@ -12,6 +12,14 @@ interval triple (I0, I1, I2) is then a trace of block products,
 and one batched contraction over the interval pairs evaluates a scale.
 The contractions use np.einsum, which does not call BLAS, so the result
 does not depend on the BLAS thread count.
+
+The bits also depend on the operands' memory layout, since einsum loops in
+memory order.  So the block gathers pick their layout by size and copy the
+blocks whole, and the +-1 sign flips, which are exact and commute with
+rounding, are fused and applied in place.  `row_coefficients` runs the
+butterflies down the rows, largest stage first, and permutes whole rows
+after: decimation in frequency on natural order does the same additions,
+on the same operands, as decimation in time on bit-reversed input.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ def bit_reversal(resolution: int) -> np.ndarray:
     rev = np.zeros_like(idx)
     for b in range(resolution):
         rev |= (idx >> b & 1) << (resolution - 1 - b)
+    rev.flags.writeable = False  # cached: a write would corrupt later transforms
     return rev
 
 
@@ -44,6 +53,28 @@ def wht_rows(a: np.ndarray) -> None:
         v[:, :, 0, :] = x
         v[:, :, 1, :] = y
         h *= 2
+
+
+def row_coefficients(a: np.ndarray, resolution: int) -> np.ndarray:
+    """Walsh coefficients over each block of 2^resolution rows of a (n, m) array.
+
+    Row b * 2^resolution + nu of the result is the coefficient nu of the
+    block b, column by column: bit for bit
+    `coefficient_rows(a.T.reshape(m, -1, 2^resolution), resolution)`
+    reshaped to (m, n) and transposed, with every stage on whole rows.
+    """
+    block = 1 << resolution
+    out = np.array(a, dtype=np.float64)
+    h = block
+    while h > 1:
+        h //= 2
+        v = out.reshape(-1, 2, h, out.shape[1])
+        y = v[:, 0] - v[:, 1]
+        v[:, 0] += v[:, 1]
+        v[:, 1] = y
+    out = out.reshape(-1, block, out.shape[1]).take(bit_reversal(resolution), axis=1)
+    out *= 2.0 ** (-resolution)
+    return out.reshape(a.shape)
 
 
 def haar_signs(shift: int) -> np.ndarray:
@@ -61,15 +92,18 @@ def pair_blocks(F: np.ndarray, shift: int, rows, cols) -> np.ndarray:
     entry.  The stack is a copy, contiguous in memory with the pair axis
     outermost when P < B^2 and innermost otherwise: einsum keeps that
     layout and runs its inner loop along the last axis in memory, so many
-    small blocks would otherwise cost one short loop each.
+    small blocks would otherwise cost one short loop each.  Small blocks
+    come from one block-contiguous copy of F by a `take` of their flat
+    pair indices rows * nb + cols; large blocks are long rows already,
+    and one fancy index copies them as fast.
     """
     block = 1 << shift
     nb = F.shape[0] >> shift
     tiles = F.reshape(nb, block, nb, block)
     if len(rows) < block * block:
         return np.ascontiguousarray(tiles.transpose(0, 2, 1, 3)[rows, cols])
-    stack = np.ascontiguousarray(tiles.transpose(1, 3, 0, 2)[:, :, rows, cols])
-    return stack.transpose(2, 0, 1)
+    stack = np.ascontiguousarray(tiles.transpose(1, 3, 0, 2)).reshape(block, block, -1)
+    return stack.take(rows * nb + cols, axis=2).transpose(2, 0, 1)
 
 
 def triform_scale_sum(F0, F1, F2, epsk, shift) -> float:
@@ -90,8 +124,9 @@ def triform_scale_sum(F0, F1, F2, epsk, shift) -> float:
     m0, m2 = np.nonzero(epsk)
     m1 = m0 ^ m2
     hs = haar_signs(shift)
-    left = pair_blocks(F2, shift, m0, m1) * np.outer(hs, hs)
+    left = pair_blocks(F2, shift, m0, m1)
+    left *= np.outer(hs, hs)
     prod = np.einsum("pij,pjk->pik", left, pair_blocks(F0, shift, m1, m2))
-    right = pair_blocks(F1.T, shift, m0, m2) * hs  # [p, a0, a2] = F1[i2, i0] hs(a2)
-    right *= epsk[m0, m2][:, None, None]
+    right = pair_blocks(F1.T, shift, m0, m2)  # [p, a0, a2] = F1[i2, i0]
+    right *= epsk[m0, m2][:, None, None] * hs  # times eps hs(a2)
     return float(np.sum(prod * right))

@@ -111,21 +111,10 @@ class GridFunction1D(_GridFunction):
     __slots__ = ()
     ndim = 1
 
-    @classmethod
-    def indicator(cls, interval: DyadicInterval, resolution: int) -> "GridFunction1D":
-        return cls(resolution, np.ones(1 << resolution)).restrict(interval)
-
 
 class GridFunction2D(_GridFunction):
     __slots__ = ()
     ndim = 2
-
-    @classmethod
-    def indicator_box(
-        cls, first: DyadicInterval, second: DyadicInterval, resolution: int
-    ) -> "GridFunction2D":
-        n = 1 << resolution
-        return cls(resolution, np.ones((n, n))).restrict(first, second)
 
     def transpose(self) -> "GridFunction2D":
         return GridFunction2D(self.resolution, self.values.T.copy())

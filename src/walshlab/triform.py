@@ -20,7 +20,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ._kernels import haar_signs, pair_blocks, triform_scale_sum
+from ._kernels import haar_signs, pair_blocks, row_coefficients, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from .tiles import Bitile, BitileRows, scale_arrays
 from .wavelets import WavePacketSpec, coefficient_rows, walsh_rows, wave_packet
@@ -51,10 +51,6 @@ class EpsilonField:
     @property
     def scales(self):
         return sorted(self.data)
-
-    def weight(self, p: Bitile) -> float:
-        arr = self.data.get(p.scale)
-        return float(arr[p.m0, p.m2]) if arr is not None else 0.0
 
     def transpose(self) -> "EpsilonField":
         """Swap the roles of the outer intervals (m0 <-> m2)."""
@@ -192,7 +188,7 @@ def bitile_table(
     one contraction, lower half minus upper half.
     """
     K = F0.resolution
-    n = 1 << K
+    F2T = np.ascontiguousarray(F2.values.T)  # [i1, i0]
     table = {}
     for k in scales:
         shift = K + k
@@ -200,13 +196,13 @@ def bitile_table(
         nb = 1 << -k
         m0, m2 = np.divmod(np.arange(nb * nb), nb)
         m1 = m0 ^ m2
-        # C0[i2, b * half + nu] ~ packet coefficients of F0 fibers on half-blocks
-        C0 = coefficient_rows(F0.values.T.reshape(n, -1, half), shift - 1)
-        C2 = coefficient_rows(F2.values.reshape(n, -1, half), shift - 1)
-        U = pair_blocks(C0.reshape(n, n).T, shift, m1, m2)  # [p, (j, nu), a2]
-        V = pair_blocks(C2.reshape(n, n).T, shift, m1, m0)  # [p, (j, nu), a0]
+        # packet coefficients of the F0 and F2 fibers on half-blocks, in rows
+        # b * half + nu, gathered as U[p, (j, nu), a2] and V[p, (j, nu), a0]
+        U = pair_blocks(row_coefficients(F0.values, shift - 1), shift, m1, m2)
+        V = pair_blocks(row_coefficients(F2T, shift - 1), shift, m1, m0)
         hs = haar_signs(shift)
-        F1blk = pair_blocks(F1.values, shift, m2, m0) * np.outer(hs, hs)
+        F1blk = pair_blocks(F1.values, shift, m2, m0)
+        F1blk *= np.outer(hs, hs)
         rows = np.einsum("prb,prb->pr", np.einsum("pra,pab->prb", U, F1blk), V)
         # packet scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k, grid measure
         # 4^-K: an exact power of two

@@ -26,11 +26,12 @@ from walshlab.covering import (
     _vertical_margin,
     square_integral,
 )
+from walshlab._kernels import haar_signs
 from walshlab.ensembles import DENSE_HEIGHTS, DENSE_MAX_TRIES
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.maximal import _check_exponent
 from walshlab.tiles import BaseTile, Bitile, le
-from walshlab.triform import haar_multiplier
+from walshlab.triform import EpsilonField, haar_multiplier
 from walshlab.walsh import DyadicInterval, WalshNumber, _clmul, coset_membership
 from walshlab.wavelets import (
     WavePacketSpec,
@@ -71,6 +72,25 @@ def parent(i: DyadicInterval) -> DyadicInterval:
 
 def sibling(i: DyadicInterval) -> DyadicInterval:
     return DyadicInterval(i.scale, i.index ^ 1)
+
+
+def indicator(interval: DyadicInterval, resolution: int) -> GridFunction1D:
+    """1 on the cells of the interval, 0 elsewhere."""
+    return GridFunction1D(resolution, np.ones(1 << resolution)).restrict(interval)
+
+
+def indicator_box(
+    first: DyadicInterval, second: DyadicInterval, resolution: int
+) -> GridFunction2D:
+    """1 on the cells of the box first x second, 0 elsewhere."""
+    n = 1 << resolution
+    return GridFunction2D(resolution, np.ones((n, n))).restrict(first, second)
+
+
+def eps_weight(eps: EpsilonField, p: Bitile) -> float:
+    """The sign weight of a bitile's interval triple; 0 on a missing scale."""
+    arr = eps.data.get(p.scale)
+    return float(arr[p.m0, p.m2]) if arr is not None else 0.0
 
 
 def comparable(p: BaseTile, q: BaseTile) -> bool:
@@ -137,6 +157,81 @@ def walsh_character(frequency: int, resolution: int) -> GridFunction1D:
     idx = np.arange(1 << resolution, dtype=np.int64)
     bits = np.bitwise_count(np.bitwise_and(rev, idx)) & 1
     return GridFunction1D(resolution, 1.0 - 2.0 * bits)
+
+
+# The trilinear kernels as they were before their gathers took whole blocks
+# and their transforms ran down the rows; the package must match them bit
+# for bit.
+
+
+def pair_blocks_fancy(F: np.ndarray, shift: int, rows, cols) -> np.ndarray:
+    """`pair_blocks` by one two-array fancy index, in the same layouts."""
+    block = 1 << shift
+    nb = F.shape[0] >> shift
+    tiles = F.reshape(nb, block, nb, block)
+    if len(rows) < block * block:
+        return np.ascontiguousarray(tiles.transpose(0, 2, 1, 3)[rows, cols])
+    stack = np.ascontiguousarray(tiles.transpose(1, 3, 0, 2)[:, :, rows, cols])
+    return stack.transpose(2, 0, 1)
+
+
+def scale_sum_fancy(F0, F1, F2, epsk, shift) -> float:
+    """`triform_scale_sum` on fancy-index gathers, one sign pass at a time."""
+    m0, m2 = np.nonzero(epsk)
+    m1 = m0 ^ m2
+    hs = haar_signs(shift)
+    left = pair_blocks_fancy(F2, shift, m0, m1) * np.outer(hs, hs)
+    prod = np.einsum("pij,pjk->pik", left, pair_blocks_fancy(F0, shift, m1, m2))
+    # [p, a0, a2] = F1[i2, i0] hs(a2)
+    right = pair_blocks_fancy(F1.T, shift, m0, m2) * hs
+    right *= epsk[m0, m2][:, None, None]
+    return float(np.sum(prod * right))
+
+
+def lambda_direct_fancy(
+    eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
+) -> float:
+    """`lambda_direct` on `scale_sum_fancy`."""
+    K = F0.resolution
+    if eps.resolution != K or F1.resolution != K or F2.resolution != K:
+        raise ValueError("resolution mismatch")
+    parts = []
+    for k in eps.scales:
+        s = scale_sum_fancy(F0.values, F1.values, F2.values, eps.data[k], K + k)
+        parts.append(2.0 ** (-k) * s)
+    return math.fsum(parts) * 8.0 ** (-K)
+
+
+def bitile_table_last_axis(
+    F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D, scales
+):
+    """`bitile_table` with each scale's transforms along the last axis.
+
+    `coefficient_rows` gathers every row in bit-reversed order and runs the
+    butterflies on it, smallest stage first; the gathers are fancy indices.
+    """
+    K = F0.resolution
+    n = 1 << K
+    table = {}
+    for k in scales:
+        shift = K + k
+        half = 1 << (shift - 1)  # cells per half interval
+        nb = 1 << -k
+        m0, m2 = np.divmod(np.arange(nb * nb), nb)
+        m1 = m0 ^ m2
+        # C0[i2, b * half + nu] ~ packet coefficients of F0 fibers on half-blocks
+        C0 = coefficient_rows(F0.values.T.reshape(n, -1, half), shift - 1)
+        C2 = coefficient_rows(F2.values.reshape(n, -1, half), shift - 1)
+        U = pair_blocks_fancy(C0.reshape(n, n).T, shift, m1, m2)  # [p, (j, nu), a2]
+        V = pair_blocks_fancy(C2.reshape(n, n).T, shift, m1, m0)  # [p, (j, nu), a0]
+        hs = haar_signs(shift)
+        F1blk = pair_blocks_fancy(F1.values, shift, m2, m0) * np.outer(hs, hs)
+        rows = np.einsum("prb,prb->pr", np.einsum("pra,pab->prb", U, F1blk), V)
+        # packet scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k, grid measure
+        # 4^-K: an exact power of two
+        weight = 2.0 ** (k - 1) * 2.0 ** (-k) * 4.0 ** (-K)
+        table[k] = (rows[:, :half] - rows[:, half:]).reshape(nb, nb, half) * weight
+    return table
 
 
 def diagonal_data_rows(f: GridFunction1D, a: WalshNumber) -> GridFunction2D:

@@ -24,6 +24,9 @@ from walshlab.triform import EpsilonField, lambda_direct
 from walshlab.wavelets import walsh_fn
 
 
+KERNELS_K8 = "resolution=8\ntrials=2\nsuite=telescoping,bitile_sum,appendix\n"
+
+
 def write_config(tmp_path, text, name="cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -167,33 +170,55 @@ class TestVerify:
         assert "resolution too small for bitiles" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config, digest",
+        "config, seed, digest",
         [
             # the verify-k6 and kernels-k8 benchmark workloads on seed 0
             (
                 "resolution=6\ntrials=4\n"
                 "suite=telescoping,bitile_sum,appendix,certificates,replacement,lemma7r\n",
+                0,
                 "5b95b69abe11f9ffd0e1b5f70d1e47ee13f93181a96e2ec509aa6ea9c649c9ae",
             ),
             (
-                "resolution=8\ntrials=2\nsuite=telescoping,bitile_sum,appendix\n",
+                KERNELS_K8,
+                0,
                 "9082bc4f8624f5841948269f7470614775e1f7caa9f9d2a010cb4d05417d390e",
+            ),
+            # kernels-k8 on more seeds: the trilinear kernels' bits
+            (
+                KERNELS_K8,
+                1,
+                "bca086ebc902c3b1095ea16386c9e24130eac243be6f0500c371b54312bf3eff",
+            ),
+            (
+                KERNELS_K8,
+                3,
+                "e17ef695aa93159a6888f9657f04d4aba93e56454356933598a0a06f20fda78f",
             ),
             # the adaptedness suite, which no benchmark workload runs
             (
                 "resolution=6\ntrials=2\nsuite=adaptedness\nmode=diagonal\na_bits=3\n",
+                0,
                 "45350c9b4181c9b3a4c5a53f1600feb383dd446152d7adc46a899c94ca51bffc",
             ),
             (
                 "resolution=6\ntrials=2\nsuite=adaptedness\nmode=fiberwise\n",
+                0,
                 "e8e533799cea142f3b5d4609bf847145c68a4ee7d246e34a606f8012bdc1ae28",
             ),
         ],
-        ids=["verify-k6", "kernels-k8", "adaptedness-diagonal", "adaptedness-fiberwise"],
+        ids=[
+            "verify-k6",
+            "kernels-k8",
+            "kernels-k8-seed1",
+            "kernels-k8-seed3",
+            "adaptedness-diagonal",
+            "adaptedness-fiberwise",
+        ],
     )
-    def test_benchmark_reports_pinned(self, tmp_path, config, digest):
+    def test_benchmark_reports_pinned(self, tmp_path, config, seed, digest):
         cfg = write_config(tmp_path, config)
-        assert run_main(["verify", "--config", cfg, "--seed", 0, "--out", tmp_path]) == 0
+        assert run_main(["verify", "--config", cfg, "--seed", seed, "--out", tmp_path]) == 0
         data = (tmp_path / "verify_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 

@@ -4,6 +4,8 @@ import pytest
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.walsh import DyadicInterval
 
+from .oracles import indicator, indicator_box
+
 
 class TestGridFunction1D:
     def test_integral_weighs_cells(self):
@@ -26,7 +28,7 @@ class TestGridFunction1D:
             f.inner(GridFunction1D(2, np.ones(4)))
 
     def test_indicator_and_restrict(self):
-        ind = GridFunction1D.indicator(DyadicInterval(-1, 1), 3)
+        ind = indicator(DyadicInterval(-1, 1), 3)
         assert ind.values.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
         f = GridFunction1D(3, np.arange(8.0))
         r = f.restrict(DyadicInterval(-2, 1))
@@ -34,7 +36,7 @@ class TestGridFunction1D:
 
     def test_interval_below_resolution(self):
         with pytest.raises(ValueError, match="interval below resolution"):
-            GridFunction1D.indicator(DyadicInterval(-4, 0), 3)
+            indicator(DyadicInterval(-4, 0), 3)
 
     def test_arithmetic(self):
         f = GridFunction1D(1, [1.0, 2.0])
@@ -58,7 +60,7 @@ class TestGridFunction2D:
         assert f.norm(np.inf) == 2.0
 
     def test_indicator_box(self):
-        f = GridFunction2D.indicator_box(DyadicInterval(-1, 0), DyadicInterval(-1, 1), 1)
+        f = indicator_box(DyadicInterval(-1, 0), DyadicInterval(-1, 1), 1)
         assert f.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
     def test_restrict_and_transpose(self):

@@ -2,8 +2,11 @@
 
 The per-scale trilinear sum is checked cell by cell, the full form against
 the interval-triple oracle of test_triform, and the batched bitile sum
-against the explicit-packet bitile contributions.  The last test pins the
-property that the form does not depend on the BLAS thread count.
+against the explicit-packet bitile contributions.  The block gathers, the
+row-axis packet transform, `lambda_direct` and `bitile_table` are checked
+bit for bit against the fancy-index and last-axis versions they replaced.
+The last test pins the property that the form does not depend on the BLAS
+thread count.
 """
 
 import math
@@ -15,16 +18,29 @@ import numpy as np
 import pytest
 
 import walshlab
-from walshlab._kernels import bit_reversal, pair_blocks, triform_scale_sum
+from walshlab._kernels import (
+    bit_reversal,
+    pair_blocks,
+    row_coefficients,
+    triform_scale_sum,
+)
 from walshlab.tiles import all_bitiles
 from walshlab.triform import (
     EpsilonField,
+    bitile_table,
     lambda_bitile,
     lambda_bitile_sum,
     lambda_direct,
 )
+from walshlab.wavelets import coefficient_rows
 
-from .oracles import bit_reversed
+from .oracles import (
+    bit_reversed,
+    bitile_table_last_axis,
+    eps_weight,
+    lambda_direct_fancy,
+    pair_blocks_fancy,
+)
 from .test_triform import lambda_oracle, rand_triple
 
 
@@ -70,6 +86,13 @@ def test_bit_reversal_matches_binary_strings(K):
     assert bit_reversal(K).dtype == np.int64 and bit_reversal(K).tolist() == want
 
 
+def test_bit_reversal_is_read_only():
+    # the cached permutation is shared by every transform in the process
+    with pytest.raises(ValueError):
+        bit_reversal(3)[0] = 1
+    assert bit_reversal(3).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+
+
 def test_scale_sum_zero_eps():
     F0, F1, F2 = (F.values for F in rand_triple(3, 7))
     assert triform_scale_sum(F0, F1, F2, np.zeros((4, 4)), 1) == 0.0
@@ -92,6 +115,63 @@ def test_pair_blocks_matches_slices(shift, pairs):
             assert np.array_equal(got[p], want)
 
 
+@pytest.mark.parametrize("K", [3, 6, 8])
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+def test_pair_blocks_match_fancy_index(K, sparse):
+    # every shift, so both layouts (pairs below and at least B^2), on the
+    # pair lists the kernels gather and on a source and its transpose
+    rng = np.random.default_rng(K)
+    n = 1 << K
+    F = rng.normal(size=(n, n))
+    for shift in range(1, K + 1):
+        nb = n >> shift
+        keep = rng.random((nb, nb)) < 0.5 if sparse else np.ones((nb, nb), bool)
+        m0, m2 = np.nonzero(keep)
+        for src in (F, F.T):
+            for rows, cols in ((m0, m0 ^ m2), (m0 ^ m2, m2), (m0, m2)):
+                got = pair_blocks(src, shift, rows, cols)
+                want = pair_blocks_fancy(src, shift, rows, cols)
+                assert np.array_equal(got, want), (shift, len(rows))
+                assert got.strides == want.strides, (shift, len(rows))
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_row_coefficients_match_last_axis_transform(K):
+    rng = np.random.default_rng(40 + K)
+    n = 1 << K
+    a = rng.normal(size=(n, n))
+    a[rng.random((n, n)) < 0.1] = -0.0
+    for s in range(K):
+        want = coefficient_rows(a.T.reshape(n, -1, 1 << s), s).reshape(n, n).T
+        got = row_coefficients(a, s)
+        assert np.array_equal(got, want), s
+        assert np.array_equal(np.signbit(got), np.signbit(want)), s
+
+
+def _eps_kinds(K, rng):
+    signs = EpsilonField.random(K, rng)
+    holes = EpsilonField.random(K, rng)
+    for a in holes.data.values():
+        a[rng.random(a.shape) < 0.3] = 0.0
+    return {"signs": signs, "fractional": fractional_eps(K, rng), "signs-zeros": holes}
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+def test_kernels_bit_equal_to_fancy_index_versions(K):
+    rng = np.random.default_rng(600 + K)
+    F0, F1, F2 = rand_triple(K, 610 + K)
+    for name, eps in _eps_kinds(K, rng).items():
+        got = lambda_direct(eps, F0, F1, F2)
+        assert got == lambda_direct_fancy(eps, F0, F1, F2), name
+    scales = list(range(-K + 1, 1))
+    got = bitile_table(F0, F1, F2, scales)
+    want = bitile_table_last_axis(F0, F1, F2, scales)
+    assert list(got) == list(want)
+    for k in scales:
+        assert got[k].shape == want[k].shape, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 @pytest.mark.parametrize("K", [2, 3, 4])
 def test_lambda_direct_matches_oracle(K):
     rng = np.random.default_rng(200 + K)
@@ -108,7 +188,7 @@ def test_bitile_sum_matches_standalone_bitiles_k4():
     eps = fractional_eps(K, rng)
     F0, F1, F2 = rand_triple(K, 301)
     slow = math.fsum(
-        eps.weight(P) * lambda_bitile(P, F0, F1, F2) for P in all_bitiles(K)
+        eps_weight(eps, P) * lambda_bitile(P, F0, F1, F2) for P in all_bitiles(K)
     )
     fast = lambda_bitile_sum(eps, F0, F1, F2)
     assert fast == pytest.approx(slow, rel=1e-11, abs=1e-13)

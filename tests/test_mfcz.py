@@ -24,6 +24,7 @@ from .oracles import (
     GoodPiece,
     good_function_by_transforms,
     good_pieces,
+    indicator_box,
     maximal_dyadic_intervals,
     parent,
     project_tile_1d,
@@ -166,7 +167,7 @@ class TestGoodFunction:
         K = 4
         rng = np.random.default_rng(3)
         f2 = GridFunction2D(K, rng.standard_normal((16, 16)))
-        b2 = GridFunction2D.indicator_box(
+        b2 = indicator_box(
             DyadicInterval(0, 0), DyadicInterval(-1, 0), K
         )
         top = Bitile(0, 0, 0, 2)
@@ -188,7 +189,7 @@ class TestGoodFunction:
         K = 4
         rng = np.random.default_rng(4)
         f2 = GridFunction2D(K, rng.standard_normal((16, 16)))
-        b2 = GridFunction2D.indicator_box(
+        b2 = indicator_box(
             DyadicInterval(0, 0), DyadicInterval(-2, 0), K
         )
         t_a = Bitile(0, 0, 0, 2)
@@ -294,7 +295,7 @@ def good_function_cases():
     # dual cells: three packets on one piece
     K = 5
     rng = np.random.default_rng(7)
-    b2 = GridFunction2D.indicator_box(
+    b2 = indicator_box(
         DyadicInterval(0, 0), DyadicInterval(-2, 0), K
     )
     tops = [Bitile(0, 0, 0, nn) for nn in (4, 0, 2, 1)]
@@ -513,7 +514,7 @@ class TestReplacement:
         # the region both have to show up as violations.
         K = 4
         ones = GridFunction2D(K, np.ones((16, 16)))
-        b2 = GridFunction2D.indicator_box(
+        b2 = indicator_box(
             DyadicInterval(0, 0), DyadicInterval(-1, 0), K
         )
         top = Bitile(-1, 0, 0, 1)
@@ -561,7 +562,7 @@ class TestGNormReport:
         K = 4
         rng = np.random.default_rng(8)
         f2 = GridFunction2D(K, rng.standard_normal((16, 16)))
-        b2 = GridFunction2D.indicator_box(
+        b2 = indicator_box(
             DyadicInterval(0, 0), DyadicInterval(-1, 0), K
         )
         top = Bitile(0, 0, 0, 2)

@@ -64,7 +64,7 @@ from walshlab.tiles import (
 )
 from walshlab.walsh import WalshNumber
 
-from .oracles import down_set, take_tree
+from .oracles import down_set, eps_weight, take_tree
 
 
 def rand2d(K, seed):
@@ -897,7 +897,7 @@ class TestSingleTreeReport:
             rep = single_tree_report(tree, eps, F0, F1, F2, mode)
             table = bitile_table(F0, F1, F2, range(1 - K, 1))
             want = math.fsum(
-                eps.weight(P) * table[P.scale][P.m0, P.m2, P.n] for P in tree.members
+                eps_weight(eps, P) * table[P.scale][P.m0, P.m2, P.n] for P in tree.members
             )
             assert rep["value"] == want
             sizes = (

@@ -30,7 +30,7 @@ from walshlab.triform import (
     telescoping_profile,
 )
 
-from .oracles import max_mod_haar_per_label, offset_form_scalar
+from .oracles import eps_weight, max_mod_haar_per_label, offset_form_scalar
 
 
 def lambda_oracle(eps, F0, F1, F2):
@@ -183,7 +183,7 @@ class TestBitileDecomposition:
         eps = EpsilonField.random(K, rng)
         F0, F1, F2 = rand_triple(K, 41)
         slow = math.fsum(
-            eps.weight(P) * lambda_bitile(P, F0, F1, F2) for P in all_bitiles(K)
+            eps_weight(eps, P) * lambda_bitile(P, F0, F1, F2) for P in all_bitiles(K)
         )
         fast = lambda_bitile_sum(eps, F0, F1, F2)
         assert slow == pytest.approx(fast, rel=1e-11, abs=1e-13)
@@ -194,7 +194,7 @@ class TestBitileDecomposition:
         eps = EpsilonField.random(K, rng)
         F0, F1, F2 = rand_triple(K, 43)
         tree = [Q for Q in all_bitiles(K) if Q.scale == -1 and Q.m0 == 0]
-        want = math.fsum(eps.weight(P) * lambda_bitile(P, F0, F1, F2) for P in tree)
+        want = math.fsum(eps_weight(eps, P) * lambda_bitile(P, F0, F1, F2) for P in tree)
         assert lambda_tree(tree, eps, F0, F1, F2) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("K", [2, 3, 4])
@@ -217,7 +217,7 @@ class TestBitileDecomposition:
         P, Q = Bitile(-1, 1, 0, 1), Bitile(0, 0, 0, 3)
         once = lambda_tree([P, Q], eps, F0, F1, F2)
         twice = lambda_tree([P, Q, P], eps, F0, F1, F2)
-        extra = eps.weight(P) * lambda_bitile(P, F0, F1, F2)
+        extra = eps_weight(eps, P) * lambda_bitile(P, F0, F1, F2)
         assert extra != 0.0
         assert twice - once == pytest.approx(extra, rel=1e-12)
 
