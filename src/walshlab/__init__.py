@@ -57,7 +57,6 @@ from .mfcz import (
 from .covering import (
     Parallelogram,
     SlopeField,
-    greedy_cover,
     lemma7r_check,
     lk_maximal,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "g_norm_report",
     "Parallelogram",
     "SlopeField",
-    "greedy_cover",
     "lemma7r_check",
     "lk_maximal",
 ]

@@ -180,37 +180,6 @@ def densities(rs: Sequence[Parallelogram], u: SlopeField, columns=None) -> np.nd
     return out
 
 
-def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Best sum of values minus threshold over vertical intervals through each cell.
-
-    With g = values - threshold and S its running sum along a column
-    (S[0] = 0), the best interval ending at cell y sums to
-    S[y+1] - min(S[i], i <= y) and the best one starting at y to
-    max(S[k], k > y) - S[y]; the best through y is their sum minus g[y].
-    Columns are independent.  The vertical maximal function reaches the
-    threshold exactly where the margin is nonnegative.
-    """
-    g = np.asarray(values, dtype=np.float64) - threshold
-    s = np.zeros((g.shape[0], g.shape[1] + 1))
-    np.cumsum(g, axis=1, out=s[:, 1:])
-    fwd = s[:, 1:] - np.minimum.accumulate(s[:, :-1], axis=1)
-    bwd = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1] - s[:, :-1]
-    return fwd + bwd - g
-
-
-@dataclass(frozen=True)
-class CoverStep:
-    selected: int
-    removed: Tuple[int, ...]
-    witnesses: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CoverTrace:
-    steps: Tuple[CoverStep, ...]
-    density_failures: Tuple[int, ...]
-
-
 def cover_picks(
     parallelograms: Sequence[Parallelogram],
     u: SlopeField,
@@ -269,56 +238,6 @@ def cover_picks(
         left[removed] = False
         removals.append(tuple(removed.tolist()))
     return picks, removals, failures
-
-
-def greedy_cover(
-    parallelograms: Sequence[Parallelogram],
-    u: SlopeField,
-    delta: Optional[float] = None,
-):
-    """The covering selection of `cover_picks`, with a certified witness per removal.
-
-    Takes the picks and each step's removals from `cover_picks` and
-    replays them through the vertical margin field: each pick adds its
-    7-fold height-dilate to the field and rescans only its own columns
-    (columns are independent).  Then only that step's removed members
-    read their minimum margin, and the trace records for each a certified
-    lower bound on the vertical maximal function over its cells (+inf for
-    a cell-free member).  A removed member whose margin is negative raises
-    `RuntimeError`, so the replay checks the column-mass decision.  The
-    selected parallelograms come back in pick order; the trace also holds
-    the density failures, reported and still processed as in
-    `cover_picks`.
-    """
-    picks, removals, failures = cover_picks(parallelograms, u, delta)
-    rs = parallelograms
-    n = u.n
-    if not rs:
-        return [], CoverTrace((), ())
-    index, counts, starts = _segments(rs, n)
-    *dilates, ncols = _columns([rs[i].height_dilate(7.0) for i in picks], n)
-    first = np.cumsum(ncols) - ncols
-    field = np.zeros((n, n))
-    best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
-    steps: List[CoverStep] = []
-    for pick, removed, start, size in zip(picks, removals, first, ncols):
-        cs, ys, m = _box(*(a[start : start + size] for a in dilates))
-        field[cs, ys] += m
-        best[cs] = _vertical_margin(field[cs], VERTICAL_THRESHOLD)
-        # min of best over each removed member's cells; +inf without cells
-        gone = np.array(removed, dtype=np.int64)
-        sizes = counts[gone]
-        offsets = np.cumsum(sizes) - sizes
-        at = np.repeat(starts[gone] - offsets, sizes) + np.arange(sizes.sum())
-        margins = np.full(gone.size, np.inf)
-        held = sizes > 0
-        if held.any():
-            margins[held] = np.minimum.reduceat(best.ravel()[index[at]], offsets[held])
-        if np.any(margins < 0.0):
-            raise RuntimeError("column mass removed a member below the threshold")
-        witnesses = VERTICAL_THRESHOLD + margins / n
-        steps.append(CoverStep(pick, removed, tuple(witnesses)))
-    return [rs[i] for i in picks], CoverTrace(tuple(steps), failures)
 
 
 def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:

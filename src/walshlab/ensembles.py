@@ -14,7 +14,7 @@ import numpy as np
 from .covering import Parallelogram, SlopeField, densities
 from .gridfn import GridFunction2D
 from .selection import Tree
-from .tiles import Bitile, BitileRows, down_sums, scale_arrays, scale_members, up_sums
+from .tiles import Bitile, counts, down_sums, support, up_sums
 from .walsh import DyadicInterval
 
 ENSEMBLE_HEIGHTS = (0.01, 0.2)  # height range of parallelogram_ensemble
@@ -63,15 +63,15 @@ def random_bitile(rng, resolution: int) -> Bitile:
     )
 
 
-def _down_mask(tops, resolution: int) -> dict:
-    """Per-scale mask of the union of the tops' down-sets."""
-    return {k: u > 0 for k, u in up_sums(scale_arrays(tops, resolution)).items()}
+def _down_mask(tops, resolution: int) -> np.ndarray:
+    """Mask over the positions of the union of the tops' down-sets."""
+    return up_sums(counts(tops, resolution)) > 0
 
 
 def random_convex_collection(rng, resolution: int, tops: int = 2):
     """Union of down-sets of random bitiles, sorted coarsest first."""
     picked = [random_bitile(rng, resolution) for _ in range(tops)]
-    return scale_members(_down_mask(picked, resolution))
+    return support(_down_mask(picked, resolution))
 
 
 def random_tree(rng, resolution: int, sprouts: int = 3) -> Tree:
@@ -82,11 +82,10 @@ def random_tree(rng, resolution: int, sprouts: int = 3) -> Tree:
     """
     top = random_bitile(rng, resolution)
     mask = _down_mask([top], resolution)
-    below = scale_members(mask)
-    picks = BitileRows(below.rows[rng.integers(0, len(below), size=max(sprouts, 1))])
-    above = down_sums(scale_arrays(picks, resolution))
-    members = scale_members({k: m & (above[k] > 0) for k, m in mask.items()})
-    return Tree(top, members)
+    below = np.flatnonzero(mask)
+    picks = below[rng.integers(0, len(below), size=max(sprouts, 1))]
+    above = down_sums(np.bincount(picks, minlength=len(mask)))
+    return Tree(top, support(mask & (above > 0)))
 
 
 def measure_triple(

@@ -23,7 +23,15 @@ import numpy as np
 from .gridfn import GridFunction2D
 from .maximal import directional_maximal, dyadic_maximal_2d, level_set
 from .selection import Forest
-from .tiles import Bitile, BitileRows, _unique_ints, scale_arrays, scale_members
+from .tiles import (
+    Bitile,
+    BitileRows,
+    _bitile_count,
+    _finest_first,
+    _unique_ints,
+    counts,
+    scale_views,
+)
 from .triform import bitile_table
 from .wavelets import coefficient_rows, walsh_rows
 
@@ -232,28 +240,27 @@ def replacement_check(
 
     # A region interval of row x0 swallows I1 exactly when the block
     # b2[x0, I1] is full (the pieces are the maximal intervals of b2).
-    X = {k: x for k, x in scale_arrays(bitiles, K).items() if x.any()}
+    x = counts(bitiles, K)
+    views = scale_views(x)
+    scales = [k for k, v in views.items() if v.any()]
     alive_cells = f1.values != 0.0
     bad_fibers = 0
-    for k, x in X.items():
+    for k in scales:
         nb, w = 1 << -k, 1 << (K + k)
         captured = mask.reshape(n, nb, w).all(-1).reshape(nb, w, nb)  # [m0, a, m1]
         alive = alive_cells.reshape(nb, w, n).any(1).reshape(nb, nb, w)  # [m2, m0, a]
         m0, m2 = np.indices((nb, nb))
         hits = captured[m0, :, m0 ^ m2] & alive[m2, m0]  # [m0, m2, a]
-        bad_fibers += int((x.sum(-1) * hits.sum(-1)).sum())
+        bad_fibers += int((views[k].sum(-1) * hits.sum(-1)).sum())
     if bad_fibers:
         violations.append(
             f"middle function alive on {bad_fibers} captured fibers"
         )
 
-    member = {k: x > 0 for k, x in X.items()}
-    before = bitile_table(f0, f1, f2, member)
-    after = bitile_table(f0, f1, good.g, member)
-    worst = max(
-        (float(np.abs(before[k] - after[k])[m].max()) for k, m in member.items()),
-        default=0.0,
-    )
+    member = x > 0
+    before = bitile_table(f0, f1, f2, scales)
+    after = bitile_table(f0, f1, good.g, scales)
+    worst = float(np.abs(before - after)[member].max(initial=0.0))
     return worst, tuple(violations)
 
 
@@ -267,12 +274,12 @@ def admissible_bitiles(b1: GridFunction2D) -> BitileRows:
     K = b1.resolution
     if K < 2:
         raise ValueError("resolution too small for bitiles")
-    mask = {}
-    for k in range(1 - K, 1):
+    keep = np.zeros(_bitile_count(K), dtype=bool)
+    for k, v in scale_views(keep).items():
         nb, w = 1 << -k, 1 << (K + k)
         swallowed = b1.values.reshape(nb, w, nb, w).all((1, 3))  # [m2, m0]
-        mask[k] = np.repeat(~swallowed.T[:, :, None], 1 << (K + k - 1), axis=2)
-    return scale_members(mask, sorted(mask))
+        v[...] = ~swallowed.T[:, :, None]
+    return _finest_first(keep)
 
 
 def counting_function(forest, resolution: int) -> GridFunction2D:

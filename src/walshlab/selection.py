@@ -8,13 +8,17 @@ satisfy a Carleson-type counting bound with constant 9 * 2^(2n) over
 every dyadic test box.  Certificates carry enough data to re-check all
 of this independently.
 
-The partial-order work runs on one array per scale (see `tiles`): the
-size functional, the selection phases and the disjointness checks are
-down-set or up-set sums, one pass across the scales each, and all trees
-of phase 1 are cut out of the remaining arrays by one up-set minimum.
-Collections, tree members and the remainder travel as `BitileRows`, a
-forest as one `Forest` of rows.  Per-tile projection norms come from local
-coefficient tables, not from forming any projection explicitly.
+The partial-order work runs on one flat array over the bitile positions
+of `tiles`: a collection is a mask, the half-tile norms and the scores
+are values over the positions, and every elementwise step is one numpy
+operation.  The size functional and the selection phases are down-set or
+up-set sums, one pass across the scales each, and all trees of phase 1
+are cut out of the remaining mask by one up-set minimum.  The
+certificate checks key each row by its position.  Collections, tree
+members and the remainder leave as `BitileRows`, built once per result
+from the positions; a forest leaves as one `Forest` of rows.  Per-tile
+projection norms come from local coefficient tables, not from forming
+any projection explicitly.
 """
 
 from __future__ import annotations
@@ -30,17 +34,24 @@ from .tiles import (
     Bitile,
     BitileRows,
     ProjectionMode,
+    _bitile_count,
     _coords,
+    _decode,
     _fits,
     _image_cells,
     _isin_ints,
+    _keys,
+    _least_resolution,
+    _position,
     _require_half_tile_regions,
+    _resolution,
     _unique_ints,
     convex_scales,
+    counts,
     half_down_sums,
     is_convex,
-    scale_arrays,
-    scale_members,
+    scale_views,
+    support,
     up_sums,
 )
 from .wavelets import coefficient_rows
@@ -172,10 +183,13 @@ def tile_norm_table(
     slot: int,
     mode: ProjectionMode | None,
     scales,
-) -> dict[int, np.ndarray]:
-    """Squared projection norms of every scale-k tile, k in scales.
+) -> np.ndarray:
+    """Squared projection norms of the half-tiles of every bitile of the scales.
 
-    Scale k maps to an array [m0, m2, nu] of shape (2^-k, 2^-k, 2^(K+k)).
+    Row p holds P.half(+1) and P.half(-1) of the bitile P at position p
+    (tiles 2n and 2n + 1); bitiles of other scales read 0.  So the tiles
+    of scale k, an array [m0, m2, nu] of shape (2^-k, 2^-k, 2^(K+k)), are
+    `scale_views(table)[k]` with its last two axes merged.
     Packet slots reduce to one local coefficient per tile; slot 1 reduces
     to masked row-energy sums.  In diagonal mode these group each dual
     cell under the one tile its image lands in, which needs |a| < 2;
@@ -187,23 +201,25 @@ def tile_norm_table(
         _require_half_tile_regions(mode.multiplier)
     K = F.resolution
     ngrid = 1 << K
-    table: dict[int, np.ndarray] = {}
+    table = np.zeros((_bitile_count(K), 2))
+    views = scale_views(table)
     for k in sorted(set(scales)):
-        if not -K <= k <= 0:
+        if not 1 - K <= k <= 0:
             raise ValueError("scale outside resolution range")
         B = 1 << (K + k)
         nb = 1 << -k
+        out = views[k].reshape(nb, nb, B)
         g0, g2 = np.arange(nb)[:, None], np.arange(nb)
         if slot == 0:
             # C[i2, m1, nu] -> S[m2, m1, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
             S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            table[k] = 2.0 ** (k - K) * S[g2, g0 ^ g2]
+            np.multiply(S[g2, g0 ^ g2], 2.0 ** (k - K), out=out)
         elif slot == 2:
             # C[i0, m1, nu] -> S[m0, m1, nu]
             C = coefficient_rows(F.values.reshape(ngrid, nb, B), K + k)
             S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            table[k] = 2.0 ** (k - K) * S[g0, g0 ^ g2]
+            np.multiply(S[g0, g0 ^ g2], 2.0 ** (k - K), out=out)
         elif mode.kind == "fiberwise":
             labels = np.asarray(mode.labels, dtype=np.int64)
             if labels.shape != (ngrid,):
@@ -212,7 +228,7 @@ def tile_norm_table(
             acc = np.zeros((nb, nb, B))  # [m2, m0, nu]
             rows = np.arange(ngrid) >> (K + k)
             np.add.at(acc, (rows, slice(None), labels >> -k), R)
-            table[k] = 2.0 ** (-2 * K) * acc.transpose(1, 0, 2)
+            np.multiply(acc.transpose(1, 0, 2), 2.0 ** (-2 * K), out=out)
         else:
             # C[i0, m2, nu] -> D[i0, m2, image cell] -> S[m0, m2, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
@@ -220,7 +236,7 @@ def tile_norm_table(
             D = np.zeros((ngrid, nb, B))
             np.add.at(D, (slice(None), slice(None), img), C**2)
             S = D.reshape(nb, B, nb, B).sum(axis=1)
-            table[k] = 2.0 ** (k - K) * S
+            np.multiply(S, 2.0 ** (k - K), out=out)
     return table
 
 
@@ -229,16 +245,17 @@ def _half_norms(F, slot, mode, member):
 
     Only the scales holding a member are tabulated; the others read zero.
     """
-    table = tile_norm_table(F, slot, mode, [k for k, m in member.items() if m.any()])
-    lower, upper = {}, {}
-    for k, m in member.items():
-        t = table.get(k, np.zeros(m.shape[:2] + (2 * m.shape[2],)))
-        lower[k], upper[k] = t[:, :, 0::2], t[:, :, 1::2]
-    return lower, upper
+    scales = [k for k, m in scale_views(member).items() if m.any()]
+    return tile_norm_table(F, slot, mode, scales).T
+
+
+def _areas(member) -> np.ndarray:
+    """4^k, the area of the spatial box, of each member of a mask."""
+    return 4.0 ** _decode(_resolution(member))[member, 0]
 
 
 def _size(member, lower, upper):
-    """Size of the members, whose convexity the caller has settled, and the half sums.
+    """Size of a nonempty member mask, whose convexity is settled, and the half sums.
 
     The squared tree projection norm below a top decomposes orthogonally:
     both halves of the top plus, for each member whose j-half sits below
@@ -246,20 +263,12 @@ def _size(member, lower, upper):
     potential top; the values are meaningful on members only.
     """
     halves = {
-        1: half_down_sums({k: upper[k] * m for k, m in member.items()}, 1),
-        -1: half_down_sums({k: lower[k] * m for k, m in member.items()}, -1),
+        1: half_down_sums(upper * member, 1),
+        -1: half_down_sums(lower * member, -1),
     }
-    energy = {k: lower[k] + upper[k] + (halves[1][k] + halves[-1][k]) for k in member}
-    worst = max(
-        float(np.max(energy[k][m] / 4.0**k)) for k, m in member.items() if m.any()
-    )
+    energy = lower + upper + (halves[1] + halves[-1])
+    worst = float(np.max(energy[member] / _areas(member)))
     return float(np.sqrt(worst)), halves
-
-
-def _members(bitiles, resolution):
-    """Per-scale membership arrays, or None for an empty collection."""
-    member = {k: x > 0 for k, x in scale_arrays(bitiles, resolution).items()}
-    return member if any(m.any() for m in member.values()) else None
 
 
 def size(
@@ -274,8 +283,8 @@ def size(
     because the tree tiling refines monotonically, so only tops need to
     be scanned.
     """
-    member = _members(bitiles, F.resolution)
-    if member is None:
+    member = counts(bitiles, F.resolution) > 0
+    if not member.any():
         return 0.0
     if not convex_scales(member):
         raise ValueError("collection is not convex")
@@ -306,14 +315,19 @@ def _box_energy(F: GridFunction2D, slot: int):
 
 
 def _counting_tables(forest, F, slot, level):
-    """Per-scale (sum of contained tree areas, bound) arrays over all dyadic boxes."""
+    """Per-scale (sum of contained tree areas, bound) arrays over all dyadic boxes.
+
+    A top outside the unit square lies in no box; it is left out (and its
+    tree fails `trees-convex-with-top`).
+    """
     box_rhs = _box_energy(F, slot)
     kT, a0, a2, _ = Forest.of(forest).tops.rows.T
+    square = (np.minimum(a0, a2) >= 0) & (np.maximum(a0, a2) < 1 << -np.minimum(kT, 0))
     bound = 9.0 * 4.0**level
     counting = {}
     for kJ, rhs in box_rhs.items():
         nb = rhs.shape[0]
-        inside = kT <= kJ
+        inside = square & (kT <= kJ)
         d = kJ - kT[inside]
         lhs = np.zeros((nb, nb))
         # in tree order, as a running sum per box
@@ -322,26 +336,25 @@ def _counting_tables(forest, F, slot, level):
     return counting
 
 
-def _take_trees(remaining, tops: BitileRows) -> Forest:
-    """Cut the down-set of each top, in the given order, out of the remaining masks.
+def _take_trees(remaining, tops: np.ndarray) -> Forest:
+    """Cut the down-set of each top position, in order, out of the remaining mask.
 
     Taken one at a time, each remaining bitile goes to the first top above
     it: the minimum of the top ranks over its up-set, so one pass takes
     them all.  Within one tree the frequency index is fixed per scale, so
-    a stable sort by owner of the rows in `scale_members` order lists each
-    tree's members coarsest scale first, then by m0, m2.
+    a stable sort by owner of the positions lists each tree's members
+    coarsest scale first, then by m0, m2.
     """
-    rank = {k: np.full(r.shape, len(tops)) for k, r in remaining.items()}
-    for k, r in rank.items():
-        at = tops.rows[:, 0] == k
-        r[tuple(tops.rows[at, 1:].T)] = np.flatnonzero(at)
+    rank = np.full(len(remaining), len(tops))
+    rank[tops] = np.arange(len(tops))
     owner = up_sums(rank, np.minimum)
-    owned = {k: r & (owner[k] < len(tops)) for k, r in remaining.items()}
-    of = np.concatenate([owner[k][owned[k]] for k in sorted(owned, reverse=True)])
+    owned = remaining & (owner < len(tops))
+    of = owner[owned]
     order = np.argsort(of, kind="stable")
-    for k, o in owned.items():
-        remaining[k] &= ~o
-    return Forest(tops, BitileRows(scale_members(owned).rows[order]), of[order])
+    remaining &= ~owned
+    rows = _decode(_resolution(remaining))
+    members = BitileRows(rows[np.flatnonzero(owned)[order]])
+    return Forest(BitileRows(rows[tops]), members, of[order])
 
 
 def select_forests(
@@ -362,23 +375,20 @@ def select_forests(
     `select_trees` adds the counting tables that make them a certificate.
     """
     K = F.resolution
-    member = _members(bitiles, K)
-    if member is None:
+    member = counts(bitiles, K) > 0
+    if not member.any():
         return (), (), (Forest.of(()),) * 3
     if not convex_scales(member):
         raise ValueError("collection is not convex")
-    collection = scale_members(member)
     lower, upper = _half_norms(F, slot, mode, member)
-    threshold = 4.0 ** (-level) / 3.0
-    remaining = {k: m.copy() for k, m in member.items()}
+    rows = _decode(K)
+    bar = 4.0 ** (-level) / 3.0 * 4.0 ** rows[:, 0]  # the threshold times the area
+    remaining = member.copy()
 
     # phase 1: heavy bitiles, maximal ones first, coarsest to finest
-    heavy = {
-        k: m & ((lower[k] + upper[k]) > threshold * 4.0**k) for k, m in member.items()
-    }
-    heavy_above = up_sums({k: h.astype(np.int64) for k, h in heavy.items()})
-    tops1 = {k: h & (heavy_above[k] == 1) for k, h in heavy.items()}
-    forest1 = _take_trees(remaining, scale_members(tops1))
+    heavy = member & (lower + upper > bar)
+    tops1 = heavy & (up_sums(heavy.astype(np.int64)) == 1)
+    forest1 = _take_trees(remaining, np.flatnonzero(tops1))
 
     # phases 2 and 3: heavy half-tile sums over T_j, extremal endpoint first
     half_forests = []
@@ -386,24 +396,20 @@ def select_forests(
         contrib = upper if j == 1 else lower  # norm of P^{-j}
         picked = []
         while True:
-            weights = {k: contrib[k] * r for k, r in remaining.items()}
-            scores = half_down_sums(weights, j)
-            heavy = {
-                k: r & (scores[k] > threshold * 4.0**k) for k, r in remaining.items()
-            }
-            cand = scale_members(heavy).rows
+            scores = half_down_sums(contrib * remaining, j)
+            cand = np.flatnonzero(remaining & (scores > bar))
             if not len(cand):
                 break
-            ks, m0s, m2s, ns = cand.T
+            ks, m0s, m2s, ns = rows[cand].T
             if j == -1:
                 endpoint = ns << (1 - ks)
             else:
                 endpoint = -((ns + 1) << (1 - ks))
             first = np.lexsort((m2s, m0s, ks, endpoint))[0]
-            picked.append(_take_trees(remaining, BitileRows(cand[[first]])))
+            picked.append(_take_trees(remaining, cand[[first]]))
         half_forests.append(Forest.of(picked))
 
-    return collection, scale_members(remaining), (forest1, *half_forests)
+    return support(member), support(remaining), (forest1, *half_forests)
 
 
 def select_trees(
@@ -424,40 +430,25 @@ def select_trees(
 # -- verification ------------------------------------------------------------
 
 
-def _pack(tag, k, m0, m2, n, resolution: int) -> np.ndarray:
-    """One integer key per (tag, scale, m0, m2, n) of rows that fit.
-
-    Each field of a fitting row takes fewer than K bits.
-    """
-    K = resolution
-    return (((tag * K - k) << K | m0) << K | m2) << K | n
-
-
-def _row_keys(c: np.ndarray, resolution: int) -> np.ndarray:
-    """One integer key per row, equal exactly for equal rows.
-
-    Their `_pack` keys when all rows fit, else their ranks in row order.
-    """
-    if _fits(c, resolution).all():
-        return _pack(0, *c.T, resolution)
-    return np.unique(c, axis=0, return_inverse=True)[1].reshape(-1)
-
-
 def _incomparable(c: np.ndarray, resolution: int) -> bool:
     """No two rows comparable and none repeated.
 
     p <= q with q d >= 1 scales above p exactly when (scale + d, m0 >> d,
     m2 >> d, n) of p equals (scale, m0, m2, n >> d) of q (see `le`).  With
-    both sides tagged by d, one set lookup finds every comparable pair.
+    both sides keyed d N + position, one set lookup finds every comparable
+    pair.
     """
     if not _fits(c, resolution).all():
         return False
-    if _unique_ints(_pack(0, *c.T, resolution)).size < len(c):
+    if _unique_ints(_position(*c.T, resolution)).size < len(c):
         return False
     k, m0, m2, n = c.T
     d = np.arange(1, resolution)[:, None]
-    ancestors = _pack(d, k + d, m0 >> d, m2 >> d, n, resolution)[k + d <= 0]
-    return not _isin_ints(ancestors, _pack(d, k, m0, m2, n >> d, resolution)).any()
+    N = _bitile_count(resolution)
+    up = np.minimum(k + d, 0)  # an ancestor exists where scale + d <= 0
+    ancestors = (d * N + _position(up, m0 >> d, m2 >> d, n, resolution))[k + d <= 0]
+    below = d * N + _position(k, m0, m2, n >> d, resolution)
+    return not _isin_ints(ancestors, below).any()
 
 
 def _tree_arrays(forest):
@@ -494,16 +485,18 @@ def _trees_ok(owner, c, top, resolution: int) -> bool:
     when it holds the parent of each of its members other than q.
     Takes the rows of `_tree_arrays`.
     """
-    if not _fits(c, resolution).all():
-        return False
+    if not (_fits(c, resolution).all() and _fits(top, resolution).all()):
+        return False  # below a top that does not fit, a member or parent does not
     d, below = _below_top(c, top)
     if not below.all():
         return False
     inner = d > 0  # the members other than the top
     k, m0, m2, _ = c[inner].T
     parent_n = top[inner, 3] >> (d[inner] - 1)
-    parents = _pack(owner[inner], k + 1, m0 >> 1, m2 >> 1, parent_n, resolution)
-    return bool(_isin_ints(parents, _pack(owner, *c.T, resolution)).all())
+    N = _bitile_count(resolution)
+    parents = _position(k + 1, m0 >> 1, m2 >> 1, parent_n, resolution)
+    keys = owner * N + _position(*c.T, resolution)
+    return bool(_isin_ints(owner[inner] * N + parents, keys).all())
 
 
 def _selected_halves(forest, j: int) -> np.ndarray:
@@ -567,16 +560,17 @@ def verify_certificate(cert: SelectionCertificate, F: GridFunction2D):
     K = F.resolution
     trees = cert.trees
     owner, members, tops = _tree_arrays(trees)
-    parts = len(cert.remainder) + len(members)
-    keys = _row_keys(
-        np.concatenate((_coords(cert.remainder), members, _coords(cert.collection))), K
-    )
+    remainder = _coords(cert.remainder)
+    parts = len(remainder) + len(members)
+    keys = _keys(np.concatenate((remainder, members, _coords(cert.collection))), K)
     seen = _unique_ints(keys[:parts])
     check("partition-disjoint", len(seen) == parts)
     check("partition-union", np.array_equal(seen, _unique_ints(keys[parts:])))
 
-    # convexity of remainder and of each tree, tree tops dominate members
-    check("remainder-convex", is_convex(cert.remainder))
+    # convexity of remainder (localized first) and of each tree, tree tops
+    # dominate members
+    localized = _fits(remainder, _least_resolution(remainder)).all()
+    check("remainder-convex", localized and is_convex(remainder))
     # rows, unlike `Tree`s, can hold a tree without members
     nonempty = np.bincount(owner, minlength=len(trees)).all()
     check("trees-convex-with-top", nonempty and _trees_ok(owner, members, tops, K))
@@ -639,19 +633,18 @@ def _remainder_readings(cert, F, slot, level):
     """
     if not _fits(_coords(cert.remainder), F.resolution).all():
         return math.inf, math.nan, math.nan
-    member = _members(cert.remainder, F.resolution)
-    if member is None:
+    member = counts(cert.remainder, F.resolution) > 0
+    if not member.any():
         return 0.0, 0.0, 0.0
     rem_size, halves = _size(member, *_half_norms(F, slot, cert.mode, member))
     threshold = 4.0 ** (-level) / 3.0
+    area = _areas(member)
     worst_lin = 0.0
     worst_sq = 0.0
     for j in (-1, 1):
-        for k, m in member.items():
-            if m.any():
-                s, area = halves[j][k][m], 4.0**k
-                worst_lin = max(worst_lin, float(np.max(s / (threshold * area))))
-                worst_sq = max(worst_sq, float(np.max(s / (threshold * area**2))))
+        s = halves[j][member]
+        worst_lin = max(worst_lin, float(np.max(s / (threshold * area))))
+        worst_sq = max(worst_sq, float(np.max(s / (threshold * area**2))))
     return rem_size, worst_lin, worst_sq
 
 
@@ -674,7 +667,7 @@ def single_tree_report(
     from .triform import lambda_tree
 
     value = lambda_tree(tree.members, eps, F0, F1, F2)
-    member = _members(tree.members, F0.resolution)
+    member = counts(tree.members, F0.resolution) > 0
     if not convex_scales(member):
         raise ValueError("collection is not convex")
     sizes = tuple(

@@ -6,13 +6,23 @@ frequency interval of length 2^-k, so each spatial/frequency pair has
 area one.  A bitile doubles the frequency side; its two half-tiles split
 that interval, j = +1 taking the lower half.
 
-At resolution K a bitile collection is one array per scale: scale k
-(1-K <= k <= 0) holds X[k][m0, m2, n], of shape (2^-k, 2^-k, 2^(K+k-1)).
+At resolution K the N = 2^(K-1) (2^K - 1) bitiles that fit have one
+flat position each: scales coarsest first (1-K <= k <= 0), each scale a
+block [m0, m2, n] of shape (2^-k, 2^-k, 2^(K+k-1)) in C order, so
+Bitile(k, m0, m2, n) sits at (2^-k - 1) 2^(K-1) + (m0 2^-k + m2) 2^(K+k-1)
++ n.  A collection is one array over the positions (a mask, counts or
+values); `positions` maps rows there, the cached `_decode` table maps
+back, and `support` lists a collection as `BitileRows` in position order.
+The two half-tiles of the bitile at position p sit at 2p and 2p + 1 of
+the layout of K + 1, whose scales coarser than -K are the tiles of
+resolution K.
+
 The bitiles one scale below a top q are exactly its four spatial children
 with frequency index n_q >> 1, and their down-sets partition
 down(q) minus q; dually the bitiles one scale above P are its spatial
 parent with index 2 n_P or 2 n_P + 1, and their up-sets partition up(P)
-minus P.  So every down-set or up-set sum is one pass across the scales.
+minus P.  So every down-set or up-set sum is one pass across the scales,
+on the per-scale views X[k][m0, m2, n] of `scale_views`.
 
 Slot projections act on one argument slot of a trilinear form: slots 0
 and 2 project a fiber onto the wave packet of the tile, slot 1 localizes
@@ -175,113 +185,173 @@ def _fits(c: np.ndarray, resolution: int) -> np.ndarray:
     return ok & (np.maximum(m0, m2) < 1 << -k) & (n < 1 << (resolution + k - 1))
 
 
-def all_bitiles(resolution: int) -> BitileRows:
-    """Every localized bitile representable at the resolution, finest scale first."""
-    if resolution < 2:
-        raise ValueError("resolution too small for bitiles")
+def _bitile_count(resolution: int) -> int:
+    """Number of bitiles that fit the resolution K: 2^(K-1) (2^K - 1)."""
+    return ((1 << resolution) - 1) << (resolution - 1)
+
+
+def _resolution(x: np.ndarray) -> int:
+    """The resolution whose positions index x's first axis, read off its length."""
+    return (len(x).bit_length() + 1) // 2
+
+
+def _position(k, m0, m2, n, resolution: int):
+    """Position of fitting (scale, m0, m2, n) in the flat order of the resolution.
+
+    The scales come coarsest first, each as its block [m0, m2, n] in C
+    order; scale k holds 2^(K-k-1) bitiles, so the coarser scales fill
+    the first (2^-k - 1) 2^(K-1) positions.
+    """
     K = resolution
-    scales = range(1 - K, 1)
-    full = {k: np.ones((1 << -k, 1 << -k, 1 << (K + k - 1)), bool) for k in scales}
-    return scale_members(full, scales)
+    return (((1 << -k) - 1) << (K - 1)) + ((((m0 << -k) + m2) << (K + k - 1)) + n)
 
 
-def scale_arrays(bitiles: Iterable[Bitile], resolution: int) -> dict[int, np.ndarray]:
-    """Multiplicity of every bitile at the resolution, one array per scale.
+def positions(bitiles, resolution: int) -> np.ndarray:
+    """Flat position of each bitile at the resolution, as int64.
 
     A bitile that does not fit the resolution (scale below 1 - K, not
     localized, or frequency beyond 2^K) raises ValueError.
     """
-    K = resolution
     c = _coords(bitiles)
-    if not _fits(c, K).all():
+    if not _fits(c, resolution).all():
         raise ValueError("bitile does not fit the resolution")
-    X = {}
-    for k in range(1 - K, 1):
-        X[k] = np.zeros((1 << -k, 1 << -k, 1 << (K + k - 1)), dtype=np.int64)
-        _, m0, m2, n = c[c[:, 0] == k].T
-        np.add.at(X[k], (m0, m2, n), 1)
-    return X
+    return _position(*c.T, resolution)
 
 
-def scale_members(X: dict[int, np.ndarray], scales=None) -> BitileRows:
-    """Bitiles with a nonzero entry, coarsest scale first, then m0, m2, n.
+def _keys(c: np.ndarray, resolution: int) -> np.ndarray:
+    """One integer key per row, equal exactly for equal rows.
 
-    Given scales, the rows come scale by scale in that order instead.
+    A row that fits keys by its position; one that does not, by N plus
+    its rank among the distinct rows that do not fit.
     """
-    blocks = [_coords(())]
-    for k in sorted(X, reverse=True) if scales is None else scales:
-        idx = np.argwhere(X[k])
+    fits = _fits(c, resolution)
+    if fits.all():
+        return _position(*c.T, resolution)
+    keys = np.empty(len(c), dtype=np.int64)
+    keys[fits] = _position(*c[fits].T, resolution)
+    misfit = c[~fits]
+    order = np.lexsort(misfit.T)
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (misfit[order[1:]] != misfit[order[:-1]]).any(axis=1)
+    keys[np.flatnonzero(~fits)[order]] = _bitile_count(resolution) - 1 + np.cumsum(new)
+    return keys
+
+
+@lru_cache(maxsize=8)  # one resolution per run; 32 N bytes each
+def _decode(resolution: int) -> np.ndarray:
+    """Read-only rows (scale, m0, m2, n) of the bitiles, one per position."""
+    K = resolution
+    blocks = []
+    for k in range(0, -K, -1):
+        idx = np.indices((1 << -k, 1 << -k, 1 << (K + k - 1))).reshape(3, -1).T
         blocks.append(np.column_stack((np.full(len(idx), k), idx)))
-    return BitileRows(np.concatenate(blocks))
+    rows = np.concatenate(blocks)
+    rows.flags.writeable = False
+    return rows
 
 
-def down_sums(X: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """D[q] = sum of X[p] over the bitiles p <= q, finest scale first."""
-    D: dict[int, np.ndarray] = {}
-    for k in sorted(X):
-        D[k] = X[k].copy()
-        if k - 1 in D:
-            nb = D[k].shape[0]
-            children = D[k - 1].reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
-            D[k] += np.repeat(children, 2, axis=2)
+def scale_views(x: np.ndarray) -> dict[int, np.ndarray]:
+    """Views X[k][m0, m2, n] of an array over the positions, coarsest scale first.
+
+    Scale k has shape (2^-k, 2^-k, 2^(K+k-1)), followed by x's other axes.
+    """
+    K = _resolution(x)
+    views, start = {}, 0
+    for k in range(0, -K, -1):
+        size = 1 << (K - k - 1)
+        shape = (1 << -k, 1 << -k, 1 << (K + k - 1))
+        views[k] = x[start : start + size].reshape(shape + x.shape[1:])
+        start += size
+    return views
+
+
+def counts(bitiles, resolution: int) -> np.ndarray:
+    """Multiplicity of every bitile at the resolution, over the positions.
+
+    A bitile that does not fit the resolution raises ValueError.
+    """
+    N = _bitile_count(resolution)
+    return np.bincount(positions(bitiles, resolution), minlength=N)
+
+
+def support(x: np.ndarray) -> BitileRows:
+    """The bitiles where x is nonzero, coarsest scale first, then m0, m2, n."""
+    return BitileRows(_decode(_resolution(x))[np.flatnonzero(x)])
+
+
+def _finest_first(x: np.ndarray) -> BitileRows:
+    """The bitiles of `support(x)` with the scales finest first."""
+    rows = support(x).rows
+    return BitileRows(rows[np.argsort(rows[:, 0], kind="stable")])
+
+
+def all_bitiles(resolution: int) -> BitileRows:
+    """Every localized bitile representable at the resolution, finest scale first."""
+    if resolution < 2:
+        raise ValueError("resolution too small for bitiles")
+    return _finest_first(np.ones(_bitile_count(resolution), dtype=bool))
+
+
+def down_sums(x: np.ndarray) -> np.ndarray:
+    """D[q] = sum of x[p] over the bitiles p <= q, finest scale first."""
+    D = x.copy()
+    V = scale_views(D)
+    for k in sorted(V)[1:]:
+        nb = V[k].shape[0]
+        children = V[k - 1].reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
+        V[k] += np.repeat(children, 2, axis=2)
     return D
 
 
-def up_sums(X: dict[int, np.ndarray], op=np.add) -> dict[int, np.ndarray]:
-    """U[p] = sum (or with op = np.minimum, minimum) of X[q] over the bitiles q >= p."""
-    U: dict[int, np.ndarray] = {}
-    for k in sorted(X, reverse=True):
-        U[k] = X[k].copy()
-        if k + 1 in U:
-            nb, _, nf = U[k + 1].shape
-            parents = op.reduce(U[k + 1].reshape(nb, nb, nf // 2, 2), axis=3)
-            U[k] = op(U[k], np.repeat(np.repeat(parents, 2, axis=0), 2, axis=1))
+def up_sums(x: np.ndarray, op=np.add) -> np.ndarray:
+    """U[p] = sum (or with op = np.minimum, minimum) of x[q] over the bitiles q >= p."""
+    U = x.copy()
+    V = scale_views(U)
+    for k in sorted(V, reverse=True)[1:]:
+        nb, _, nf = V[k + 1].shape
+        parents = op.reduce(V[k + 1].reshape(nb, nb, nf // 2, 2), axis=3)
+        op(V[k], np.repeat(np.repeat(parents, 2, axis=0), 2, axis=1), out=V[k])
     return U
 
 
-def half_down_sums(X: dict[int, np.ndarray], j: int) -> dict[int, np.ndarray]:
-    """S[q] = sum of X[p] over the bitiles p with p.half(j) <= q.
+def half_down_sums(x: np.ndarray, j: int) -> np.ndarray:
+    """S[q] = sum of x[p] over the bitiles p with p.half(j) <= q.
 
     p.half(j) <= q exactly when the bitile r one scale above p with index
     n_r = 2 n_p + (0 if j == 1 else 1) satisfies r <= q; so each value is
     lifted onto that r before the down-set recursion.
     """
-    lifted = {k: np.zeros_like(x) for k, x in X.items()}
-    for k, x in X.items():
-        if k + 1 in lifted:
-            nb = x.shape[0] // 2
-            parent = x.reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
-            lifted[k + 1][:, :, (0 if j == 1 else 1) :: 2] = parent
+    lifted = np.zeros_like(x)
+    L = scale_views(lifted)
+    for k, v in scale_views(x).items():
+        if k < 0:
+            nb = v.shape[0] // 2
+            parent = v.reshape(nb, 2, nb, 2, -1).sum(axis=(1, 3))
+            L[k + 1][:, :, (0 if j == 1 else 1) :: 2] = parent
     return down_sums(lifted)
 
 
-def convex_scales(X: dict[int, np.ndarray]) -> bool:
+def convex_scales(x: np.ndarray) -> bool:
     """No bitile outside the support lies both above and below a member."""
-    member = {k: (x > 0).astype(np.int64) for k, x in X.items()}
+    member = (x > 0).astype(np.int64)
     below, above = down_sums(member), up_sums(member)
-    return not any(
-        ((below[k] > 0) & (above[k] > 0) & (member[k] == 0)).any() for k in X
-    )
+    return not ((below > 0) & (above > 0) & (member == 0)).any()
 
 
-def _member_arrays(bitiles: Iterable[Bitile]) -> dict[int, np.ndarray] | None:
-    """Member indicators at the smallest resolution holding every member.
-
-    None for an empty collection; the members must be localized.
-    """
-    coll = BitileRows(bitiles)
-    if not coll:
-        return None
+def _least_resolution(c: np.ndarray) -> int:
+    """The least resolution at which rows of localized bitiles all fit."""
     # n < 2^(K + k - 1) exactly when K >= bit_length(n) + 1 - k; frexp's
     # exponent is the bit length of an integer below 2^53
-    K = int((np.frexp(coll.rows[:, 3])[1] + 1 - coll.rows[:, 0]).max())
-    return {k: (x > 0).astype(np.int64) for k, x in scale_arrays(coll, K).items()}
+    return int((np.frexp(c[:, 3])[1] + 1 - c[:, 0]).max(initial=1))
 
 
 def is_convex(bitiles: Iterable[Bitile]) -> bool:
-    """Closed under the intermediates of every comparable pair."""
-    member = _member_arrays(bitiles)
-    return member is None or convex_scales(member)
+    """Closed under the intermediates of every comparable pair.
+
+    The members must be localized (ValueError otherwise).
+    """
+    c = _coords(bitiles)
+    return convex_scales(counts(c, _least_resolution(c)))
 
 
 def disjoint_tiling(bitiles: Sequence[Bitile]) -> list[Tile]:
@@ -292,30 +362,25 @@ def disjoint_tiling(bitiles: Sequence[Bitile]) -> list[Tile]:
     n_r = 2 n_P + (0 if j == 1 else 1).  Since P.half(j) <= Q exactly when
     r <= Q (see `half_down_sums`), a half-tile is left out exactly when it
     lies below a coarser member, whose tiles already cover its cells; so
-    the tiling is one `up_sums` of the member indicator.  Tiles come in
-    `scale_members` order, the +1 half before the -1 half, and a repeated
+    the tiling is one `up_sums` of the member counts.  Tiles come in
+    `support` order, the +1 half before the -1 half, and a repeated
     member counts once.
     """
-    member = _member_arrays(bitiles)
-    if member is None:
-        return []
-    if not convex_scales(member):
+    c = _coords(bitiles)
+    K = _least_resolution(c)
+    x = counts(c, K)
+    if not convex_scales(x):
         raise ValueError("collection is not convex")
-    above = up_sums(member)
-    out: list[Tile] = []
-    for k in sorted(member, reverse=True):
-        m0, m2, n = (i[:, None] for i in np.nonzero(member[k]))
-        halves = 2 * n + np.array([0, 1])  # the +1 half, then the -1 half
-        if k + 1 in above:
-            free = above[k + 1][m0 >> 1, m2 >> 1, halves] == 0
-        else:
-            free = np.ones(halves.shape, dtype=bool)
-        i, h = np.nonzero(free)
-        out.extend(
-            Tile(k, *t)
-            for t in zip(m0[i, 0].tolist(), m2[i, 0].tolist(), halves[i, h].tolist())
-        )
-    return out
+    above = up_sums(x)
+    k, m0, m2, n = _decode(K)[np.flatnonzero(x)].T
+    halves = 2 * n[:, None] + np.array([0, 1])  # the +1 half, then the -1 half
+    free = np.ones(halves.shape, dtype=bool)
+    up = k < 0
+    r = _position(k[up, None] + 1, m0[up, None] >> 1, m2[up, None] >> 1, halves[up], K)
+    free[up] = above[r] == 0
+    i, h = np.nonzero(free)
+    columns = (k[i], m0[i], m2[i], halves[i, h])
+    return [Tile(*t) for t in zip(*(a.tolist() for a in columns))]
 
 
 # -- structured slot-0 data --------------------------------------------------

@@ -7,10 +7,11 @@ interval length.  Summing over all scales with unit signs telescopes to a
 difference of two averaging kernels; grouping by bitiles reproduces the
 form exactly, which is the identity the whole tile machinery rests on.
 
-Every bitile value comes from `bitile_table`, one array per scale laid out
-as `tiles.scale_arrays`; the bitile sum, tree sums and the replacement
-check read it.  `lambda_bitile` builds one bitile's packets explicitly and
-stays as the oracle.
+Every bitile value comes from `bitile_table`, one array over the flat
+bitile positions of `tiles` (scales coarsest first, then m0, m2, n),
+computed through its per-scale views; the bitile sum, tree sums and the
+replacement check read it.  `lambda_bitile` builds one bitile's packets
+explicitly and stays as the oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ import numpy as np
 
 from ._kernels import haar_signs, pair_blocks, row_coefficients, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
-from .tiles import Bitile, BitileRows, scale_arrays
+from .tiles import (
+    Bitile,
+    BitileRows,
+    _bitile_count,
+    _unique_ints,
+    positions,
+    scale_views,
+)
 from .wavelets import WavePacketSpec, coefficient_rows, walsh_rows, wave_packet
 
 ScaleWeights = Dict[int, np.ndarray]  # per-scale 1D weight arrays
@@ -178,10 +186,11 @@ def lambda_bitile(
 
 def bitile_table(
     F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D, scales
-) -> Dict[int, np.ndarray]:
-    """T[k][m0, m2, n] = contribution of Bitile(k, m0, m2, n), for k in scales.
+) -> np.ndarray:
+    """Contribution of every bitile of the given scales, over the flat positions.
 
-    The layout is that of `tiles.scale_arrays`.  Per scale, the packet
+    Bitiles of the other scales read 0; `tiles.scale_views` gives the
+    table of scale k as T[k][m0, m2, n].  Per scale, the packet
     coefficients of every half-block come from one batched transform; over
     all interval pairs (m0, m2), the rows (half j, n) of U_p = C0[I1, I2]
     and V_p = C2[I1, I0] pair against the Haar-signed block F1[I2, I0] in
@@ -189,7 +198,8 @@ def bitile_table(
     """
     K = F0.resolution
     F2T = np.ascontiguousarray(F2.values.T)  # [i1, i0]
-    table = {}
+    table = np.zeros(_bitile_count(K))
+    views = scale_views(table)
     for k in scales:
         shift = K + k
         half = 1 << (shift - 1)  # cells per half interval
@@ -207,7 +217,7 @@ def bitile_table(
         # packet scaling 2^(k-1) per slot pair, |I1|^-1 = 2^-k, grid measure
         # 4^-K: an exact power of two
         weight = 2.0 ** (k - 1) * 2.0 ** (-k) * 4.0 ** (-K)
-        table[k] = (rows[:, :half] - rows[:, half:]).reshape(nb, nb, half) * weight
+        views[k][...] = (rows[:, :half] - rows[:, half:]).reshape(nb, nb, half) * weight
     return table
 
 
@@ -215,9 +225,9 @@ def lambda_bitile_sum(
     eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
 ) -> float:
     """Sum of eps-weighted bitile contributions over all localized bitiles."""
-    table = bitile_table(F0, F1, F2, eps.scales)
+    views = scale_views(bitile_table(F0, F1, F2, eps.scales))
     return math.fsum(
-        math.fsum((eps.data[k][:, :, None] * t).ravel()) for k, t in table.items()
+        math.fsum((eps.data[k][:, :, None] * views[k]).ravel()) for k in eps.scales
     )
 
 
@@ -225,16 +235,16 @@ def lambda_tree(
     tree, eps: EpsilonField, F0: GridFunction2D, F1: GridFunction2D, F2: GridFunction2D
 ) -> float:
     """eps-weighted sum of bitile contributions over a collection; repeats count."""
-    tree = BitileRows(tree)
-    member = scale_arrays(tree, F0.resolution)
-    table = bitile_table(F0, F1, F2, [k for k, x in member.items() if x.any()])
-    # one gather per scale; fsum rounds correctly in any order
-    terms = [np.zeros(0)]
-    for k, t in table.items():
-        _, m0, m2, n = tree.rows[tree.rows[:, 0] == k].T
-        weight = eps.data[k][m0, m2] if k in eps.data else 0.0
-        terms.append(weight * t[m0, m2, n])
-    return math.fsum(np.concatenate(terms))
+    rows = BitileRows(tree).rows
+    at = positions(rows, F0.resolution)
+    k, m0, m2, _ = rows.T
+    table = bitile_table(F0, F1, F2, _unique_ints(k).tolist())
+    # one gather per weighted scale; fsum rounds correctly in any order
+    weight = np.zeros(len(rows))
+    for s, w in eps.data.items():
+        on = k == s
+        weight[on] = w[m0[on], m2[on]]
+    return math.fsum(weight * table[at])
 
 
 # -- exact identities --------------------------------------------------------

@@ -11,26 +11,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from walshlab.covering import (
     VERTICAL_THRESHOLD,
-    CoverStep,
-    CoverTrace,
     Parallelogram,
     SlopeField,
+    _box,
+    _columns,
     _in_e,
     _segments,
-    _vertical_margin,
+    cover_picks,
     square_integral,
 )
 from walshlab._kernels import haar_signs
 from walshlab.ensembles import DENSE_HEIGHTS, DENSE_MAX_TRIES
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.maximal import _check_exponent
-from walshlab.tiles import BaseTile, Bitile, le
+from walshlab.tiles import BaseTile, Bitile, BitileRows, _coords, _fits, le
 from walshlab.triform import EpsilonField, haar_multiplier
 from walshlab.walsh import DyadicInterval, WalshNumber, _clmul, coset_membership
 from walshlab.wavelets import (
@@ -100,6 +100,39 @@ def comparable(p: BaseTile, q: BaseTile) -> bool:
 def down_set(bitiles: Iterable[Bitile], top: Bitile) -> set[Bitile]:
     """The bitiles p <= top, one scalar `le` each."""
     return {p for p in bitiles if le(p, top)}
+
+
+# -- the per-scale layout that the flat positions replaced ------------------
+
+
+def scale_arrays(bitiles: Iterable[Bitile], resolution: int) -> dict[int, np.ndarray]:
+    """Multiplicity of every bitile at the resolution, one array per scale.
+
+    A bitile that does not fit the resolution (scale below 1 - K, not
+    localized, or frequency beyond 2^K) raises ValueError.
+    """
+    K = resolution
+    c = _coords(bitiles)
+    if not _fits(c, K).all():
+        raise ValueError("bitile does not fit the resolution")
+    X = {}
+    for k in range(1 - K, 1):
+        X[k] = np.zeros((1 << -k, 1 << -k, 1 << (K + k - 1)), dtype=np.int64)
+        _, m0, m2, n = c[c[:, 0] == k].T
+        np.add.at(X[k], (m0, m2, n), 1)
+    return X
+
+
+def scale_members(X: dict[int, np.ndarray], scales=None) -> BitileRows:
+    """Bitiles with a nonzero entry, coarsest scale first, then m0, m2, n.
+
+    Given scales, the rows come scale by scale in that order instead.
+    """
+    blocks = [_coords(())]
+    for k in sorted(X, reverse=True) if scales is None else scales:
+        idx = np.argwhere(X[k])
+        blocks.append(np.column_stack((np.full(len(idx), k), idx)))
+    return BitileRows(np.concatenate(blocks))
 
 
 def take_tree(remaining, q: Bitile, resolution: int) -> Tuple[Bitile, tuple]:
@@ -829,3 +862,87 @@ def overlap_check(
         "sum_measures": total,
         "delta": delta,
     }
+
+
+# -- the covering selection with certified witnesses ------------------------
+
+
+def _vertical_margin(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Best sum of values minus threshold over vertical intervals through each cell.
+
+    With g = values - threshold and S its running sum along a column
+    (S[0] = 0), the best interval ending at cell y sums to
+    S[y+1] - min(S[i], i <= y) and the best one starting at y to
+    max(S[k], k > y) - S[y]; the best through y is their sum minus g[y].
+    Columns are independent.  The vertical maximal function reaches the
+    threshold exactly where the margin is nonnegative.
+    """
+    g = np.asarray(values, dtype=np.float64) - threshold
+    s = np.zeros((g.shape[0], g.shape[1] + 1))
+    np.cumsum(g, axis=1, out=s[:, 1:])
+    fwd = s[:, 1:] - np.minimum.accumulate(s[:, :-1], axis=1)
+    bwd = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1] - s[:, :-1]
+    return fwd + bwd - g
+
+
+@dataclass(frozen=True)
+class CoverStep:
+    selected: int
+    removed: Tuple[int, ...]
+    witnesses: Tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class CoverTrace:
+    steps: Tuple[CoverStep, ...]
+    density_failures: Tuple[int, ...]
+
+
+def greedy_cover(
+    parallelograms: Sequence[Parallelogram],
+    u: SlopeField,
+    delta: Optional[float] = None,
+):
+    """The covering selection of `cover_picks`, with a certified witness per removal.
+
+    Takes the picks and each step's removals from `cover_picks` and
+    replays them through the vertical margin field: each pick adds its
+    7-fold height-dilate to the field and rescans only its own columns
+    (columns are independent).  Then only that step's removed members
+    read their minimum margin, and the trace records for each a certified
+    lower bound on the vertical maximal function over its cells (+inf for
+    a cell-free member).  A removed member whose margin is negative raises
+    `RuntimeError`, so the replay checks the column-mass decision.  The
+    selected parallelograms come back in pick order; the trace also holds
+    the density failures, reported and still processed as in
+    `cover_picks`.
+    """
+    picks, removals, failures = cover_picks(parallelograms, u, delta)
+    rs = parallelograms
+    n = u.n
+    if not rs:
+        return [], CoverTrace((), ())
+    index, counts, starts = _segments(rs, n)
+    *dilates, ncols = _columns([rs[i].height_dilate(7.0) for i in picks], n)
+    first = np.cumsum(ncols) - ncols
+    field = np.zeros((n, n))
+    best = np.full((n, n), -VERTICAL_THRESHOLD)  # margin of an empty column
+    steps: List[CoverStep] = []
+    for pick, removed, start, size in zip(picks, removals, first, ncols):
+        cs, ys, m = _box(*(a[start : start + size] for a in dilates))
+        field[cs, ys] += m
+        best[cs] = _vertical_margin(field[cs], VERTICAL_THRESHOLD)
+        # min of best over each removed member's cells; +inf without cells
+        gone = np.array(removed, dtype=np.int64)
+        sizes = counts[gone]
+        offsets = np.cumsum(sizes) - sizes
+        at = np.repeat(starts[gone] - offsets, sizes) + np.arange(sizes.sum())
+        margins = np.full(gone.size, np.inf)
+        held = sizes > 0
+        if held.any():
+            margins[held] = np.minimum.reduceat(best.ravel()[index[at]], offsets[held])
+        if np.any(margins < 0.0):
+            raise RuntimeError("column mass removed a member below the threshold")
+        witnesses = VERTICAL_THRESHOLD + margins / n
+        steps.append(CoverStep(pick, removed, tuple(witnesses)))
+    return [rs[i] for i in picks], CoverTrace(tuple(steps), failures)

@@ -18,7 +18,6 @@ import pytest
 from walshlab.cli import _certificate_case, _replacement_case, build_config
 from walshlab.covering import (
     SlopeField,
-    greedy_cover,
     lemma7r_check,
 )
 from walshlab.ensembles import (
@@ -62,7 +61,7 @@ from walshlab.triform import (
 from walshlab.walsh import WalshNumber, walsh_add, walsh_mul
 from walshlab.wavelets import fwht, walsh_fn
 
-from .oracles import down_set, overlap_check, vertical_superlevel
+from .oracles import down_set, greedy_cover, overlap_check, vertical_superlevel
 
 TOL = 1e-9
 

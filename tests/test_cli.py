@@ -25,6 +25,10 @@ from walshlab.wavelets import walsh_fn
 
 
 KERNELS_K8 = "resolution=8\ntrials=2\nsuite=telescoping,bitile_sum,appendix\n"
+VERIFY_K6 = (
+    "resolution=6\ntrials=4\n"
+    "suite=telescoping,bitile_sum,appendix,certificates,replacement,lemma7r\n"
+)
 
 
 def write_config(tmp_path, text, name="cfg"):
@@ -170,38 +174,62 @@ class TestVerify:
         assert "resolution too small for bitiles" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "config, seed, digest",
+        "command, config, seed, digest",
         [
             # the verify-k6 and kernels-k8 benchmark workloads on seed 0
             (
-                "resolution=6\ntrials=4\n"
-                "suite=telescoping,bitile_sum,appendix,certificates,replacement,lemma7r\n",
+                "verify",
+                VERIFY_K6,
                 0,
                 "5b95b69abe11f9ffd0e1b5f70d1e47ee13f93181a96e2ec509aa6ea9c649c9ae",
             ),
+            # verify-k6 and constants-k5 on more seeds: the bitile order's bits
             (
+                "verify",
+                VERIFY_K6,
+                1,
+                "1e0ddd6e3451f361ba7b9b02898528ef48a4921491527f100a5ade6027d4767b",
+            ),
+            (
+                "verify",
+                VERIFY_K6,
+                3,
+                "1a45bca4f5c4f9df90ee5022bb28bb8168575fe0186053ea896b6f6a844e61c1",
+            ),
+            (
+                "constants",
+                "resolution=5\ntrials=48\n",
+                1,
+                "c1def2d716abe76721db81d3364459569276e1d520c1466b47c72c685110a58a",
+            ),
+            (
+                "verify",
                 KERNELS_K8,
                 0,
                 "9082bc4f8624f5841948269f7470614775e1f7caa9f9d2a010cb4d05417d390e",
             ),
             # kernels-k8 on more seeds: the trilinear kernels' bits
             (
+                "verify",
                 KERNELS_K8,
                 1,
                 "bca086ebc902c3b1095ea16386c9e24130eac243be6f0500c371b54312bf3eff",
             ),
             (
+                "verify",
                 KERNELS_K8,
                 3,
                 "e17ef695aa93159a6888f9657f04d4aba93e56454356933598a0a06f20fda78f",
             ),
             # the adaptedness suite, which no benchmark workload runs
             (
+                "verify",
                 "resolution=6\ntrials=2\nsuite=adaptedness\nmode=diagonal\na_bits=3\n",
                 0,
                 "45350c9b4181c9b3a4c5a53f1600feb383dd446152d7adc46a899c94ca51bffc",
             ),
             (
+                "verify",
                 "resolution=6\ntrials=2\nsuite=adaptedness\nmode=fiberwise\n",
                 0,
                 "e8e533799cea142f3b5d4609bf847145c68a4ee7d246e34a606f8012bdc1ae28",
@@ -209,6 +237,9 @@ class TestVerify:
         ],
         ids=[
             "verify-k6",
+            "verify-k6-seed1",
+            "verify-k6-seed3",
+            "constants-k5-seed1",
             "kernels-k8",
             "kernels-k8-seed1",
             "kernels-k8-seed3",
@@ -216,10 +247,10 @@ class TestVerify:
             "adaptedness-fiberwise",
         ],
     )
-    def test_benchmark_reports_pinned(self, tmp_path, config, seed, digest):
+    def test_benchmark_reports_pinned(self, tmp_path, command, config, seed, digest):
         cfg = write_config(tmp_path, config)
-        assert run_main(["verify", "--config", cfg, "--seed", seed, "--out", tmp_path]) == 0
-        data = (tmp_path / "verify_report.csv").read_bytes()
+        assert run_main([command, "--config", cfg, "--seed", seed, "--out", tmp_path]) == 0
+        data = (tmp_path / f"{command}_report.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
 

@@ -9,20 +9,16 @@ import pytest
 from walshlab import covering
 from walshlab.covering import (
     VERTICAL_THRESHOLD,
-    CoverStep,
-    CoverTrace,
     Parallelogram,
     SlopeField,
     cover_picks,
     densities,
-    greedy_cover,
     lemma7r_check,
     lk_maximal,
     square_integral,
     _box,
     _columns,
     _segments,
-    _vertical_margin,
 )
 from walshlab.ensembles import (
     cone_slope_field,
@@ -33,7 +29,10 @@ from walshlab.ensembles import (
 from walshlab.gridfn import GridFunction2D
 from walshlab.walsh import DyadicInterval
 
+from . import oracles
 from .oracles import (
+    CoverStep,
+    CoverTrace,
     ExpandedParallelogram,
     all_member_cover,
     cell_mask,
@@ -41,6 +40,7 @@ from .oracles import (
     density,
     e_set,
     full_dilate,
+    greedy_cover,
     grid_cells_scalar,
     intersection_measure,
     lemma7r_fraction,
@@ -49,6 +49,7 @@ from .oracles import (
     measured_lipschitz,
     overlap_check,
     uncertainty_overlap,
+    _vertical_margin,
     vertical_maximal,
     vertical_superlevel,
     y_bounds,
@@ -629,7 +630,7 @@ class TestCoverPicks:
         a = make(-1, 0, 0.2, 0.1, 0.1)
         b = make(-1, 1, 0.6, -0.2, 0.1)  # its columns hold no cell of a's dilate
         wrong = lambda rs, u, delta=None: ([0], [(0, 1)], ())
-        monkeypatch.setattr(covering, "cover_picks", wrong)
+        monkeypatch.setattr(oracles, "cover_picks", wrong)
         with pytest.raises(RuntimeError, match="below the threshold"):
             greedy_cover([a, b], SlopeField.constant(32, 0.0))
 

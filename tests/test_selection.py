@@ -32,7 +32,6 @@ from walshlab.selection import (
     _counting_bound,
     _counting_tables,
     _incomparable,
-    _row_keys,
     _selected_halves,
     _take_trees,
     _tree_arrays,
@@ -49,17 +48,20 @@ from walshlab.tiles import (
     BitileRows,
     ProjectionMode,
     Tile,
+    _keys,
     all_bitiles,
     convex_scales,
+    counts,
     down_sums,
     half_down_sums,
     is_convex,
     le,
+    positions,
     proj_bitile,
     proj_collection,
     proj_tile,
-    scale_arrays,
-    scale_members,
+    scale_views,
+    support,
     up_sums,
 )
 from walshlab.walsh import WalshNumber
@@ -106,7 +108,7 @@ class TestNormTables:
                     int(rng.integers(1 << (K + k))),
                 )
                 want = proj_tile(t, slot, F, mode).norm(2) ** 2
-                got = table[t.scale][t.m0, t.m2, t.n]
+                got = scale_views(table)[t.scale].reshape(nb, nb, -1)[t.m0, t.m2, t.n]
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_slot1_requires_mode(self):
@@ -130,9 +132,10 @@ class TestVectorizedOrder:
         pool = all_bitiles(K)
         rng = np.random.default_rng(4)
         value = {p: float(v) for p, v in zip(pool, rng.normal(size=len(pool)))}
-        X = {k: x.astype(float) for k, x in scale_arrays([], K).items()}
+        at = dict(zip(pool, positions(pool, K).tolist()))
+        X = np.zeros(len(pool))
         for p, v in value.items():
-            X[p.scale][p.m0, p.m2, p.n] = v
+            X[at[p]] = v
         sums = {
             "down": (down_sums(X), le),
             "up": (up_sums(X), lambda p, q: le(q, p)),
@@ -142,7 +145,7 @@ class TestVectorizedOrder:
         for name, (got, rel) in sums.items():
             for q in pool:
                 want = sum(value[p] for p in pool if rel(p, q))
-                assert got[q.scale][q.m0, q.m2, q.n] == pytest.approx(
+                assert got[at[q]] == pytest.approx(
                     want, rel=1e-12, abs=1e-12
                 ), (name, q)
 
@@ -151,13 +154,13 @@ class TestVectorizedOrder:
         pool = all_bitiles(K)
         rng = np.random.default_rng(6)
         picks = [pool[i] for i in rng.integers(len(pool), size=40)]
-        X = scale_arrays(picks, K)
+        X = counts(picks, K)
         for p in set(picks):
-            assert X[p.scale][p.m0, p.m2, p.n] == picks.count(p)
-        assert scale_members(X) == sorted(
+            assert scale_views(X)[p.scale][p.m0, p.m2, p.n] == picks.count(p)
+        assert support(X) == sorted(
             set(picks), key=lambda b: (-b.scale, b.m0, b.m2, b.n)
         )
-        assert sum(int(x.sum()) for x in X.values()) == len(picks)
+        assert int(X.sum()) == len(picks)
 
     @pytest.mark.parametrize(
         "bad",
@@ -175,7 +178,7 @@ class TestVectorizedOrder:
     )
     def test_scale_arrays_rejects_misfits(self, bad):
         with pytest.raises(ValueError, match="does not fit"):
-            scale_arrays(bad if isinstance(bad, np.ndarray) else [bad], 4)
+            counts(bad if isinstance(bad, np.ndarray) else [bad], 4)
 
     def test_convexity_matches_reference(self):
         K = 4
@@ -474,6 +477,24 @@ class TestCertificateChecks:
         assert report["remainder_size"] == math.inf
         assert math.isnan(report["halfsum_ratio_linear"])
 
+    def test_unlocalized_remainder_fails_without_raising(self):
+        # Bitile(0, 1, 0, 0) lies outside the unit cube, so no resolution
+        # holds it
+        cert = self.cert(((), (), ()), (Bitile(0, 1, 0, 0),))
+        assert self.names(cert) == {"remainder-convex", "remainder-size"}
+
+    @pytest.mark.parametrize("phase", [0, 1, 2])
+    @pytest.mark.parametrize("top", [Bitile(0, 1, 0, 0), Bitile(-1, 2, 0, 0)])
+    def test_unlocalized_top_fails_without_raising(self, top, phase):
+        # the top lies in no counting box; its tree fails, and in phase 1
+        # the tops do too
+        forests = [(), (), ()]
+        forests[phase] = (Tree(top, (top,)),)
+        want = {"trees-convex-with-top"}
+        if phase == 0:
+            want.add("phase1-tops-disjoint")
+        assert self.failed(tuple(forests)) == want
+
     def test_counting_keys_compared_first(self):
         q = Bitile(-1, 0, 0, 0)
         cert = self.cert(((Tree(q, (q,)),), (), ()))
@@ -520,20 +541,19 @@ class TestCertificateChecks:
 def tree_oracle(tree, K):
     """Per-tree reference: members fit, are convex and lie below the top."""
     try:
-        X = scale_arrays(tree.members, K)
+        X = counts(tree.members, K)
     except ValueError:
         return False
     return convex_scales(X) and all(le(p, tree.top) for p in tree.members)
 
 
 def incomparable_oracle(objs, K):
-    """Each own down-set count is 1, on the per-scale arrays."""
+    """Each own down-set count is 1, on the arrays over the positions."""
     try:
-        X = scale_arrays(objs, K)
+        X = counts(objs, K)
     except ValueError:
         return False
-    below = down_sums(X)
-    return all((below[k][x > 0] == 1).all() for k, x in X.items())
+    return (down_sums(X)[X > 0] == 1).all()
 
 
 def counting_oracle(trees, F, slot, level):
@@ -620,6 +640,15 @@ class TestArrayChecks:
         assert seen == {True, False}
         assert _trees_ok(*_tree_arrays([]), 3)
 
+    def test_trees_ok_rejects_a_top_above_scale_zero(self):
+        # rows can hold a top at scale 1; the parent of its scale-0 member
+        # has no position, and must not match the member of another tree
+        # at position N - 4 = 24 of resolution 3
+        c = np.array([[-2, 3, 0, 0], [0, 0, 0, 0]])
+        top = np.array([[-2, 3, 0, 0], [1, 0, 0, 0]])
+        assert _trees_ok(np.array([0]), c[:1], top[:1], 3)
+        assert not _trees_ok(np.array([0, 1]), c, top, 3)
+
     @pytest.mark.parametrize("K", [2, 4, 6])
     def test_row_keys_equal_exactly_for_equal_rows(self, K):
         # fitting rows from the pool; misfits below the finest scale, above
@@ -639,7 +668,7 @@ class TestArrayChecks:
                  misfits[rng.integers(len(misfits), size=int(rng.integers(0, 8)))])
             )
             rows = rows[rng.permutation(len(rows))]
-            keys = _row_keys(rows, K)
+            keys = _keys(rows, K)
             same_key = keys[:, None] == keys[None, :]
             same_row = (rows[:, None, :] == rows[None, :, :]).all(-1)
             assert np.array_equal(same_key, same_row)
@@ -759,15 +788,16 @@ class TestArrayChecks:
 
 
 def random_masks(rng, K):
-    """Per-scale masks of one random density in (0.2, 1)."""
+    """A mask over the positions, of one random density in (0.2, 1), drawn per scale."""
     density = rng.uniform(0.2, 1.0)
     shapes = {k: (1 << -k, 1 << -k, 1 << (K + k - 1)) for k in range(1 - K, 1)}
-    return {k: rng.random(shape) < density for k, shape in shapes.items()}
+    masks = {k: rng.random(shape) < density for k, shape in shapes.items()}
+    return np.concatenate([masks[k].ravel() for k in range(0, -K, -1)])
 
 
 def random_tops(rng, remaining, count):
     """Up to count pairwise incomparable members, in random order."""
-    pool = scale_members(remaining)
+    pool = support(remaining)
     tops = []
     for i in rng.permutation(len(pool)):
         p = pool[i]
@@ -783,37 +813,35 @@ class TestRowSelection:
 
     def takes_match_oracle(self, remaining, tops, K):
         """One pass against sequential takes; True when down-sets overlap."""
-        got_left = {k: m.copy() for k, m in remaining.items()}
-        want_left = {k: m.copy() for k, m in remaining.items()}
-        got = _take_trees(got_left, BitileRows(tops))
-        want = [take_tree(want_left, q, K) for q in tops]
+        got_left, want_left = remaining.copy(), remaining.copy()
+        got = _take_trees(got_left, positions(tops, K))
+        want = [take_tree(scale_views(want_left), q, K) for q in tops]
         assert [(t.top, t.members) for t in got] == want
-        assert all(np.array_equal(got_left[k], want_left[k]) for k in remaining)
+        assert np.array_equal(got_left, want_left)
         # a remaining bitile below two tops: the first top decides
-        above = up_sums(scale_arrays(tops, K))
-        return any((above[k][m] > 1).any() for k, m in remaining.items())
+        return (up_sums(counts(tops, K))[remaining] > 1).any()
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_first_top_takes_the_overlap(self, order):
         # down(q) and down(p) share the scale -2 block under p, n = 0
         K = 3
         tops = [Bitile(0, 0, 0, 0), Bitile(-1, 0, 0, 1)][::order]
-        remaining = {k: m > 0 for k, m in up_sums(scale_arrays(tops, K)).items()}
+        remaining = up_sums(counts(tops, K)) > 0
         assert self.takes_match_oracle(remaining, tops, K)
-        first, second = _take_trees(remaining, BitileRows(tops))
+        first, second = _take_trees(remaining, positions(tops, K))
         assert Bitile(-2, 0, 0, 0) in first.members
         assert Bitile(-2, 0, 0, 0) not in second.members
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
     def test_one_pass_matches_sequential_takes(self, K):
-        # phase 1 passes its tops in `scale_members` order; any order works
+        # phase 1 passes its tops in position order; any order works
         rng = np.random.default_rng(20 + K)
         overlaps = 0
         for trial in range(30):
             remaining = random_masks(rng, K)
             tops = random_tops(rng, remaining, int(rng.integers(0, 8)))
             if trial % 2:
-                tops = list(scale_members(scale_arrays(tops, K)))
+                tops = list(support(counts(tops, K)))
             overlaps += self.takes_match_oracle(remaining, tops, K)
         assert overlaps > 0
 
@@ -823,15 +851,15 @@ class TestRowSelection:
         rng = np.random.default_rng(30 + K)
         for _ in range(10):
             got_left = random_masks(rng, K)
-            want_left = {k: m.copy() for k, m in got_left.items()}
+            want_left = got_left.copy()
             for _ in range(12):
-                pool = scale_members(got_left)
+                pool = support(got_left)
                 if not len(pool):
                     break
                 q = pool[rng.integers(len(pool))]
-                (got,) = _take_trees(got_left, BitileRows([q]))
-                assert (got.top, got.members) == take_tree(want_left, q, K)
-                assert all(np.array_equal(got_left[k], want_left[k]) for k in got_left)
+                (got,) = _take_trees(got_left, positions([q], K))
+                assert (got.top, got.members) == take_tree(scale_views(want_left), q, K)
+                assert np.array_equal(got_left, want_left)
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_selection_builds_no_bitile_per_member(self, slot, monkeypatch):
@@ -895,7 +923,7 @@ class TestSingleTreeReport:
             if trial % 3 == 0:  # a missing scale weighs zero
                 eps = EpsilonField(K, {k: a for k, a in eps.data.items() if k != -1})
             rep = single_tree_report(tree, eps, F0, F1, F2, mode)
-            table = bitile_table(F0, F1, F2, range(1 - K, 1))
+            table = scale_views(bitile_table(F0, F1, F2, range(1 - K, 1)))
             want = math.fsum(
                 eps_weight(eps, P) * table[P.scale][P.m0, P.m2, P.n] for P in tree.members
             )

@@ -13,12 +13,12 @@ README = SRC.parents[1] / "README.md"
 UNREAD_METHODS: set = set()
 
 
-def test_every_definition_is_used_or_exported():
-    """Each module-level function and class is read in `src/` or in `__all__`.
+def _definitions_and_reads():
+    """The (module, name) of each module-level function and class, and those read.
 
     A name counts as read when package code outside its own body loads it,
     under its own name in its module or through a relative import
-    elsewhere.  Slow reference constructions belong in `tests/oracles.py`.
+    elsewhere.
     """
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     defined = {
@@ -41,8 +41,24 @@ def test_every_definition_is_used_or_exported():
                 for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and binding.get(node.id, own) != own
             }
+    return defined, read
+
+
+def test_every_definition_is_used_or_exported():
+    """Each module-level function and class is read in `src/` or in `__all__`.
+
+    Slow reference constructions belong in `tests/oracles.py`.
+    """
+    defined, read = _definitions_and_reads()
     unused = sorted(f"{m}.{n}" for m, n in defined - read if n not in walshlab.__all__)
     assert not unused, unused
+
+
+def test_every_export_is_used_or_documented():
+    """Each name in `__all__` is read in `src/` or listed in the README API paragraph."""
+    _, read = _definitions_and_reads()
+    unread = set(walshlab.__all__) - {name for _, name in read} - _api_names()
+    assert not unread, sorted(unread)
 
 
 def test_every_import_is_read():

@@ -17,6 +17,8 @@ from walshlab.tiles import (
     Bitile,
     ProjectionMode,
     Tile,
+    _bitile_count,
+    _decode,
     _image_cells,
     _isin_ints,
     _unique_ints,
@@ -31,8 +33,10 @@ from walshlab.tiles import (
     proj_bitile,
     proj_collection,
     proj_tile,
-    scale_arrays,
-    scale_members,
+    counts,
+    positions,
+    scale_views,
+    support,
     up_sums,
 )
 from walshlab.walsh import DyadicInterval, WalshNumber
@@ -49,6 +53,8 @@ from .oracles import (
     diagonal_data_rows,
     down_set,
     project_tile_1d,
+    scale_arrays,
+    scale_members,
 )
 
 
@@ -98,15 +104,13 @@ def sweep_tiling(bitiles):
 
 
 def down_union(picks, K):
-    """Union of the down-sets of the picks, as per-scale indicators."""
-    return {k: u > 0 for k, u in up_sums(scale_arrays(picks, K)).items()}
+    """Union of the down-sets of the picks, as a mask over the positions."""
+    return up_sums(counts(picks, K)) > 0
 
 
 def hull(picks, K):
     """down(S) intersected with up(S): convex, and holds S."""
-    below = up_sums(scale_arrays(picks, K))
-    above = down_sums(scale_arrays(picks, K))
-    return {k: (below[k] > 0) & (above[k] > 0) for k in below}
+    return (up_sums(counts(picks, K)) > 0) & (down_sums(counts(picks, K)) > 0)
 
 
 def convex_ensemble(rng, K):
@@ -117,12 +121,12 @@ def convex_ensemble(rng, K):
     """
     pool = all_bitiles(K)
     picks = [pool[i] for i in rng.choice(len(pool), size=rng.integers(1, 4))]
-    union = scale_members(down_union(picks, K))
+    union = support(down_union(picks, K))
     cut = int(rng.integers(1 - K, 1))
     yield union
     yield [p for p in union if p.scale >= cut] or union
     yield [p for p in union if p.scale <= cut] or union
-    yield scale_members(hull(picks, K))
+    yield support(hull(picks, K))
     yield list(union) + [union[i] for i in rng.integers(len(union), size=len(union) // 2 + 1)]
 
 
@@ -248,7 +252,7 @@ class TestDisjointTiling:
         self.assert_cells_partition(coll)
         # hulls down(S) & up(S) of the same picks are convex without being
         # unions of down-sets
-        self.assert_cells_partition(scale_members(hull(tops, K)))
+        self.assert_cells_partition(support(hull(tops, K)))
 
     def assert_cells_partition(self, coll):
         tiles = disjoint_tiling(coll)
@@ -475,6 +479,50 @@ class TestFrequencyTables:
         labels[3] = nu
         with pytest.raises(ValueError, match="frequency beyond resolution"):
             fiberwise_data(GridFunction1D(3, np.ones(8)), labels)
+
+
+def flat(X):
+    """Per-scale arrays laid end to end, coarsest scale first."""
+    return np.concatenate([X[k].ravel() for k in sorted(X, reverse=True)])
+
+
+@pytest.mark.parametrize("K", range(2, 9))
+class TestFlatLayout:
+    """Positions, decode table, counts and support against the per-scale layout."""
+
+    def full(self, K):
+        shapes = {k: (1 << -k, 1 << -k, 1 << (K + k - 1)) for k in range(1 - K, 1)}
+        return {k: np.ones(shape, bool) for k, shape in shapes.items()}
+
+    def test_positions_are_a_bijection_decoding_inverts(self, K):
+        rows = scale_members(self.full(K)).rows
+        N = _bitile_count(K)
+        assert len(rows) == N == (1 << (K - 1)) * ((1 << K) - 1)
+        assert np.array_equal(positions(rows, K), np.arange(N))
+        assert np.array_equal(_decode(K), rows)
+        # the lower half-tile, as a bitile of K + 1, sits at twice the position
+        lower = rows * [1, 1, 1, 2]
+        assert np.array_equal(positions(lower, K + 1), 2 * np.arange(N))
+
+    def test_counts_and_support_match_per_scale_layout(self, K):
+        rng = np.random.default_rng(70 + K)
+        pool = scale_members(self.full(K)).rows
+        for _ in range(5):
+            picks = pool[rng.integers(len(pool), size=int(rng.integers(0, 3 * K)))]
+            picks = np.concatenate((picks, picks[: len(picks) // 2]))  # repeats
+            assert np.array_equal(counts(picks, K), flat(scale_arrays(picks, K)))
+            p = rng.random()
+            masks = {k: rng.random(m.shape) < p for k, m in self.full(K).items()}
+            assert support(flat(masks)) == scale_members(masks)
+            views = scale_views(flat(masks))
+            assert all(np.array_equal(views[k], m) for k, m in masks.items())
+
+    def test_all_bitiles_order_unchanged(self, K):
+        assert all_bitiles(K) == scale_members(self.full(K), range(1 - K, 1))
+
+    def test_decode_table_is_read_only(self, K):
+        with pytest.raises(ValueError):
+            _decode(K)[0, 0] = 1
 
 
 class TestIntegerSets:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from walshlab.gridfn import GridFunction1D, GridFunction2D
-from walshlab.tiles import Bitile, all_bitiles
+from walshlab.tiles import Bitile, all_bitiles, scale_views
 from walshlab.triform import (
     EpsilonField,
     bitile_table,
@@ -201,7 +201,7 @@ class TestBitileDecomposition:
     def test_table_matches_explicit_packets(self, K):
         # independent, non-symmetric data in all three slots
         F0, F1, F2 = rand_triple(K, K + 50)
-        table = bitile_table(F0, F1, F2, range(1 - K, 1))
+        table = scale_views(bitile_table(F0, F1, F2, range(1 - K, 1)))
         assert {k: t.shape for k, t in table.items()} == {
             k: (1 << -k, 1 << -k, 1 << (K + k - 1)) for k in range(1 - K, 1)
         }
