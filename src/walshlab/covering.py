@@ -125,30 +125,45 @@ def _segments(rs: Sequence[Parallelogram], n: int, columns=None):
 
 
 class SlopeField:
-    """Grid of slope values in [-1, 1] with an optional Lipschitz certificate.
+    """Slope values in [-1, 1] on an n x n grid, read cell by cell through `at`.
 
-    The certificate is a recorded constant, not recomputed; generators
-    that construct fields as minima of cone functions certify it exactly.
+    Generators evaluate a formula at the cells read and hold no grid.  The
+    certificate is a recorded constant, exact for minima of cone functions.
     """
 
     def __init__(self, values, lipschitz: Optional[float] = None):
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("slope field must be square")
-        n = v.shape[0]
-        if n & (n - 1):
+        self._bind(v.shape[0], v.flatten().take, lipschitz, np.arange(v.size))
+
+    def _bind(self, n: int, at, lipschitz, probe) -> "SlopeField":
+        """Read cells through `at`; its values at `probe` show any NaN or |slope| > 1."""
+        if n < 1 or n & (n - 1):
             raise ValueError("grid side must be a power of two")
-        if not np.all(np.abs(v) <= 1.0):  # NaN fails too
+        if not np.all(np.abs(at(np.asarray(probe, dtype=np.int64))) <= 1.0):  # NaN fails too
             raise ValueError("slopes must lie in [-1, 1]")
         if lipschitz is not None and not lipschitz >= 0.0:  # NaN fails too
             raise ValueError("Lipschitz constant must be nonnegative")
-        self.values = v
-        self.n = n
+        self.n, self._at = n, at
         self.lipschitz = None if lipschitz is None else float(lipschitz)
+        return self
+
+    def at(self, cells) -> np.ndarray:
+        """The float64 slopes at flat cells col * n + row."""
+        return self._at(np.asarray(cells, dtype=np.int64))
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only n x n snapshot of the field, evaluated at every cell."""
+        v = self.at(np.arange(self.n * self.n)).reshape(self.n, self.n)
+        v.flags.writeable = False
+        return v
 
     @classmethod
     def constant(cls, n: int, value: float) -> "SlopeField":
-        return cls(np.full((n, n), float(value)), lipschitz=0.0)
+        value = float(value)  # one cell shows a NaN or |value| > 1
+        return cls.__new__(cls)._bind(n, lambda cells: np.full(cells.shape, value), 0.0, [0])
 
 
 def _box(cols, y_lo, y_hi):
@@ -163,7 +178,7 @@ def _in_e(rs: Sequence[Parallelogram], u: SlopeField, index, counts) -> np.ndarr
     """Which of the family's cells, as `_segments` lists them, lie in their E(R)."""
     bounds = np.reshape([r.uncertainty for r in rs], (-1, 2))
     lo, hi = np.repeat(bounds, counts, axis=0).T
-    v = u.values.ravel()[index]
+    v = u.at(index)
     return (v >= lo) & (v <= hi)
 
 
@@ -241,9 +256,12 @@ def cover_picks(
 
 
 def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:
-    """Grid integral of the squared sum of the members' indicators."""
-    field = np.bincount(_segments(selected, grid)[0], minlength=grid * grid)
-    return float((field ** 2).sum() * (1.0 / grid ** 2))
+    """Grid integral of the squared sum of the members' indicators.
+
+    It counts cells: each cell's multiplicity, squared and summed in int64.
+    """
+    _, repeats = np.unique(_segments(selected, grid)[0], return_counts=True)
+    return float((repeats ** 2).sum() * (1.0 / grid ** 2))
 
 
 def lemma7r_check(r: Parallelogram, rp: Parallelogram):

@@ -100,10 +100,17 @@ def measure_triple(
 
 
 def linear_slope_field(n: int, gx: float, gy: float, offset: float) -> SlopeField:
-    """Clipped affine slope field; the gradient length is its certificate."""
-    x = (np.arange(n) + 0.5) / n
-    v = gx * x[:, None] + gy * x[None, :] + offset
-    return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(np.hypot(gx, gy)))
+    """Clipped affine slope field; the gradient length is its certificate.
+
+    A NaN on some cells only needs gx * x + gy * y to overflow there, both
+    terms of one sign, so also at the last cell (x, y largest): the probe.
+    """
+
+    def at(cells):
+        x, y = (np.stack(np.divmod(cells, n)) + 0.5) / n  # cell centres
+        return np.clip(gx * x + gy * y + offset, -1.0, 1.0)
+
+    return SlopeField.__new__(SlopeField)._bind(n, at, float(np.hypot(gx, gy)), [n * n - 1])
 
 
 def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeField:
@@ -112,32 +119,33 @@ def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeFi
     Each cone value + lipschitz * distance is Lipschitz with exactly that
     constant, and minima and clipping never increase it.
 
-    Cones are taken from the lowest base up, and the loop stops at the
-    first base above the running maximum of the field.  A computed cone
-    value fl(fl(hypot * lipschitz) + base) is at least its base, since
-    hypot >= 0 and rounding is monotone; the maximum only falls and later
-    bases are no lower, so no skipped cone lowers a cell, and the minimum
-    of floats does not depend on the order it is taken in.  The field is
-    the all-anchor minimum bit for bit, and the generator draws the same.
+    At the cells read, cones are taken from the lowest base up, stopping
+    at the first base above the running maximum over those cells (no cell,
+    no cone).  A computed cone value fl(fl(hypot * lipschitz) + base) is
+    at least its base (hypot >= 0, rounding is monotone), the maximum only
+    falls and later bases are no lower, so a skipped cone is above every
+    evaluated value; a minimum of floats does not depend on its order.
+    Each cell reads the all-anchor minimum bit for bit, and the generator
+    draws the same.  NaN is 0 * inf, at an anchor's cell when lipschitz
+    is inf (no cone is skipped then): those cells are the probe.
     """
     if not lipschitz >= 0.0:  # NaN fails too
         raise ValueError("Lipschitz constant must be nonnegative")
-    x = (np.arange(n) + 0.5) / n
     ax = rng.random(anchors)
     ay = rng.random(anchors)
     base = rng.uniform(-1.0, 1.0, anchors)
-    v = np.full((n, n), np.inf)
-    dist = np.empty((n, n))
-    top = np.inf
-    for i in np.argsort(base, kind="stable"):
-        if base[i] > top:
-            break
-        np.hypot(x[:, None] - ax[i], x[None, :] - ay[i], out=dist)
-        dist *= lipschitz
-        dist += base[i]  # base + lipschitz * dist, bit for bit
-        np.minimum(v, dist, out=v)
-        top = v.max()
-    return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
+
+    def at(cells):
+        x, y = (np.stack(np.divmod(cells, n)) + 0.5) / n  # cell centres
+        v = np.full(x.shape, np.inf)
+        for i in np.argsort(base, kind="stable"):
+            if base[i] > v.max(initial=-np.inf):
+                break
+            np.minimum(v, np.hypot(x - ax[i], y - ay[i]) * lipschitz + base[i], out=v)
+        return np.clip(v, -1.0, 1.0)
+
+    probe = (ax * n).astype(np.int64) * n + (ay * n).astype(np.int64)
+    return SlopeField.__new__(SlopeField)._bind(n, at, float(lipschitz), probe)
 
 
 def parallelogram_ensemble(
@@ -176,25 +184,28 @@ def dense_parallelograms(
     Each candidate centers its slope on the field value at a random cell
     of its body, which makes the density condition |E(R)| >= delta |R|
     achievable; candidates failing it are discarded.  Candidates are drawn
-    in rounds no larger than the remaining need and tested a round at a
-    time, so the draws and the picks are those of one candidate at a time.
+    in rounds no larger than the remaining need; a round reads its slopes
+    in one `at` call and is tested at once, so the draws and the picks are
+    those of one candidate at a time.
     """
     n = u.n
     out = []
     tries = 0
     while len(out) < count and tries < DENSE_MAX_TRIES:
-        batch = []
+        draws = []  # no draw depends on a slope
         for _ in range(min(count - len(out), DENSE_MAX_TRIES - tries)):
             scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
             index = int(rng.integers(0, 1 << -scale))
             height = float(rng.uniform(*DENSE_HEIGHTS))
             x_left = index * 2.0 ** scale
             cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
-            cy = int(rng.integers(0, n))
-            slope = float(min(max(u.values[cx, cy], -1.0), 1.0))
+            draws.append((scale, index, height, x_left, cx, int(rng.integers(0, n))))
+        tries += len(draws)
+        slopes = u.at([cx * n + cy for *_, cx, cy in draws]).tolist()
+        batch = []
+        for (scale, index, height, x_left, cx, cy), slope in zip(draws, slopes):
             base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
             batch.append(Parallelogram(DyadicInterval(scale, index), base, slope, height))
-        tries += len(batch)
         out += [r for r, d in zip(batch, densities(batch, u)) if d >= delta]
     return out
 

@@ -201,25 +201,23 @@ def tile_norm_table(
         _require_half_tile_regions(mode.multiplier)
     K = F.resolution
     ngrid = 1 << K
-    table = np.zeros((_bitile_count(K), 2))
-    views = scale_views(table)
+    blocks = {}  # the table comes after the scales, so it never adds to their temporaries
     for k in sorted(set(scales)):
         if not 1 - K <= k <= 0:
             raise ValueError("scale outside resolution range")
         B = 1 << (K + k)
         nb = 1 << -k
-        out = views[k].reshape(nb, nb, B)
         g0, g2 = np.arange(nb)[:, None], np.arange(nb)
         if slot == 0:
             # C[i2, m1, nu] -> S[m2, m1, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
             S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            np.multiply(S[g2, g0 ^ g2], 2.0 ** (k - K), out=out)
+            blocks[k] = np.multiply(S[g2, g0 ^ g2], 2.0 ** (k - K))
         elif slot == 2:
             # C[i0, m1, nu] -> S[m0, m1, nu]
             C = coefficient_rows(F.values.reshape(ngrid, nb, B), K + k)
             S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            np.multiply(S[g0, g0 ^ g2], 2.0 ** (k - K), out=out)
+            blocks[k] = np.multiply(S[g0, g0 ^ g2], 2.0 ** (k - K))
         elif mode.kind == "fiberwise":
             labels = np.asarray(mode.labels, dtype=np.int64)
             if labels.shape != (ngrid,):
@@ -228,7 +226,7 @@ def tile_norm_table(
             acc = np.zeros((nb, nb, B))  # [m2, m0, nu]
             rows = np.arange(ngrid) >> (K + k)
             np.add.at(acc, (rows, slice(None), labels >> -k), R)
-            np.multiply(acc.transpose(1, 0, 2), 2.0 ** (-2 * K), out=out)
+            blocks[k] = np.multiply(acc.transpose(1, 0, 2), 2.0 ** (-2 * K))
         else:
             # C[i0, m2, nu] -> D[i0, m2, image cell] -> S[m0, m2, nu]
             C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
@@ -236,7 +234,10 @@ def tile_norm_table(
             D = np.zeros((ngrid, nb, B))
             np.add.at(D, (slice(None), slice(None), img), C**2)
             S = D.reshape(nb, B, nb, B).sum(axis=1)
-            np.multiply(S, 2.0 ** (k - K), out=out)
+            blocks[k] = np.multiply(S, 2.0 ** (k - K))
+    table = np.zeros((_bitile_count(K), 2))
+    for k, block in blocks.items():
+        scale_views(table)[k].reshape(block.shape)[...] = block
     return table
 
 

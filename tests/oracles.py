@@ -24,6 +24,7 @@ from walshlab.covering import (
     _in_e,
     _segments,
     cover_picks,
+    densities,
     square_integral,
 )
 from walshlab._kernels import haar_signs
@@ -660,6 +661,69 @@ def dense_one_at_a_time(rng, u: SlopeField, delta: float, count: int, scale_rang
         r = Parallelogram(DyadicInterval(scale, index), base, slope, height)
         if density(r, u) >= delta:
             out.append(r)
+    return out
+
+
+def constant_slope_field_grid(n: int, value: float) -> SlopeField:
+    """`SlopeField.constant` as an n x n array."""
+    return SlopeField(np.full((n, n), float(value)), lipschitz=0.0)
+
+
+def linear_slope_field_grid(n: int, gx: float, gy: float, offset: float) -> SlopeField:
+    """`linear_slope_field` as an n x n array."""
+    x = (np.arange(n) + 0.5) / n
+    v = gx * x[:, None] + gy * x[None, :] + offset
+    return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(np.hypot(gx, gy)))
+
+
+def cone_slope_field_grid(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeField:
+    """`cone_slope_field` as an n x n array, stopping on the whole grid's maximum."""
+    if not lipschitz >= 0.0:  # NaN fails too
+        raise ValueError("Lipschitz constant must be nonnegative")
+    x = (np.arange(n) + 0.5) / n
+    ax = rng.random(anchors)
+    ay = rng.random(anchors)
+    base = rng.uniform(-1.0, 1.0, anchors)
+    v = np.full((n, n), np.inf)
+    dist = np.empty((n, n))
+    top = np.inf
+    for i in np.argsort(base, kind="stable"):
+        if base[i] > top:
+            break
+        np.hypot(x[:, None] - ax[i], x[None, :] - ay[i], out=dist)
+        dist *= lipschitz
+        dist += base[i]  # base + lipschitz * dist, bit for bit
+        np.minimum(v, dist, out=v)
+        top = v.max()
+    return SlopeField(np.clip(v, -1.0, 1.0), lipschitz=float(lipschitz))
+
+
+def square_integral_bincount(selected: Sequence[Parallelogram], grid: int) -> float:
+    """`square_integral` through the n x n field of indicator sums."""
+    field = np.bincount(_segments(selected, grid)[0], minlength=grid * grid)
+    return float((field ** 2).sum() * (1.0 / grid ** 2))
+
+
+def dense_parallelograms_grid(rng, u: SlopeField, delta: float, count: int, scale_range=(-5, -3)):
+    """`dense_parallelograms` reading each candidate's slope from the field's grid."""
+    grid = u.values
+    n = u.n
+    out = []
+    tries = 0
+    while len(out) < count and tries < DENSE_MAX_TRIES:
+        batch = []
+        for _ in range(min(count - len(out), DENSE_MAX_TRIES - tries)):
+            scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
+            index = int(rng.integers(0, 1 << -scale))
+            height = float(rng.uniform(*DENSE_HEIGHTS))
+            x_left = index * 2.0 ** scale
+            cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
+            cy = int(rng.integers(0, n))
+            slope = float(min(max(grid[cx, cy], -1.0), 1.0))
+            base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
+            batch.append(Parallelogram(DyadicInterval(scale, index), base, slope, height))
+        tries += len(batch)
+        out += [r for r, d in zip(batch, densities(batch, u)) if d >= delta]
     return out
 
 

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 from types import SimpleNamespace
 from pathlib import Path
@@ -499,8 +500,32 @@ class TestCover:
                     "399882f5a786f21a3f17c6d27d61841c8215b41316e6ee63f77b78995387bc04",
                 ),
             ),
+            (
+                "grid=256\ntrials=96\n",
+                1,
+                (
+                    "b8ecc4e84f0000e0408a86795c61d14b96013ffacf070f7af0c97043966a079f",
+                    "ed41711c61b95f5eb7ae7fd9a19e4c9f3ee67572d23b23b7c37f06b691028165",
+                ),
+            ),
+            (
+                "grid=256\ntrials=96\n",
+                3,
+                (
+                    "cb0b5c39562d80d3f1b8ba56da6bd5a29c5c21257b4efb9f0c88b3e1e71f2172",
+                    "6ae3f0f431f405831f13227a6e736156a60baa5ddebd878faf3aeb6a15014afc",
+                ),
+            ),
+            (
+                "grid=2048\ntrials=3\n",
+                1,
+                (
+                    "786b4804a2dcf4206776227ebee09274b2a8028562bbc8dedc550855bdee2e81",
+                    "c28d5d604df2df4a1c9ba70198f3cb4fd0a9c682330642049a04076ae5f94356",
+                ),
+            ),
         ],
-        ids=["g64-seed1", "g128-seed2"],
+        ids=["g64-seed1", "g128-seed2", "g256-seed1", "g256-seed3", "g2048-seed1"],
     )
     def test_reports_pinned(self, tmp_path, config, seed, digests):
         cfg = write_config(tmp_path, config)
@@ -510,6 +535,22 @@ class TestCover:
             for name in ("cover_report.csv", "cover_selected.csv")
         )
         assert got == digests
+
+    def test_trials_at_grid_2048_hold_no_grid_sized_arrays(self):
+        # 64 MB is two 2048 x 2048 float64 arrays; a trial reads the slope
+        # field at its family's cells only and counts the square integral
+        cfg = build_config({"grid": "2048", "trials": "3"})
+        tracemalloc.start()
+        try:
+            peaks = []
+            for t in range(3):  # constant, linear, cone
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cli._cover_trial(cfg, t)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 64 * 2**20, [p / 2**20 for p in peaks]
 
     def test_bad_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "delta=0\n")

@@ -48,6 +48,7 @@ from .oracles import (
     lk_maximal_masked,
     measured_lipschitz,
     overlap_check,
+    square_integral_bincount,
     uncertainty_overlap,
     _vertical_margin,
     vertical_maximal,
@@ -294,6 +295,47 @@ class TestSlopeField:
         with pytest.raises(ValueError, match="nonnegative"):
             SlopeField(np.zeros((4, 4)), lipschitz=lipschitz)
         assert SlopeField(np.zeros((4, 4)), lipschitz=0.0).lipschitz == 0.0
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, -1.0000000000000002])
+    def test_out_of_range_slopes_rejected(self, value):
+        values = np.zeros((8, 8))
+        values[7, 0] = value
+        with pytest.raises(ValueError, match="lie in"):
+            SlopeField(values)
+
+    def test_array_field_reads_its_cells(self):
+        values = np.random.default_rng(3).uniform(-1, 1, (16, 16))
+        values[2, 5] = -0.0
+        u = SlopeField(values.tolist(), lipschitz=2.0)
+        cells = np.array([2 * 16 + 5, 0, 255, 37, 37])
+        assert u.at(cells).tobytes() == values.ravel()[cells].tobytes()
+        assert u.at([]).dtype == np.float64 and u.at([]).shape == (0,)
+        assert u.values.tobytes() == values.tobytes()
+        with pytest.raises(IndexError):
+            u.at([256])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="power of two"):
+            SlopeField(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("kind", ["array", "constant", "linear", "cone"])
+    def test_values_is_a_read_only_snapshot(self, kind):
+        rng = np.random.default_rng(4)
+        source = rng.uniform(-1, 1, (8, 8))
+        u = {
+            "array": lambda: SlopeField(source),
+            "constant": lambda: SlopeField.constant(8, 0.25),
+            "linear": lambda: linear_slope_field(8, 0.1, -0.2, 0.3),
+            "cone": lambda: cone_slope_field(rng, 8, 0.3),
+        }[kind]()
+        before = u.values.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[1, 2] = 0.5
+        with pytest.raises(AttributeError):
+            u.values = np.zeros((8, 8))
+        source[:] = 0.75  # the array field holds its own copy
+        assert u.values.tobytes() == before.tobytes()
+        assert u.at(np.arange(64)).tobytes() == before.tobytes()
 
     def test_measured_lipschitz_of_linear_field(self):
         n = 16
@@ -742,6 +784,18 @@ class TestOverlapCheck:
             assert square_integral(rs, n) == report["square_integral"]
             r_field = sum(cell_mask(r, n).astype(float) for r in rs)
             assert report["square_integral"] == float((r_field ** 2).sum() / n ** 2)
+
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    def test_square_integral_counts_cells_as_the_field_did(self, n):
+        rng = np.random.default_rng(160 + n)
+        for _ in range(5):
+            rs = random_members(rng, n, 30) + one_column_members(rng, n, 3)
+            rs += rs[:4]  # repeated members overlap themselves
+            assert (_segments(rs, n)[1] == 0).any()  # cell-free members among them
+            for selected in (rs, rs[:1], rs[::3], [r for r in rs if r.height == 0.0], []):
+                got = square_integral(selected, n)
+                assert float(got).hex() == float(square_integral_bincount(selected, n)).hex()
+        assert square_integral([], n) == square_integral_bincount([], n) == 0.0
 
     def test_validation(self):
         u = SlopeField.constant(8, 0.0)

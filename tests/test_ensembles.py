@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from walshlab import ensembles
+from walshlab.covering import SlopeField, _segments
 from walshlab.ensembles import (
     DENSE_MAX_TRIES,
     cone_slope_field,
@@ -22,9 +24,13 @@ from walshlab.tiles import all_bitiles, is_convex, le
 
 from .oracles import (
     cone_slope_field_all_anchors,
+    cone_slope_field_grid,
+    constant_slope_field_grid,
     dense_one_at_a_time,
+    dense_parallelograms_grid,
     density,
     down_set,
+    linear_slope_field_grid,
     measured_lipschitz,
 )
 
@@ -175,3 +181,200 @@ def test_dense_rounds_match_one_candidate_at_a_time(n, delta, count, scale_range
         assert len(got) < DENSE_MAX_TRIES
     else:
         assert len(got) == count
+
+
+def field_and_grid(kind, n, lipschitz, seed):
+    """A generated field and its oracle grid, from the same draws.
+
+    The constant field ignores the Lipschitz constant; the linear one
+    takes a gradient of that length in a random direction.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        value = float(rng.uniform(-1.0, 1.0))
+        return SlopeField.constant(n, value), constant_slope_field_grid(n, value)
+    if kind == "linear":
+        angle, offset = rng.uniform(0.0, 2 * np.pi), rng.uniform(-0.5, 0.5)
+        args = (n, lipschitz * np.cos(angle), lipschitz * np.sin(angle), offset)
+        return linear_slope_field(*args), linear_slope_field_grid(*args)
+    ref = np.random.default_rng(seed)
+    got, want = cone_slope_field(rng, n, lipschitz), cone_slope_field_grid(ref, n, lipschitz)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    return got, want
+
+
+def same_floats(a, b):
+    return (
+        a.dtype == b.dtype == np.float64
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+KINDS = ("constant", "linear", "cone")
+
+
+class TestCellReads:
+    @pytest.mark.parametrize("n", [8, 32, 256])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lipschitz", [0.0, 0.3, 2.0])
+    def test_at_equals_the_grid(self, n, kind, lipschitz):
+        for seed in range(3):
+            u, oracle = field_and_grid(kind, n, lipschitz, 900 + seed)
+            want = oracle.values.ravel()
+            assert (u.n, u.lipschitz) == (oracle.n, oracle.lipschitz)
+            assert same_floats(u.at(np.arange(n * n)), want)
+            assert same_floats(u.values, oracle.values)
+            rng = np.random.default_rng(seed)
+            for size in (1, 2, 7, n, n * n // 3):
+                cells = rng.choice(n * n, size=size, replace=False)
+                assert same_floats(u.at(cells), want[cells])
+                repeated = rng.integers(0, n * n, size=2 * size)
+                assert same_floats(u.at(repeated), want[repeated])
+            assert same_floats(u.at(np.zeros(0, dtype=np.int64)), want[:0])
+            assert same_floats(u.at([]), want[:0])
+
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_on_the_cells_a_family_reads(self, n, kind):
+        # the cells a covering trial reads: one family's, member by member
+        for seed in range(3):
+            u, oracle = field_and_grid(kind, n, 0.3, 950 + seed)
+            want = oracle.values.ravel()
+            family = dense_parallelograms(
+                np.random.default_rng(seed), u, 0.5, 20, scale_range=(-5, -3)
+            )
+            index, counts, starts = _segments(family, n)
+            assert same_floats(u.at(index), want[index])
+            for start, count in zip(starts, counts):
+                cells = index[start : start + count]
+                assert same_floats(u.at(cells), want[cells])
+
+    def test_the_cone_field_evaluates_no_cone_for_no_cells(self, monkeypatch):
+        u = cone_slope_field(np.random.default_rng(3), 16, 0.3)
+        calls = []
+        monkeypatch.setattr(ensembles.np, "hypot", lambda *a: calls.append(a))
+        assert u.at([]).shape == (0,)
+        assert not calls
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "delta, count, scale_range",
+        [
+            (0.5, 40, (-5, -3)),
+            (0.9, 12, (-5, -1)),  # needs a second round, except on a constant field
+            (1.0, 10**6, (-4, -1)),  # stops at DENSE_MAX_TRIES
+        ],
+    )
+    def test_dense_family_and_draws_match_the_grid_reads(
+        self, kind, delta, count, scale_range, monkeypatch
+    ):
+        n = 64
+        u, oracle = field_and_grid(kind, n, 2.0, 970)
+        rounds = []
+        densities = ensembles.densities
+        monkeypatch.setattr(
+            ensembles, "densities", lambda rs, v: rounds.append(len(rs)) or densities(rs, v)
+        )
+        rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+        got = dense_parallelograms(rng, u, delta, count, scale_range)
+        want = dense_parallelograms_grid(ref, oracle, delta, count, scale_range)
+        assert got == want
+        assert [float(r.slope).hex() for r in got] == [float(r.slope).hex() for r in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if count > DENSE_MAX_TRIES:
+            assert rounds == [DENSE_MAX_TRIES]
+            assert len(got) < count
+        else:
+            assert len(got) == count
+        if delta == 0.9 and kind != "constant":  # a constant field makes every candidate dense
+            assert len(rounds) >= 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and overflow, on purpose
+class TestGeneratorValidation:
+    """The generators accept and reject what the grid-building ones did."""
+
+    @pytest.mark.parametrize(
+        "gx, gy, offset, accepted",
+        [
+            (np.inf, 0.0, 0.0, True),
+            (np.inf, np.inf, -0.5, True),
+            (-np.inf, 0.3, 0.0, True),
+            (1.7e308, 1.7e308, 0.0, True),  # overflows to inf on some cells
+            (1.7e308, 1.7e308, np.inf, True),
+            (np.inf, -np.inf, 0.0, False),
+            (-np.inf, 0.0, np.inf, False),
+            (1.7e308, 1.7e308, -np.inf, False),  # NaN on some cells only
+            (-1.7e308, -1.7e308, np.inf, False),
+            (1.7e308, -1.7e308, -np.inf, True),
+            (np.nan, 0.0, 0.0, False),
+            (np.nan, np.inf, 0.0, False),  # certified inf, NaN everywhere
+            (0.0, 0.0, np.nan, False),
+        ],
+    )
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_linear_field_rejects_nan_anywhere(self, gx, gy, offset, accepted, n):
+        if not accepted:
+            for build in (linear_slope_field, linear_slope_field_grid):
+                with pytest.raises(ValueError, match="lie in"):
+                    build(n, gx, gy, offset)
+            return
+        u, oracle = linear_slope_field(n, gx, gy, offset), linear_slope_field_grid(n, gx, gy, offset)
+        assert same_floats(u.values, oracle.values)
+        assert u.lipschitz == oracle.lipschitz
+
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -1.0000000000000002, np.inf, -np.inf])
+    def test_constant_out_of_range_rejected(self, value):
+        for build in (SlopeField.constant, constant_slope_field_grid):
+            with pytest.raises(ValueError, match="lie in"):
+                build(8, value)
+
+    @pytest.mark.parametrize("value", [1.0, -1.0, -0.0, 0.0])
+    def test_constant_keeps_its_value_bits(self, value):
+        assert same_floats(SlopeField.constant(8, value).values, np.full((8, 8), value))
+
+    @pytest.mark.parametrize("n", [0, 3, 6, 12, 24, -8])
+    def test_grid_side_not_a_power_of_two_rejected(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            SlopeField.constant(n, 0.0)
+        with pytest.raises(ValueError, match="power of two"):
+            linear_slope_field(n, 0.1, 0.2, 0.0)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        with pytest.raises(ValueError, match="power of two"):
+            cone_slope_field(rng, n, 0.3)
+        if n > 0:
+            with pytest.raises(ValueError, match="power of two"):
+                cone_slope_field_grid(ref, n, 0.3)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("lipschitz", [-0.3, -np.inf, np.nan])
+    def test_cone_certificate_rejected_before_any_draw(self, lipschitz):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="nonnegative"):
+            cone_slope_field(rng, 8, lipschitz)
+        assert rng.bit_generator.state == state
+
+    def test_infinite_cone_certificate(self):
+        # accepted, every cell clips to 1, unless an anchor sits on a cell
+        # centre: there 0 * inf is NaN, and both versions reject it
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        u, oracle = cone_slope_field(rng, 16, np.inf), cone_slope_field_grid(ref, 16, np.inf)
+        assert same_floats(u.values, oracle.values)
+        assert np.all(u.values == 1.0) and u.lipschitz == np.inf
+
+        class OnCentre:
+            def __init__(self):
+                self.draws = iter([np.array([0.3, 5.5 / 16]), np.array([0.7, 9.5 / 16])])
+
+            def random(self, anchors):
+                return next(self.draws)
+
+            def uniform(self, lo, hi, anchors):
+                return np.array([0.2, -0.4])
+
+        for build in (cone_slope_field, cone_slope_field_grid):
+            with pytest.raises(ValueError, match="lie in"):
+                build(OnCentre(), 16, np.inf, 2)
+        assert cone_slope_field(OnCentre(), 16, 1e300, 2).values[5, 9] == -0.4
