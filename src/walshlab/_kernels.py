@@ -1,4 +1,4 @@
-"""Hot loops: Hadamard butterflies and the per-scale trilinear sum.
+"""Hot loops: the Walsh butterflies and the per-scale trilinear sum.
 
 The trilinear sum rests on one identity.  Inside a scale of 2^shift cells
 per interval, write each cell as its interval's offset plus a local index
@@ -16,14 +16,16 @@ does not depend on the BLAS thread count.
 The bits also depend on the operands' memory layout, since einsum loops in
 memory order.  So the block gathers pick their layout by size and copy the
 blocks whole, and the +-1 sign flips, which are exact and commute with
-rounding, are fused and applied in place.  `row_coefficients` runs the
-butterflies down the rows, largest stage first, and permutes whole rows
-after: decimation in frequency on natural order does the same additions,
-on the same operands, as decimation in time on bit-reversed input.
+rounding, are fused and applied in place.  `walsh_blocks` runs the
+butterflies on natural order, largest stage first, and bit-reverses each
+block after: decimation in frequency on natural order does the same
+additions, on the same operands, as decimation in time on bit-reversed
+input, so the bits do not depend on the axis transformed.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,39 +44,27 @@ def bit_reversal(resolution: int) -> np.ndarray:
     return rev
 
 
-def wht_rows(a: np.ndarray) -> None:
-    """In-place Hadamard butterfly along the last axis of a (rows, n) array."""
-    rows, n = a.shape
-    h = 1
-    while h < n:
-        v = a.reshape(rows, n // (2 * h), 2, h)
-        x = v[:, :, 0, :] + v[:, :, 1, :]
-        y = v[:, :, 0, :] - v[:, :, 1, :]
-        v[:, :, 0, :] = x
-        v[:, :, 1, :] = y
-        h *= 2
+def walsh_blocks(a: np.ndarray, resolution: int, axis: int = -1) -> np.ndarray:
+    """Unscaled Walsh transform of each block of 2^resolution entries along `axis`.
 
-
-def row_coefficients(a: np.ndarray, resolution: int) -> np.ndarray:
-    """Walsh coefficients over each block of 2^resolution rows of a (n, m) array.
-
-    Row b * 2^resolution + nu of the result is the coefficient nu of the
-    block b, column by column: bit for bit
-    `coefficient_rows(a.T.reshape(m, -1, 2^resolution), resolution)`
-    reshaped to (m, n) and transposed, with every stage on whole rows.
+    Entry b * 2^resolution + nu along `axis` is the coefficient nu of block
+    b.  Each stage works on whole slices of the later axes of a C-ordered
+    copy of `a`, which is returned.
     """
+    out = np.array(a, dtype=np.float64, order="C")
+    post = math.prod(out.shape[axis % out.ndim + 1 :])
     block = 1 << resolution
-    out = np.array(a, dtype=np.float64)
     h = block
     while h > 1:
         h //= 2
-        v = out.reshape(-1, 2, h, out.shape[1])
+        v = out.reshape(-1, 2, h * post)
         y = v[:, 0] - v[:, 1]
         v[:, 0] += v[:, 1]
         v[:, 1] = y
-    out = out.reshape(-1, block, out.shape[1]).take(bit_reversal(resolution), axis=1)
-    out *= 2.0 ** (-resolution)
-    return out.reshape(a.shape)
+    rev = bit_reversal(resolution)
+    if post == 1:  # per layout, the faster of a fancy index and a take
+        return out.reshape(-1, block)[:, rev].reshape(out.shape)
+    return out.reshape(-1, block, post).take(rev, axis=1).reshape(out.shape)
 
 
 def haar_signs(shift: int) -> np.ndarray:

@@ -99,6 +99,12 @@ def measure_triple(
     )
 
 
+def _centres(cells: np.ndarray, n: int):
+    """Centres (x, y) of flat cells col * n + row; `_bind` has checked that n = 2^s."""
+    s = n.bit_length() - 1
+    return ((cells >> s) + 0.5) / n, ((cells & (n - 1)) + 0.5) / n
+
+
 def linear_slope_field(n: int, gx: float, gy: float, offset: float) -> SlopeField:
     """Clipped affine slope field; the gradient length is its certificate.
 
@@ -107,7 +113,7 @@ def linear_slope_field(n: int, gx: float, gy: float, offset: float) -> SlopeFiel
     """
 
     def at(cells):
-        x, y = (np.stack(np.divmod(cells, n)) + 0.5) / n  # cell centres
+        x, y = _centres(cells, n)
         return np.clip(gx * x + gy * y + offset, -1.0, 1.0)
 
     return SlopeField.__new__(SlopeField)._bind(n, at, float(np.hypot(gx, gy)), [n * n - 1])
@@ -136,7 +142,7 @@ def cone_slope_field(rng, n: int, lipschitz: float, anchors: int = 6) -> SlopeFi
     base = rng.uniform(-1.0, 1.0, anchors)
 
     def at(cells):
-        x, y = (np.stack(np.divmod(cells, n)) + 0.5) / n  # cell centres
+        x, y = _centres(cells, n)
         v = np.full(x.shape, np.inf)
         for i in np.argsort(base, kind="stable"):
             if base[i] > v.max(initial=-np.inf):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .gridfn import GridFunction2D, _interval_slice
 from .walsh import DyadicInterval, WalshNumber
-from .wavelets import project_rows, synthesis_rows, walsh_rows
+from .wavelets import project_rows, walsh_rows
 
 
 @dataclass(frozen=True)
@@ -630,7 +630,7 @@ def _proj_diagonal_span(
             bk = K + p.scale
             sl2 = _interval_slice(p.time_interval(2), K)
             # the region projector: 2^-bk times the sum of its packets' outer products
-            packets = synthesis_rows(np.eye(1 << bk)[diagonal_region(p, a, K)], bk)
+            packets = walsh_rows(np.flatnonzero(diagonal_region(p, a, K)), bk)
             gram[sl2, sl2] += 2.0**-bk * (packets.T @ packets)
         # a zero diagonal entry of a positive semidefinite matrix is a zero row
         rows = np.flatnonzero(np.diagonal(gram) > 0.0)

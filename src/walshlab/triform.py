@@ -21,7 +21,7 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from ._kernels import haar_signs, pair_blocks, row_coefficients, triform_scale_sum
+from ._kernels import haar_signs, pair_blocks, triform_scale_sum
 from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from .tiles import (
     Bitile,
@@ -208,8 +208,8 @@ def bitile_table(
         m1 = m0 ^ m2
         # packet coefficients of the F0 and F2 fibers on half-blocks, in rows
         # b * half + nu, gathered as U[p, (j, nu), a2] and V[p, (j, nu), a0]
-        U = pair_blocks(row_coefficients(F0.values, shift - 1), shift, m1, m2)
-        V = pair_blocks(row_coefficients(F2T, shift - 1), shift, m1, m0)
+        U = pair_blocks(coefficient_rows(F0.values, shift - 1, axis=0), shift, m1, m2)
+        V = pair_blocks(coefficient_rows(F2T, shift - 1, axis=0), shift, m1, m0)
         hs = haar_signs(shift)
         F1blk = pair_blocks(F1.values, shift, m2, m0)
         F1blk *= np.outer(hs, hs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bit_reversal, wht_rows
+from ._kernels import bit_reversal, walsh_blocks
 from .gridfn import GridFunction1D, _interval_slice
 from .walsh import DyadicInterval
 
@@ -92,18 +92,16 @@ def wave_packet(spec: WavePacketSpec, resolution: int) -> GridFunction1D:
 # input (the permuted Hadamard matrix squares to 2^K times the identity).
 
 
-def coefficient_rows(values: np.ndarray, resolution: int) -> np.ndarray:
-    """Batched analysis along the last axis of a (rows, 2^K) array."""
-    out = synthesis_rows(values, resolution)
+def coefficient_rows(values: np.ndarray, resolution: int, axis: int = -1) -> np.ndarray:
+    """Batched analysis of each block of 2^K entries along `axis`."""
+    out = walsh_blocks(values, resolution, axis)
     out *= 2.0 ** (-resolution)
     return out
 
 
 def synthesis_rows(coeffs: np.ndarray, resolution: int) -> np.ndarray:
-    rev = bit_reversal(resolution)
-    out = np.ascontiguousarray(coeffs[..., rev], dtype=np.float64)
-    wht_rows(out.reshape(-1, out.shape[-1]))
-    return out
+    """Batched synthesis of each block of 2^K coefficients along the last axis."""
+    return walsh_blocks(coeffs, resolution)
 
 
 def fwht(f: GridFunction1D) -> GridFunction1D:

@@ -27,7 +27,7 @@ from walshlab.covering import (
     densities,
     square_integral,
 )
-from walshlab._kernels import haar_signs
+from walshlab._kernels import bit_reversal, haar_signs
 from walshlab.ensembles import DENSE_HEIGHTS, DENSE_MAX_TRIES
 from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.maximal import _check_exponent
@@ -193,6 +193,62 @@ def walsh_character(frequency: int, resolution: int) -> GridFunction1D:
     return GridFunction1D(resolution, 1.0 - 2.0 * bits)
 
 
+# The Walsh butterflies as they were before one kernel ran them along
+# either axis: along the last axis on bit-reversed input, smallest stage
+# first, and down the rows, largest stage first, permuting whole rows
+# after.  The package must match them bit for bit.
+
+
+def wht_rows(a: np.ndarray) -> None:
+    """In-place Hadamard butterfly along the last axis of a (rows, n) array."""
+    rows, n = a.shape
+    h = 1
+    while h < n:
+        v = a.reshape(rows, n // (2 * h), 2, h)
+        x = v[:, :, 0, :] + v[:, :, 1, :]
+        y = v[:, :, 0, :] - v[:, :, 1, :]
+        v[:, :, 0, :] = x
+        v[:, :, 1, :] = y
+        h *= 2
+
+
+def synthesis_rows_gather(coeffs: np.ndarray, resolution: int) -> np.ndarray:
+    """`synthesis_rows` by a bit-reversal gather and `wht_rows`."""
+    rev = bit_reversal(resolution)
+    out = np.ascontiguousarray(coeffs[..., rev], dtype=np.float64)
+    wht_rows(out.reshape(-1, out.shape[-1]))
+    return out
+
+
+def coefficient_rows_gather(values: np.ndarray, resolution: int) -> np.ndarray:
+    """`coefficient_rows` along a last axis of length 2^K, gather first."""
+    out = synthesis_rows_gather(values, resolution)
+    out *= 2.0 ** (-resolution)
+    return out
+
+
+def row_coefficients(a: np.ndarray, resolution: int) -> np.ndarray:
+    """Walsh coefficients over each block of 2^resolution rows of a (n, m) array.
+
+    Row b * 2^resolution + nu of the result is the coefficient nu of the
+    block b, column by column: bit for bit
+    `coefficient_rows(a.T.reshape(m, -1, 2^resolution), resolution)`
+    reshaped to (m, n) and transposed, with every stage on whole rows.
+    """
+    block = 1 << resolution
+    out = np.array(a, dtype=np.float64)
+    h = block
+    while h > 1:
+        h //= 2
+        v = out.reshape(-1, 2, h, out.shape[1])
+        y = v[:, 0] - v[:, 1]
+        v[:, 0] += v[:, 1]
+        v[:, 1] = y
+    out = out.reshape(-1, block, out.shape[1]).take(bit_reversal(resolution), axis=1)
+    out *= 2.0 ** (-resolution)
+    return out.reshape(a.shape)
+
+
 # The trilinear kernels as they were before their gathers took whole blocks
 # and their transforms ran down the rows; the package must match them bit
 # for bit.
@@ -241,8 +297,9 @@ def bitile_table_last_axis(
 ):
     """`bitile_table` with each scale's transforms along the last axis.
 
-    `coefficient_rows` gathers every row in bit-reversed order and runs the
-    butterflies on it, smallest stage first; the gathers are fancy indices.
+    `coefficient_rows_gather` gathers every row in bit-reversed order and
+    runs the butterflies on it, smallest stage first; the gathers are fancy
+    indices.
     """
     K = F0.resolution
     n = 1 << K
@@ -254,8 +311,8 @@ def bitile_table_last_axis(
         m0, m2 = np.divmod(np.arange(nb * nb), nb)
         m1 = m0 ^ m2
         # C0[i2, b * half + nu] ~ packet coefficients of F0 fibers on half-blocks
-        C0 = coefficient_rows(F0.values.T.reshape(n, -1, half), shift - 1)
-        C2 = coefficient_rows(F2.values.reshape(n, -1, half), shift - 1)
+        C0 = coefficient_rows_gather(F0.values.T.reshape(n, -1, half), shift - 1)
+        C2 = coefficient_rows_gather(F2.values.reshape(n, -1, half), shift - 1)
         U = pair_blocks_fancy(C0.reshape(n, n).T, shift, m1, m2)  # [p, (j, nu), a2]
         V = pair_blocks_fancy(C2.reshape(n, n).T, shift, m1, m0)  # [p, (j, nu), a0]
         hs = haar_signs(shift)

@@ -7,9 +7,12 @@ the member bitile regions, which carry the Haar shift on I2; multipliers
 of magnitude 2 or more need both, and are pinned down here too.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from walshlab.ensembles import random_convex_collection
 from walshlab.gridfn import GridFunction1D, GridFunction2D
 from walshlab.tiles import (
     Bitile,
@@ -17,6 +20,7 @@ from walshlab.tiles import (
     Tile,
     all_bitiles,
     diagonal_data,
+    diagonal_region,
     disjoint_tiling,
     fiberwise_data,
     proj_bitile,
@@ -218,3 +222,23 @@ class TestLargeMultiplierObstruction:
         for seed in range(7200, 7208):
             coll = random_convex(np.random.default_rng(seed))
             assert trace(coll, 1, mode) == pytest.approx(trace(coll, 0, mode), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "a_float, digest",
+        [
+            (2.0, "592e34648e3dbbe1d7a8decef3560aa2fdb7938ca88af73155fa2c215def732e"),
+            (2.75, "d67e891861cf8e5102043461535ba85470eb8a98944a6a480659f0df4f33f3b0"),
+        ],
+    )
+    def test_span_projection_bits_pinned(self, a_float, digest):
+        # no report reaches the span projection (report multipliers lie in
+        # [1, 2)), so its bits are pinned here on a fixed K = 5 case of 346
+        # members; no bitile region is empty at K <= 5 for these multipliers
+        K5 = 5
+        a = WalshNumber.from_float(a_float)
+        coll = random_convex_collection(np.random.default_rng(0), K5, tops=3)
+        assert len(coll) == 346
+        assert all(diagonal_region(p, a, K5).any() for p in coll)
+        F = GridFunction2D(K5, np.random.default_rng(100).normal(size=(1 << K5, 1 << K5)))
+        got = proj_collection(coll, 1, F, ProjectionMode.diagonal(a)).values
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest

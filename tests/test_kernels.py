@@ -21,8 +21,8 @@ import walshlab
 from walshlab._kernels import (
     bit_reversal,
     pair_blocks,
-    row_coefficients,
     triform_scale_sum,
+    walsh_blocks,
 )
 from walshlab.tiles import all_bitiles, scale_views
 from walshlab.triform import (
@@ -32,14 +32,17 @@ from walshlab.triform import (
     lambda_bitile_sum,
     lambda_direct,
 )
-from walshlab.wavelets import coefficient_rows
+from walshlab.wavelets import coefficient_rows, synthesis_rows
 
 from .oracles import (
     bit_reversed,
     bitile_table_last_axis,
+    coefficient_rows_gather,
     eps_weight,
     lambda_direct_fancy,
     pair_blocks_fancy,
+    row_coefficients,
+    synthesis_rows_gather,
 )
 from .test_triform import lambda_oracle, rand_triple
 
@@ -143,9 +146,65 @@ def test_row_coefficients_match_last_axis_transform(K):
     a[rng.random((n, n)) < 0.1] = -0.0
     for s in range(K):
         want = coefficient_rows(a.T.reshape(n, -1, 1 << s), s).reshape(n, n).T
-        got = row_coefficients(a, s)
+        got = coefficient_rows(a, s, axis=0)
         assert np.array_equal(got, want), s
         assert np.array_equal(np.signbit(got), np.signbit(want)), s
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _butterfly_inputs(K, rng):
+    """(2^K, 6) data of three kinds, each C-ordered, Fortran-ordered and read-only."""
+    n = 1 << K
+    x = rng.normal(size=(n, 6))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    for kind, data in (
+        ("normal", x),
+        ("integer", rng.integers(-9, 10, size=(n, 6))),
+        ("tiny", x * 1e-300),
+    ):
+        frozen = data.copy()
+        frozen.flags.writeable = False
+        yield kind, (data, np.asfortranarray(data), frozen)
+
+
+@pytest.mark.parametrize("K", range(0, 10))
+def test_walsh_blocks_match_the_butterflies_they_replaced(K):
+    # every block resolution, down the rows (axis 0) and along the last
+    # axis of the transpose, against the gather-first transform along the
+    # last axis and the row-axis transform; sign bits included
+    rng = np.random.default_rng(700 + K)
+    n = 1 << K
+    for kind, sources in _butterfly_inputs(K, rng):
+        for a in sources:
+            before = a.copy()
+            for s in range(K + 1):
+                B = 1 << s
+                last = coefficient_rows_gather(a.T.reshape(6, -1, B), s).reshape(6, n)
+                rows = coefficient_rows(a, s, axis=0)
+                assert rows.flags.c_contiguous and not np.shares_memory(rows, a)
+                assert _same_bits(rows, last.T), (kind, s)
+                assert _same_bits(rows, row_coefficients(a, s)), (kind, s)
+                assert _same_bits(coefficient_rows(a.T, s), last), (kind, s)
+                unscaled = synthesis_rows_gather(a.T.reshape(6, -1, B), s).reshape(6, n)
+                assert _same_bits(walsh_blocks(a, s, axis=0), unscaled.T), (kind, s)
+                assert _same_bits(walsh_blocks(a.T, s), unscaled), (kind, s)
+                assert _same_bits(synthesis_rows(a.T.reshape(6, -1, B), s).reshape(6, n), unscaled)
+            assert _same_bits(a, before), kind
+
+
+@pytest.mark.parametrize("K", [0, 1, 3, 5])
+def test_walsh_blocks_along_a_middle_axis(K):
+    rng = np.random.default_rng(800 + K)
+    n = 1 << K
+    x = rng.normal(size=(3, n, 5))
+    for s in range(K + 1):
+        want = coefficient_rows_gather(np.moveaxis(x, 1, -1).reshape(3, 5, -1, 1 << s), s)
+        want = np.moveaxis(want.reshape(3, 5, n), -1, 1)
+        assert _same_bits(coefficient_rows(x, s, axis=1), want), s
+        assert _same_bits(coefficient_rows(x, s, axis=-2), want), s
 
 
 def _eps_kinds(K, rng):
