@@ -661,7 +661,7 @@ def _probe_cover_overlap(cfg: Config, t: int) -> List[Row]:
     family = dense_parallelograms(
         rng, u, cfg.delta, count=25, scale_range=_dense_scales(cfg.grid)
     )
-    selected = [family[i] for i in cover_picks(family, u, cfg.delta)[0]]
+    selected = [family[i] for i in cover_picks(family, u)[0]]
     return [
         _probe_row(
             "constants",

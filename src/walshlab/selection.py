@@ -45,6 +45,7 @@ from .tiles import (
     _position,
     _require_half_tile_regions,
     _resolution,
+    _slot_coefficients,
     _unique_ints,
     convex_scales,
     counts,
@@ -54,7 +55,7 @@ from .tiles import (
     support,
     up_sums,
 )
-from .wavelets import coefficient_rows
+from .triform import lambda_tree
 
 __all__ = [
     "Tree",
@@ -208,16 +209,11 @@ def tile_norm_table(
         B = 1 << (K + k)
         nb = 1 << -k
         g0, g2 = np.arange(nb)[:, None], np.arange(nb)
-        if slot == 0:
-            # C[i2, m1, nu] -> S[m2, m1, nu]
-            C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
+        if slot in (0, 2):
+            # slot 0: C[i2, m1, nu] -> S[m2, m1, nu]; slot 2: C[i0, m1, nu] -> S[m0, m1, nu]
+            C = _slot_coefficients(F, slot, k)
             S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            blocks[k] = np.multiply(S[g2, g0 ^ g2], 2.0 ** (k - K))
-        elif slot == 2:
-            # C[i0, m1, nu] -> S[m0, m1, nu]
-            C = coefficient_rows(F.values.reshape(ngrid, nb, B), K + k)
-            S = (C**2).reshape(nb, B, nb, B).sum(axis=1)
-            blocks[k] = np.multiply(S[g0, g0 ^ g2], 2.0 ** (k - K))
+            blocks[k] = np.multiply(S[g2 if slot == 0 else g0, g0 ^ g2], 2.0 ** (k - K))
         elif mode.kind == "fiberwise":
             labels = np.asarray(mode.labels, dtype=np.int64)
             if labels.shape != (ngrid,):
@@ -229,7 +225,7 @@ def tile_norm_table(
             blocks[k] = np.multiply(acc.transpose(1, 0, 2), 2.0 ** (-2 * K))
         else:
             # C[i0, m2, nu] -> D[i0, m2, image cell] -> S[m0, m2, nu]
-            C = coefficient_rows(F.values.T.reshape(ngrid, nb, B), K + k)
+            C = _slot_coefficients(F, 1, k)
             img = _image_cells(mode.multiplier, k, K)
             D = np.zeros((ngrid, nb, B))
             np.add.at(D, (slice(None), slice(None), img), C**2)
@@ -665,8 +661,6 @@ def single_tree_report(
     The bound is the tree area times the three slot sizes; the ratio is
     the empirical constant of the single-tree estimate.
     """
-    from .triform import lambda_tree
-
     value = lambda_tree(tree.members, eps, F0, F1, F2)
     member = counts(tree.members, F0.resolution) > 0
     if not convex_scales(member):

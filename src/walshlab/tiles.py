@@ -27,7 +27,9 @@ on the per-scale views X[k][m0, m2, n] of `scale_views`.
 Slot projections act on one argument slot of a trilinear form: slots 0
 and 2 project a fiber onto the wave packet of the tile, slot 1 localizes
 the data fiber in frequency according to the mode (a fixed carry-less
-multiplier, or a per-fiber frequency label).
+multiplier, or a per-fiber frequency label).  The packet coefficients of
+every tile of a scale come from one transform of the slot's fibers
+(`_slot_coefficients`); a tile's block is their masked synthesis.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gridfn import GridFunction2D, _interval_slice
+from .gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from .walsh import DyadicInterval, WalshNumber
-from .wavelets import project_rows, walsh_rows
+from .wavelets import coefficient_rows, synthesis_rows, walsh_rows
 
 
 @dataclass(frozen=True)
@@ -392,8 +394,6 @@ def diagonal_data(f, a: WalshNumber):
     Cell representatives are multiplied exactly; images beyond [0, 1)
     fall outside the support of f and give zero.
     """
-    from .gridfn import GridFunction1D
-
     if a.is_zero():
         raise ValueError("degenerate multiplier")
     if not isinstance(f, GridFunction1D):
@@ -409,8 +409,6 @@ def diagonal_data(f, a: WalshNumber):
 
 def fiberwise_data(f, labels):
     """Slot-0 data F(x1, x2) = f(x2) w_{N(x2)}(x1)."""
-    from .gridfn import GridFunction1D
-
     if not isinstance(f, GridFunction1D):
         raise TypeError("slot-0 profile must be a 1D grid function")
     K = f.resolution
@@ -527,46 +525,65 @@ def _check_tile(p: BaseTile, resolution: int) -> None:
         raise ValueError("tile not localized in the unit cube")
 
 
-def _slot_block(
-    p: BaseTile, slot: int, F: GridFunction2D, mode: ProjectionMode | None
-):
-    """(box, block): the slot projection of F onto p is block on box, 0 elsewhere.
+def _slot_coefficients(F: GridFunction2D, slot: int, scale: int) -> np.ndarray:
+    """C[fiber, block, nu]: packet coefficients of every slot fiber's blocks at the scale.
+
+    Slot 0 analyses F(x1, x2) along x1, slot 1 F(x2, x0) along x2 and
+    slot 2 F(x0, x1) along x1, in blocks of 2^(K+scale) cells; the fibers
+    are x2 for slot 0 and x0 for slots 1 and 2.
+    """
+    K = F.resolution
+    A = F.values if slot == 2 else F.values.T
+    return coefficient_rows(A.reshape(1 << K, 1 << -scale, 1 << (K + scale)), K + scale)
+
+
+def _slot_blocks(tiles, slot: int, F: GridFunction2D, mode: ProjectionMode | None):
+    """(box, block) for each tile in order: its slot projection of F is block on box.
 
     Slots 0 and 2 take tiles; slot 1 takes tiles, and bitiles in diagonal
     mode, whose block is each x0 fiber of I0 projected onto the region
-    over I2.
+    over I2.  A block synthesises the tile's fiber coefficients with those
+    outside its packet (or region) zeroed, from one `_slot_coefficients`
+    per scale; fiberwise slot 1 keeps whole fibers by label instead.
+    Each tile passes `_check_tile` before its box is built.
     """
-    K = F.resolution
-    bk = K + p.scale
-    if slot in (0, 2):
-        axes = (1, 2) if slot == 0 else (0, 1)
-        box = tuple(_interval_slice(p.time_interval(i), K) for i in axes)
-        mask = np.zeros(1 << bk, dtype=bool)
-        mask[p.n] = True
-        if slot == 0:
-            return box, project_rows(F.values[box].T, bk, mask).T
-        return box, project_rows(F.values[box], bk, mask)
-    if slot != 1:
+    if slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1, or 2")
-    if mode is None:
+    if slot == 1 and mode is None:
         raise ValueError("slot 1 requires a projection mode")
-    box = tuple(_interval_slice(p.time_interval(i), K) for i in (2, 0))
-    if mode.kind == "diagonal":
-        mask = diagonal_region(p, mode.multiplier, K)
-        return box, project_rows(F.values[box].T, bk, mask).T
-    labels = np.asarray(mode.labels)
-    if labels.shape != (1 << K,):
-        raise ValueError("fiberwise labels must give one frequency per cell")
-    lo = p.n << -p.scale
-    hi = (p.n + 1) << -p.scale
-    keep = (labels[box[0]] >= lo) & (labels[box[0]] < hi)
-    return box, F.values[box] * keep[:, None]
+    K = F.resolution
+    fiberwise = slot == 1 and mode.kind == "fiberwise"
+    if fiberwise:
+        labels = np.asarray(mode.labels)
+        if labels.shape != (1 << K,):
+            raise ValueError("fiberwise labels must give one frequency per cell")
+    coefficients = {}
+    for p in tiles:
+        _check_tile(p, K)
+        k = p.scale
+        bk = K + k
+        # the fiber and block indices of the coefficients, and the box over F's axes
+        fiber, blk = ((p.m2, p.m1), (p.m0, p.m2), (p.m0, p.m1))[slot]
+        rows = slice(fiber << bk, (fiber + 1) << bk)
+        cols = slice(blk << bk, (blk + 1) << bk)
+        box = (rows, cols) if slot == 2 else (cols, rows)
+        if fiberwise:
+            keep = (labels[cols] >> -k) == p.n
+            yield box, F.values[box] * keep[:, None]
+            continue
+        if slot == 1:
+            mask = diagonal_region(p, mode.multiplier, K)
+        else:
+            mask = np.arange(1 << bk) == p.n
+        if k not in coefficients:
+            coefficients[k] = _slot_coefficients(F, slot, k)
+        block = synthesis_rows(np.where(mask, coefficients[k][rows, blk], 0.0), bk)
+        yield box, (block if slot == 2 else block.T)
 
 
 def _placed(p: BaseTile, slot: int, F: GridFunction2D, mode) -> GridFunction2D:
-    """The slot projection onto p as a grid function, after `_check_tile`."""
-    _check_tile(p, F.resolution)
-    box, block = _slot_block(p, slot, F, mode)
+    """The slot projection onto p as a grid function."""
+    ((box, block),) = _slot_blocks([p], slot, F, mode)
     out = GridFunction2D.zeros(F.resolution)
     out.values[box] = block
     return out
@@ -653,12 +670,13 @@ def proj_collection(
 ) -> GridFunction2D:
     """Projection onto a convex collection.
 
-    Sums the tile projections over the disjoint tiling: each tile's block
-    is added into its box of one output array, in tiling order, so every
-    cell sees the same additions as a sum of `proj_tile` outputs.  The
-    tiling is one up-set count of the members (see `disjoint_tiling`:
-    P.half(j) is a tile exactly when no member lies above P's parent r
-    with n_r = 2 n_P + (0 if j == 1 else 1)).  Slot 1 in diagonal mode with
+    Sums the tile projections over the disjoint tiling: each tile's block,
+    read from one analysis per scale (`_slot_blocks`), is added into its
+    box of one output array, in tiling order, so every cell sees the same
+    additions as a sum of `proj_tile` outputs.  The tiling is one up-set
+    count of the members (see `disjoint_tiling`: P.half(j) is a tile
+    exactly when no member lies above P's parent r with
+    n_r = 2 n_P + (0 if j == 1 else 1)).  Slot 1 in diagonal mode with
     |a| >= 2 has no half-tile regions to tile with (see
     `diagonal_region`); there each x0 fiber is projected orthogonally onto
     the span of the bitile regions I2(P) x diagonal_region(P) of the
@@ -673,8 +691,6 @@ def proj_collection(
     if slot == 1 and mode is not None and mode.kind == "diagonal":
         if mode.multiplier.magnitude() >= 2.0:
             return _proj_diagonal_span(coll, F, mode.multiplier)
-    for t in tiles:
-        _check_tile(t, F.resolution)
-        box, block = _slot_block(t, slot, F, mode)
+    for box, block in _slot_blocks(tiles, slot, F, mode):
         out.values[box] += block
     return out

@@ -116,20 +116,3 @@ def fwht_synthesis(coeffs: GridFunction1D) -> GridFunction1D:
         coeffs.resolution, synthesis_rows(coeffs.values[None, :], coeffs.resolution)[0]
     )
 
-
-# -- blockwise projections ---------------------------------------------------
-
-
-def project_rows(
-    rows: np.ndarray, block_resolution: int, mask: np.ndarray
-) -> np.ndarray:
-    """Project each row onto span{area-1 packets over its block} in mask.
-
-    `rows` is (count, 2^block_resolution), one block per row: analyse,
-    zero the coefficients outside the mask, synthesise.  Phases of the
-    left endpoint cancel between analysis and synthesis, so the masked
-    local transform needs no global phase bookkeeping.
-    """
-    c = coefficient_rows(rows, block_resolution)
-    c[:, ~mask] = 0.0
-    return synthesis_rows(c, block_resolution)

@@ -39,7 +39,6 @@ from walshlab.wavelets import (
     _check_freq,
     _check_time,
     coefficient_rows,
-    project_rows,
     synthesis_rows,
     wave_packet,
 )
@@ -418,6 +417,21 @@ def offset_form_scalar(weights, shift: int, f, g, h):
             route_proj.append(eI * proj_acc)
             route_coef.append(eI * coef_acc * 2.0 ** k)
     return math.fsum(route_proj), math.fsum(route_coef)
+
+
+def project_rows(
+    rows: np.ndarray, block_resolution: int, mask: np.ndarray
+) -> np.ndarray:
+    """Project each row onto span{area-1 packets over its block} in mask.
+
+    `rows` is (count, 2^block_resolution), one block per row: analyse,
+    zero the coefficients outside the mask, synthesise.  Phases of the
+    left endpoint cancel between analysis and synthesis, so the masked
+    local transform needs no global phase bookkeeping.
+    """
+    c = coefficient_rows(rows, block_resolution)
+    c[:, ~mask] = 0.0
+    return synthesis_rows(c, block_resolution)
 
 
 def project_region_1d(

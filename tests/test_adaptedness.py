@@ -12,8 +12,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from walshlab import tiles as tiles_module
 from walshlab.ensembles import random_convex_collection
-from walshlab.gridfn import GridFunction1D, GridFunction2D
+from walshlab.gridfn import GridFunction1D, GridFunction2D, _interval_slice
 from walshlab.tiles import (
     Bitile,
     ProjectionMode,
@@ -31,7 +32,7 @@ from walshlab.tiles import _proj_diagonal_span
 from walshlab.triform import lambda_bitile
 from walshlab.walsh import WalshNumber
 
-from .oracles import down_set
+from .oracles import down_set, project_rows
 
 K = 4
 N = 1 << K
@@ -242,3 +243,137 @@ class TestLargeMultiplierObstruction:
         F = GridFunction2D(K5, np.random.default_rng(100).normal(size=(1 << K5, 1 << K5)))
         got = proj_collection(coll, 1, F, ProjectionMode.diagonal(a)).values
         assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+
+# -- projection bits ---------------------------------------------------------
+
+PIN_MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 1.75, 2.0, 2.75)
+
+
+def signed_zero_data(rng, resolution):
+    """Normal cells, some of them -0.0 or +0.0, with one row and one column all -0.0."""
+    n = 1 << resolution
+    v = rng.normal(size=(n, n))
+    v[rng.random((n, n)) < 0.1] = -0.0
+    v[rng.random((n, n)) < 0.05] = 0.0
+    v[rng.integers(n)] = -0.0
+    v[:, rng.integers(n)] = -0.0
+    return GridFunction2D(resolution, v)
+
+
+def sample(items, rng, count):
+    """At most `count` of the items, in their order."""
+    if len(items) <= count:
+        return list(items)
+    return [items[i] for i in np.sort(rng.choice(len(items), count, replace=False))]
+
+
+def projection_cases():
+    """(function, tile or collection, slot, F, mode) over K = 2..6, every slot and mode.
+
+    Slots 0 and 2 run without a mode, slot 1 in fiberwise mode and in
+    diagonal mode at each of PIN_MULTIPLIERS; half-tiles have no slot-1
+    region from |a| = 2 on, so `proj_tile` skips those.
+    """
+    for res in range(2, 7):
+        rng = np.random.default_rng(9000 + res)
+        n = 1 << res
+        F = signed_zero_data(rng, res)
+        modes = [(0, None), (2, None)]
+        modes.append((1, ProjectionMode.fiberwise(rng.integers(0, n, size=n))))
+        for a in PIN_MULTIPLIERS:
+            modes.append((1, ProjectionMode.diagonal(WalshNumber.from_float(a))))
+        tiles = [
+            Tile(k, m0, m2, nu)
+            for k in range(0, -res - 1, -1)
+            for m0 in range(1 << -k)
+            for m2 in range(1 << -k)
+            for nu in range(1 << (res + k))
+        ]
+        bitiles = list(all_bitiles(res))
+        colls = [random_convex_collection(rng, res, tops=t) for t in (1, 2, 3)]
+        for slot, mode in modes:
+            wide = mode is not None and mode.kind == "diagonal"
+            wide = wide and mode.multiplier.magnitude() >= 2.0
+            if not wide:
+                for t in sample(tiles, rng, 160):
+                    yield proj_tile, t, slot, F, mode
+            for b in sample(bitiles, rng, 60):
+                yield proj_bitile, b, slot, F, mode
+            for coll in colls:
+                yield proj_collection, coll, slot, F, mode
+
+
+def rows_oracle(p, slot, F, mode):
+    """One tile's (or, in diagonal slot 1, one bitile's) projection by `project_rows`.
+
+    The box is analysed on its own and the block placed into zeros.
+    """
+    res = F.resolution
+    bk = res + p.scale
+    if slot == 1:
+        mask = diagonal_region(p, mode.multiplier, res)
+    else:
+        mask = np.arange(1 << bk) == p.n
+    axes = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[slot]
+    box = tuple(_interval_slice(p.time_interval(i), res) for i in axes)
+    out = np.zeros_like(F.values)
+    if slot == 2:
+        out[box] = project_rows(F.values[box], bk, mask)
+    else:
+        out[box] = project_rows(F.values[box].T, bk, mask).T
+    return out
+
+
+class TestProjectionBits:
+    def test_projection_bits_pinned(self):
+        # recorded before the tile blocks came from one transform per
+        # scale; the raw bytes, sign bits of -0.0 included
+        h = hashlib.sha256()
+        count = 0
+        for fn, p, slot, F, mode in projection_cases():
+            h.update(fn(p, slot, F, mode).values.tobytes())
+            count += 1
+        assert count == 7314
+        assert h.hexdigest() == "28d3621d0968444a8209e89fd5f249f5e8a0f50e352a6627313d84923a358d69"
+
+    def test_single_tiles_match_project_rows(self):
+        # each block is bit for bit the masked transform of its box alone
+        checked = 0
+        for fn, p, slot, F, mode in projection_cases():
+            if fn is proj_collection or (mode is not None and mode.kind == "fiberwise"):
+                continue
+            got = fn(p, slot, F, mode).values
+            if fn is proj_tile or slot == 1:
+                want = rows_oracle(p, slot, F, mode)
+            else:
+                want = rows_oracle(p.half(1), slot, F, mode)
+                want = want + rows_oracle(p.half(-1), slot, F, mode)
+            assert got.tobytes() == want.tobytes(), (fn.__name__, p, slot, mode)
+            checked += 1
+        assert checked > 5000
+
+    def test_collection_analyses_once_per_scale(self, monkeypatch):
+        # one analysis per scale of the tiling, where a transform per tile
+        # box would make one per tile
+        K6 = 6
+        rng = np.random.default_rng(17)
+        coll = random_convex_collection(rng, K6, tops=3)
+        scales = sorted({t.scale for t in disjoint_tiling(coll)})
+        assert len(disjoint_tiling(coll)) > 10 * len(scales)
+        F = signed_zero_data(rng, K6)
+        calls = []
+
+        def counted(F, slot, scale, real=tiles_module._slot_coefficients):
+            calls.append(scale)
+            return real(F, slot, scale)
+
+        monkeypatch.setattr(tiles_module, "_slot_coefficients", counted)
+        diagonal = ProjectionMode.diagonal(WalshNumber.from_float(1.5))
+        for slot, mode in ((0, None), (2, None), (1, diagonal)):
+            calls.clear()
+            proj_collection(coll, slot, F, mode)
+            assert sorted(calls) == scales, slot
+        calls.clear()
+        proj_collection(coll, 1, F, ProjectionMode.fiberwise(rng.integers(0, 64, size=64)))
+        assert calls == []

@@ -235,6 +235,13 @@ class TestVerify:
                 0,
                 "e8e533799cea142f3b5d4609bf847145c68a4ee7d246e34a606f8012bdc1ae28",
             ),
+            # one resolution above: more scales, each tiled by many tiles
+            (
+                "verify",
+                "resolution=7\ntrials=2\nsuite=adaptedness\nmode=diagonal\na_bits=5\n",
+                3,
+                "0aa120e570304afdc30a535a21b53b375cc1afda2c0b8f07e2a57c1d5a51f147",
+            ),
         ],
         ids=[
             "verify-k6",
@@ -246,6 +253,7 @@ class TestVerify:
             "kernels-k8-seed3",
             "adaptedness-diagonal",
             "adaptedness-fiberwise",
+            "adaptedness-diagonal-k7",
         ],
     )
     def test_benchmark_reports_pinned(self, tmp_path, command, config, seed, digest):

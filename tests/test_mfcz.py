@@ -18,7 +18,7 @@ from walshlab.selection import Tree, select_trees
 from walshlab.tiles import Bitile, all_bitiles, is_convex
 from walshlab.triform import EpsilonField, lambda_bitile, lambda_direct
 from walshlab.walsh import DyadicInterval
-from walshlab.wavelets import WavePacketSpec, project_rows, wave_packet
+from walshlab.wavelets import WavePacketSpec, wave_packet
 
 from .oracles import (
     GoodPiece,
@@ -27,6 +27,7 @@ from .oracles import (
     indicator_box,
     maximal_dyadic_intervals,
     parent,
+    project_rows,
     project_tile_1d,
     transpose_instance,
 )

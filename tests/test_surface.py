@@ -131,3 +131,23 @@ def test_every_method_is_used_or_documented():
     assert UNREAD_METHODS <= unread, sorted(UNREAD_METHODS - unread)
     undocumented = sorted(unread - UNREAD_METHODS - _api_names())
     assert not undocumented, undocumented
+
+
+def test_no_function_imports_from_the_package():
+    """Package modules import each other at module level only.
+
+    No two package modules import each other, so a relative import inside
+    a function body only hides a dependency.  An import of another package
+    that costs set-up time may still be deferred.
+    """
+    inside = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    f"{path.stem}.{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                ]
+    assert not inside, sorted(inside)

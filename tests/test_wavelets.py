@@ -16,13 +16,12 @@ from walshlab.wavelets import (
     fwht,
     fwht_synthesis,
     haar,
-    project_rows,
     walsh_fn,
     walsh_rows,
     wave_packet,
 )
 
-from .oracles import project_region_1d, project_tile_1d, walsh_character
+from .oracles import project_region_1d, project_rows, project_tile_1d, walsh_character
 
 
 def rand_fn(K, seed=0):
