@@ -56,6 +56,7 @@ from .mfcz import (
 )
 from .covering import (
     Parallelogram,
+    ParallelogramRows,
     SlopeField,
     lemma7r_check,
     lk_maximal,
@@ -107,6 +108,7 @@ __all__ = [
     "replacement_check",
     "g_norm_report",
     "Parallelogram",
+    "ParallelogramRows",
     "SlopeField",
     "lemma7r_check",
     "lk_maximal",

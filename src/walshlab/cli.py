@@ -661,13 +661,13 @@ def _probe_cover_overlap(cfg: Config, t: int) -> List[Row]:
     family = dense_parallelograms(
         rng, u, cfg.delta, count=25, scale_range=_dense_scales(cfg.grid)
     )
-    selected = [family[i] for i in cover_picks(family, u)[0]]
+    selected = family[cover_picks(family, u)[0]]
     return [
         _probe_row(
             "constants",
             f"cover_overlap_t{t}_K{cfg.grid.bit_length() - 1}",
             square_integral(selected, cfg.grid),
-            sum(r.measure for r in selected) / cfg.delta,
+            sum(selected.measures.tolist()) / cfg.delta,
         )
     ]
 
@@ -848,27 +848,23 @@ def _cover_trial(cfg: Config, t: int) -> Tuple[List[Row], List[tuple]]:
     family = dense_parallelograms(
         rng, u, cfg.delta, count=40, scale_range=_dense_scales(n)
     )
-    picks, removals, failures = cover_picks(family, u, cfg.delta)
-    selected = [family[i] for i in picks]
+    picks, removals = cover_picks(family, u)
+    selected = family[picks]
     removed = sum(map(len, removals))
+    failures = np.count_nonzero(family.densities < cfg.delta)  # as the filter measured them
     rows = [
         _row("cover", f"{kind}_t{t}_uncovered", float(len(family) - removed), 0.0),
-        _row(
-            "cover",
-            f"{kind}_t{t}_density_failures",
-            float(len(failures)),
-            0.0,
-        ),
+        _row("cover", f"{kind}_t{t}_density_failures", float(failures), 0.0),
         _probe_row(
             "cover",
             f"{kind}_t{t}_square",
             square_integral(selected, n),
-            sum(r.measure for r in selected) / cfg.delta,
+            sum(selected.measures.tolist()) / cfg.delta,
         ),
     ]
     selected_rows = [
-        (t, r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height)
-        for r in selected
+        (t, int(scale), int(index), base, slope, height)
+        for scale, index, base, slope, height in selected.table.tolist()
     ]
     return rows, selected_rows
 

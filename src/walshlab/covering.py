@@ -81,16 +81,78 @@ class Parallelogram:
         return _columns([self], n)[:3]
 
 
-def _columns(rs: Sequence[Parallelogram], n: int):
+class ParallelogramRows(Sequence):
+    """Read-only family of parallelograms held as float64 rows
+    (scale, index, base_y, slope, height).
+
+    Built from rows or any parallelogram iterable.  Only indexing by an
+    int and iteration build `Parallelogram`s; a slice or an int array
+    picks a sub-family.  It equals any sequence of the same parallelograms
+    in the same order.  `densities` is None, or each member's |E(R)| / |R|
+    as the density filter that drew the family measured it.
+    """
+
+    def __init__(self, parallelograms, densities=None):
+        self.table = _table(parallelograms).reshape(-1, 5)  # a new view: the flag is its own
+        self.table.flags.writeable = False
+        if np.any(self.table[:, 4] < 0):
+            raise ValueError("height must be nonnegative")
+        self.densities = None
+        if densities is not None:
+            self.densities = np.array(densities, dtype=np.float64)
+            self.densities.flags.writeable = False
+
+    @property
+    def measures(self) -> np.ndarray:
+        """Each member's measure, shadow length times height, as `Parallelogram.measure`."""
+        return np.ldexp(1.0, self.table[:, 0].astype(np.int64)) * self.table[:, 4]
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return _parallelogram(*self.table[i].tolist())
+        d = self.densities
+        return ParallelogramRows(self.table[i], None if d is None else d[i])
+
+    def __iter__(self):
+        return (_parallelogram(*row) for row in self.table.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, ParallelogramRows):
+            return np.array_equal(self.table, other.table)
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ParallelogramRows({self.table.tolist()})"
+
+
+def _parallelogram(scale, index, base_y, slope, height) -> Parallelogram:
+    return Parallelogram(DyadicInterval(int(scale), int(index)), base_y, slope, height)
+
+
+def _table(rs) -> np.ndarray:
+    """Rows (scale, index, base_y, slope, height) of a family, as float64."""
+    if isinstance(rs, ParallelogramRows):
+        return rs.table
+    if isinstance(rs, np.ndarray):
+        return rs.astype(np.float64, copy=False)
+    return np.array(
+        [(r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height) for r in rs],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+
+
+def _columns(rs, n: int):
     """Every member's shadow columns, member after member, in one array pass.
 
     Returns the column indices, the half-open row ranges [y_lo, y_hi) of
     the cell centers inside the member, and each member's column count.
     """
-    table = np.reshape(
-        [(r.shadow.scale, r.shadow.index, r.base_y, r.slope, r.height) for r in rs],
-        (-1, 5),
-    )
+    table = _table(rs)
     if not np.isfinite(table[:, 2:]).all():
         raise ValueError("base, slope and height must be finite")
     scale, index, base, slope, height = table.T
@@ -100,7 +162,7 @@ def _columns(rs: Sequence[Parallelogram], n: int):
     x_left = index * length
     c_lo = np.rint(x_left * n).astype(np.int64)
     ncols = np.rint((index + 1) * length * n).astype(np.int64) - c_lo
-    member = np.repeat(np.arange(len(rs)), ncols)
+    member = np.repeat(np.arange(len(table)), ncols)
     cols = np.repeat(c_lo - (np.cumsum(ncols) - ncols), ncols) + np.arange(len(member))
     x = (cols + 0.5) / n
     lo = base[member] + slope[member] * (x - x_left[member])
@@ -110,13 +172,12 @@ def _columns(rs: Sequence[Parallelogram], n: int):
     return cols, y_lo, y_hi, ncols
 
 
-def _segments(rs: Sequence[Parallelogram], n: int, columns=None):
+def _segments(rs, n: int):
     """The family's cells as flat indices column * n + row, one segment per member.
 
-    `columns` is the family's `_columns(rs, n)` when the caller has it.
     Returns the indices, each member's cell count and segment start.
     """
-    cols, y_lo, y_hi, ncols = _columns(rs, n) if columns is None else columns
+    cols, y_lo, y_hi, ncols = _columns(rs, n)
     widths = y_hi - y_lo
     ends = np.cumsum(widths)
     index = np.repeat(cols * n + y_lo - (ends - widths), widths) + np.arange(widths.sum())
@@ -174,41 +235,37 @@ def _box(cols, y_lo, y_hi):
     return slice(cols[0], cols[-1] + 1), slice(top, bottom), m
 
 
-def _in_e(rs: Sequence[Parallelogram], u: SlopeField, index, counts) -> np.ndarray:
+def _in_e(rs, u: SlopeField, index, counts) -> np.ndarray:
     """Which of the family's cells, as `_segments` lists them, lie in their E(R)."""
-    bounds = np.reshape([r.uncertainty for r in rs], (-1, 2))
-    lo, hi = np.repeat(bounds, counts, axis=0).T
+    scale, _, _, slope, height = _table(rs).T
+    half = height / np.ldexp(1.0, scale.astype(np.int64))  # `Parallelogram.uncertainty`
     v = u.at(index)
-    return (v >= lo) & (v <= hi)
+    return (v >= np.repeat(slope - half, counts)) & (v <= np.repeat(slope + half, counts))
 
 
-def densities(rs: Sequence[Parallelogram], u: SlopeField, columns=None) -> np.ndarray:
-    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R.
-
-    `columns` is the family's `_columns(rs, u.n)` when the caller has it.
-    """
-    index, counts, starts = _segments(rs, u.n, columns)
-    out = np.ones(len(rs))
+def densities(rs: Sequence[Parallelogram], u: SlopeField) -> np.ndarray:
+    """|E(R)| / |R| in grid cells for each member; vacuously 1 for a cell-free R."""
+    table = _table(rs)
+    index, counts, starts = _segments(table, u.n)
+    out = np.ones(len(counts))
     held = np.flatnonzero(counts)
-    e = np.add.reduceat(_in_e(rs, u, index, counts), starts[held], dtype=np.int64)
+    e = np.add.reduceat(_in_e(table, u, index, counts), starts[held], dtype=np.int64)
     out[held] = e / counts[held]
     return out
 
 
-def cover_picks(
-    parallelograms: Sequence[Parallelogram],
-    u: SlopeField,
-    delta: Optional[float] = None,
-):
+def cover_picks(parallelograms: Sequence[Parallelogram], u: SlopeField):
     """Iterative covering selection with the 1e-4 vertical threshold.
 
     Repeatedly selects a remaining parallelogram of maximal shadow length
     (ties: larger height, then input order) and removes everything whose
     cells all sit where the vertical maximal function of the selection's
     7-fold height-dilates reaches VERTICAL_THRESHOLD.  Returns the picks
-    in order, each step's removed members in input order, and the inputs
-    failing the density condition |E(R)| >= delta |R| when delta is given;
-    those are still processed: the precondition is the caller's.
+    in order and each step's removed members in input order.  The density
+    condition |E(R)| >= delta |R| is the caller's precondition, and is not
+    measured here: `dense_parallelograms` hands back the densities its
+    filter measured.  The family is read as one table; the dilates are
+    columns computed from it, with no `Parallelogram` built.
 
     Removals are decided by column mass, with no n x n array.  The dilate
     field counts whole cells, so if a column holds one dilate cell, every
@@ -219,30 +276,27 @@ def cover_picks(
     holding a cell of it is massed, that is, holds a cell of a selected
     dilate; a cell-free member leaves at the first step.
     """
-    if delta is not None and not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    rs = parallelograms
+    table = _table(parallelograms)
     n = u.n
     if not n * VERTICAL_THRESHOLD < 1.0:
         raise ValueError("column mass decides removals only while n * threshold < 1")
-    if not rs:
-        return [], [], ()
-    columns = _columns(rs, n)
-    failures = ()
-    if delta is not None:  # cell-free members pass
-        failures = tuple(np.flatnonzero(densities(rs, u, columns) < delta).tolist())
-    order = sorted(range(len(rs)), key=lambda i: (-rs[i].length, -rs[i].height, i))
-    cols, y_lo, y_hi, ncols = columns
+    if not len(table):
+        return [], []
+    scale, index, base, slope, height = table.T
+    order = np.lexsort((-height, -scale))  # stable: ties keep input order
+    cols, y_lo, y_hi, ncols = _columns(table, n)
     first = np.cumsum(ncols) - ncols
+    # `Parallelogram.height_dilate(7.0)` column-wise, with its float operations;
     # a dilate keeps its member's shadow, so its columns are the member's
-    _, d_lo, d_hi, _ = _columns([r.height_dilate(7.0) for r in rs], n)
+    dilates = [scale, index, base + 0.5 * (1.0 - 7.0) * height, slope, 7.0 * height]
+    _, d_lo, d_hi, _ = _columns(np.column_stack(dilates), n)
     mass = d_hi > d_lo
     unmassed = y_hi > y_lo  # a member's cell columns that hold no dilate cell yet
     massed = np.zeros(n, dtype=bool)
-    left = np.ones(len(rs), dtype=bool)
+    left = np.ones(len(table), dtype=bool)
     picks: List[int] = []
     removals: List[Tuple[int, ...]] = []
-    for pick in order:
+    for pick in order.tolist():
         if not left[pick]:
             continue
         picks.append(pick)
@@ -252,16 +306,23 @@ def cover_picks(
         removed = np.flatnonzero(left & ~np.logical_or.reduceat(unmassed, first))
         left[removed] = False
         removals.append(tuple(removed.tolist()))
-    return picks, removals, failures
+    return picks, removals
 
 
 def square_integral(selected: Sequence[Parallelogram], grid: int) -> float:
     """Grid integral of the squared sum of the members' indicators.
 
-    It counts cells: each cell's multiplicity, squared and summed in int64.
+    It counts cells by runs, not one by one: each member's row range in a
+    column opens at y_lo and closes at y_hi.  Sorted by (column, row), the
+    running count of open ranges is the multiplicity m of every cell up to
+    the next end, so m^2 times the run length, summed in int64, is the sum
+    of squared cell multiplicities.  After a column's last end m is 0.
     """
-    _, repeats = np.unique(_segments(selected, grid)[0], return_counts=True)
-    return float((repeats ** 2).sum() * (1.0 / grid ** 2))
+    cols, y_lo, y_hi, _ = _columns(selected, grid)
+    ends = np.concatenate([y_lo, y_hi]) + np.tile(cols * (grid + 1), 2)
+    order = np.argsort(ends)  # at equal ends the runs between them are empty
+    m = np.cumsum(np.repeat([1, -1], len(cols))[order])
+    return float((m[:-1] ** 2 * np.diff(ends[order])).sum() * (1.0 / grid ** 2))
 
 
 def lemma7r_check(r: Parallelogram, rp: Parallelogram):

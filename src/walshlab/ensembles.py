@@ -11,7 +11,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .covering import Parallelogram, SlopeField, densities
+from .covering import Parallelogram, ParallelogramRows, SlopeField, densities
 from .gridfn import GridFunction2D
 from .selection import Tree
 from .tiles import Bitile, counts, down_sums, support, up_sums
@@ -159,9 +159,9 @@ def parallelogram_ensemble(
     grid_log: int,
     count: int,
     scale_range: Tuple[int, int] = (-5, -1),
-) -> list:
+) -> ParallelogramRows:
     """Random parallelograms with dyadic shadows inside the unit square."""
-    out = []
+    rows = []
     lo, hi = scale_range
     if lo < -grid_log:
         raise ValueError("shadow scale finer than the grid")
@@ -172,10 +172,8 @@ def parallelogram_ensemble(
         slope = float(rng.uniform(-1.0, 1.0))
         reach = abs(slope) * 2.0 ** scale
         base = float(rng.uniform(0.0, max(1.0 - height - reach, 0.01)))
-        out.append(
-            Parallelogram(DyadicInterval(scale, index), base, slope, height)
-        )
-    return out
+        rows.append((scale, index, base, slope, height))
+    return ParallelogramRows(np.array(rows, dtype=np.float64))
 
 
 def dense_parallelograms(
@@ -184,7 +182,7 @@ def dense_parallelograms(
     delta: float,
     count: int,
     scale_range: Tuple[int, int] = (-5, -3),
-) -> list:
+) -> ParallelogramRows:
     """Parallelograms aligned with the slope field, then density-filtered.
 
     Each candidate centers its slope on the field value at a random cell
@@ -192,14 +190,15 @@ def dense_parallelograms(
     achievable; candidates failing it are discarded.  Candidates are drawn
     in rounds no larger than the remaining need; a round reads its slopes
     in one `at` call and is tested at once, so the draws and the picks are
-    those of one candidate at a time.
+    those of one candidate at a time.  A round is one table, and the
+    family keeps its members' densities as the filter measured them, once.
     """
     n = u.n
-    out = []
-    tries = 0
-    while len(out) < count and tries < DENSE_MAX_TRIES:
+    kept, measured = [np.empty((0, 5))], [np.empty(0)]
+    found = tries = 0
+    while found < count and tries < DENSE_MAX_TRIES:
         draws = []  # no draw depends on a slope
-        for _ in range(min(count - len(out), DENSE_MAX_TRIES - tries)):
+        for _ in range(min(count - found, DENSE_MAX_TRIES - tries)):
             scale = int(rng.integers(scale_range[0], scale_range[1] + 1))
             index = int(rng.integers(0, 1 << -scale))
             height = float(rng.uniform(*DENSE_HEIGHTS))
@@ -207,13 +206,16 @@ def dense_parallelograms(
             cx = int(min(max((x_left + 0.5 * 2.0 ** scale) * n, 0), n - 1))
             draws.append((scale, index, height, x_left, cx, int(rng.integers(0, n))))
         tries += len(draws)
-        slopes = u.at([cx * n + cy for *_, cx, cy in draws]).tolist()
-        batch = []
-        for (scale, index, height, x_left, cx, cy), slope in zip(draws, slopes):
-            base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
-            batch.append(Parallelogram(DyadicInterval(scale, index), base, slope, height))
-        out += [r for r, d in zip(batch, densities(batch, u)) if d >= delta]
-    return out
+        scale, index, height, x_left, cx, cy = np.array(draws, dtype=np.float64).T
+        slope = u.at((cx * n + cy).astype(np.int64))
+        base = (cy + 0.5) / n - 0.5 * height - slope * ((cx + 0.5) / n - x_left)
+        batch = ParallelogramRows(np.column_stack([scale, index, base, slope, height]))
+        d = densities(batch, u)
+        keep = d >= delta
+        kept.append(batch.table[keep])
+        measured.append(d[keep])
+        found += int(np.count_nonzero(keep))
+    return ParallelogramRows(np.concatenate(kept), np.concatenate(measured))
 
 
 def lemma7r_pair(rng) -> Tuple[Parallelogram, Parallelogram]:

@@ -597,7 +597,10 @@ def proj_tile(
     Slot 0 acts on data F(x1, x2), slot 1 on F(x2, x0), slot 2 on
     F(x0, x1); the output vanishes outside the tile's spatial box.  Slot 1
     in diagonal mode raises ValueError for |a| >= 2, where a half-tile has
-    no region (see `diagonal_region`).
+    no region (see `diagonal_region`).  It analyses the whole grid at the
+    tile's scale, the per-scale transform `proj_collection` shares, so one
+    tile costs about n^2: 2.1-3.2 ms for a scale -4 tile at K = 8, against
+    0.15 ms for the tile's box alone (one CPU, 2-core x86-64 machine).
     """
     return _placed(tile, slot, F, mode)
 
@@ -608,7 +611,9 @@ def proj_bitile(
     """Sum of the two half-tile projections (the vertical tiling).
 
     Slot 1 in diagonal mode projects onto the bitile region instead, which
-    exists for every multiplier; for |a| < 2 the two agree.
+    exists for every multiplier; for |a| < 2 the two agree.  Like
+    `proj_tile`, that analyses the whole grid at the bitile's scale: 3.3 ms
+    at scale -4 and K = 8, against 0.15 ms for the box alone.
     """
     if slot == 1 and mode is not None and mode.kind == "diagonal":
         return _placed(bitile, slot, F, mode)

@@ -1049,14 +1049,20 @@ def greedy_cover(
     a cell-free member).  A removed member whose margin is negative raises
     `RuntimeError`, so the replay checks the column-mass decision.  The
     selected parallelograms come back in pick order; the trace also holds
-    the density failures, reported and still processed as in
-    `cover_picks`.
+    the members failing |E(R)| >= delta |R| when delta is given, by one
+    `densities` pass.  They are still processed: `cover_picks` does not
+    read densities.
     """
-    picks, removals, failures = cover_picks(parallelograms, u, delta)
+    if delta is not None and not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    picks, removals = cover_picks(parallelograms, u)
     rs = parallelograms
     n = u.n
-    if not rs:
+    if not len(rs):
         return [], CoverTrace((), ())
+    failures = ()
+    if delta is not None:  # cell-free members pass
+        failures = tuple(np.flatnonzero(densities(rs, u) < delta).tolist())
     index, counts, starts = _segments(rs, n)
     *dilates, ncols = _columns([rs[i].height_dilate(7.0) for i in picks], n)
     first = np.cumsum(ncols) - ncols

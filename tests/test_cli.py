@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walshlab import cli, selection
+from walshlab import cli, covering, ensembles, selection
 from walshlab.cli import CliError, build_config, main
 from walshlab.gridfn import GridFunction2D
 from walshlab.mfcz import admissible_bitiles
 from walshlab.selection import Tree
 from walshlab.triform import EpsilonField, lambda_direct
+from walshlab.walsh import DyadicInterval
 from walshlab.wavelets import walsh_fn
 
 
@@ -559,6 +560,35 @@ class TestCover:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 64 * 2**20, [p / 2**20 for p in peaks]
+
+    def test_trials_build_no_parallelogram_and_measure_each_round_once(self, monkeypatch):
+        # a family stays one table from its draw to its report, and the
+        # density filter's one `densities` call per round is the only one;
+        # no cover trial needs a second round (the generator's own tests
+        # force those), but the round sizes are checked as if one might
+        built, rounds = [], []
+        monkeypatch.setattr(covering.Parallelogram, "__post_init__", lambda r: built.append(r))
+        measure = ensembles.densities
+
+        def filter_round(rs, u):
+            d = measure(rs, u)
+            rounds[-1].append((len(rs), int(np.count_nonzero(d >= cfg.delta))))
+            return d
+
+        monkeypatch.setattr(ensembles, "densities", filter_round)
+        monkeypatch.setattr(covering, "densities", None)  # no other caller
+        for grid in ("64", "256"):
+            cfg = build_config({"grid": grid})
+            for t in range(6):  # two of each field kind
+                rounds.append([])
+                cli._cover_trial(cfg, t)
+                sizes, kept = zip(*rounds[-1])
+                need = 40 - np.cumsum((0,) + kept)
+                assert list(sizes) == need[:-1].tolist()  # each round draws what is missing
+                assert need[-1] == 0 or sum(sizes) == ensembles.DENSE_MAX_TRIES
+        assert built == []
+        covering.Parallelogram(DyadicInterval(0, 0), 0.0, 0.0, 0.0)
+        assert len(built) == 1  # the count sees a construction
 
     def test_bad_delta(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "delta=0\n")

@@ -10,6 +10,7 @@ from walshlab import covering
 from walshlab.covering import (
     VERTICAL_THRESHOLD,
     Parallelogram,
+    ParallelogramRows,
     SlopeField,
     cover_picks,
     densities,
@@ -190,6 +191,63 @@ def one_column_members(rng, n, count):
         )
         for _ in range(count)
     ]
+
+
+class TestParallelogramRows:
+    def family(self, n=64):
+        rng = np.random.default_rng(21)
+        return random_members(rng, n, 16) + one_column_members(rng, n, 3)
+
+    def test_sequence_of_the_members(self):
+        rs = self.family()
+        rows = ParallelogramRows(rs)
+        assert len(rows) == len(rs) and rows.table.shape == (len(rs), 5)
+        assert list(rows) == rs and rows == rs and rs == rows
+        for i in (0, 3, len(rs) - 1, -1, -len(rs), np.int64(5)):
+            assert rows[i] == rs[i]
+        with pytest.raises(IndexError):
+            rows[len(rs)]
+        assert rows[2:9:3] == rs[2:9:3] and isinstance(rows[2:9:3], ParallelogramRows)
+        assert rows[[4, 0, 4]] == [rs[4], rs[0], rs[4]]
+        assert ParallelogramRows(rows.table) == rows == ParallelogramRows(rows)
+        assert rows != rs[:-1] and rows != ParallelogramRows(rs[1:])
+        assert [m.hex() for m in rows.measures.tolist()] == [r.measure.hex() for r in rs]
+
+    def test_table_and_densities_are_read_only(self):
+        rows = ParallelogramRows(self.family(), densities=np.linspace(0.0, 1.0, 19))
+        for a in (rows.table, rows.densities, rows[1:].table, rows[1:].densities):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.5
+        assert rows[[2, 7]].densities.tolist() == rows.densities[[2, 7]].tolist()
+        assert ParallelogramRows(self.family()).densities is None
+
+    def test_negative_height_rejected_as_by_parallelogram(self):
+        table = ParallelogramRows(self.family()).table.copy()
+        table[3, 4] = -0.25
+        with pytest.raises(ValueError, match="height"):
+            ParallelogramRows(table)
+
+    def test_family_functions_read_the_table_as_the_list(self):
+        n = 64
+        rs = self.family(n)
+        rows = ParallelogramRows(rs)
+        u = cone_slope_field(np.random.default_rng(22), n, 0.3)
+        f = GridFunction2D(6, np.random.default_rng(23).standard_normal((n, n)))
+        assert densities(rows, u).tobytes() == densities(rs, u).tobytes()
+        assert cover_picks(rows, u) == cover_picks(rs, u)
+        assert square_integral(rows, n) == square_integral(rs, n)
+        assert lk_maximal(f, rows).values.tobytes() == lk_maximal(f, rs).values.tobytes()
+
+    def test_empty_family(self):
+        u = SlopeField.constant(16, 0.0)
+        f = GridFunction2D(4, np.ones((16, 16)))
+        for empty in ([], ParallelogramRows([]), ParallelogramRows(np.zeros((0, 5)))):
+            rows = ParallelogramRows(empty)
+            assert len(rows) == 0 and list(rows) == [] and rows == []
+            assert densities(empty, u).size == 0
+            assert cover_picks(empty, u) == ([], [])
+            assert square_integral(empty, 16) == 0.0
+            assert not lk_maximal(f, empty).values.any()
 
 
 class TestFamilyCells:
@@ -593,7 +651,7 @@ class TestGreedyCover:
         rng = np.random.default_rng(130 + seed)
         for u in slope_fields(rng, n):
             # narrow shadows, so most picks leave most members alone
-            rs = dense_parallelograms(rng, u, 0.3, 40, scale_range=(-5, -3))
+            rs = list(dense_parallelograms(rng, u, 0.3, 40, scale_range=(-5, -3)))
             rs += [r for r in random_members(rng, n, 20) if r.length <= 0.125]
             rs += one_column_members(rng, n, 4)
             rs.insert(7, make(-2, 1, 3.1 / n, 0.0, 0.4 / n))  # cell-free
@@ -646,18 +704,20 @@ class TestCoverPicks:
             # the widest member, picked first: it leaves the grid at the top
             # early, so its dilate holds cells in a few of its columns only
             rs.append(make(-1, 0, 0.9, 1.0, 0.02))
+            picks, removals = cover_picks(rs, u)
+            assert cover_picks(ParallelogramRows(rs), u) == (picks, removals)
             for delta in (None, 0.3, 0.8):
-                picks, removals, failures = cover_picks(rs, u, delta)
                 chosen, trace = greedy_cover(rs, u, delta)
                 want_chosen, want = all_member_cover(rs, u, delta)
-                assert (picks, removals, failures) == step_table(trace) == step_table(want)
+                assert step_table(trace) == step_table(want)
+                assert (picks, removals) == step_table(trace)[:2]
                 assert [rs[i] for i in picks] == chosen == want_chosen
                 assert picks[0] == len(rs) - 1 and 5 in removals[0]
                 assert sorted(i for step in removals for i in step) == list(range(len(rs)))
                 steps += len(picks)
-                failing += len(failures)
+                failing += len(trace.density_failures)
         assert steps >= 5 * 9  # about five picks per family or more
-        assert failing > 0  # the density recheck on shared columns is compared too
+        assert failing > 0  # one `densities` pass is compared with the scalar oracle too
 
     def test_premise_checked(self, monkeypatch):
         n = 32
@@ -671,16 +731,19 @@ class TestCoverPicks:
     def test_replay_refuses_an_uncovered_removal(self, monkeypatch):
         a = make(-1, 0, 0.2, 0.1, 0.1)
         b = make(-1, 1, 0.6, -0.2, 0.1)  # its columns hold no cell of a's dilate
-        wrong = lambda rs, u, delta=None: ([0], [(0, 1)], ())
+        wrong = lambda rs, u: ([0], [(0, 1)])
         monkeypatch.setattr(oracles, "cover_picks", wrong)
         with pytest.raises(RuntimeError, match="below the threshold"):
             greedy_cover([a, b], SlopeField.constant(32, 0.0))
 
     def test_empty_family_and_bad_delta(self):
+        # the density condition is the caller's: cover_picks takes no delta
         u = SlopeField.constant(16, 0.0)
-        assert cover_picks([], u, 0.5) == ([], [], ())
+        assert cover_picks([], u) == cover_picks(ParallelogramRows([]), u) == ([], [])
+        with pytest.raises(TypeError):
+            cover_picks([], u, 0.5)
         with pytest.raises(ValueError, match="delta"):
-            cover_picks([], u, delta=1.5)
+            greedy_cover([], u, delta=1.5)
 
 
 class TestIntersectionMeasure:
@@ -778,7 +841,7 @@ class TestOverlapCheck:
         rng = np.random.default_rng(140 + seed)
         n = 64
         for u in slope_fields(rng, n):
-            rs = dense_parallelograms(rng, u, 0.5, 12, scale_range=(-4, -2))
+            rs = list(dense_parallelograms(rng, u, 0.5, 12, scale_range=(-4, -2)))
             rs += random_members(rng, n, 8)
             report = overlap_check(rs, u, 2, 0.5)
             assert square_integral(rs, n) == report["square_integral"]
@@ -796,6 +859,18 @@ class TestOverlapCheck:
                 got = square_integral(selected, n)
                 assert float(got).hex() == float(square_integral_bincount(selected, n)).hex()
         assert square_integral([], n) == square_integral_bincount([], n) == 0.0
+
+    @pytest.mark.parametrize("n", [64, 1024, 2048])
+    def test_square_integral_runs_match_cell_counts_on_cover_selections(self, n):
+        # the families and selections `cover` integrates, stacked and
+        # repeated so that runs open and close at shared rows
+        rng = np.random.default_rng(170 + n)
+        lo = max(-5, 1 - n.bit_length())
+        for u in slope_fields(rng, n):
+            rs = dense_parallelograms(rng, u, 0.5, 40, scale_range=(lo, max(-3, lo)))
+            for selected in (rs[cover_picks(rs, u)[0]], rs, rs[[0, 0, 1, 0]]):
+                got = square_integral(selected, n)
+                assert float(got).hex() == float(square_integral_bincount(selected, n)).hex()
 
     def test_validation(self):
         u = SlopeField.constant(8, 0.0)

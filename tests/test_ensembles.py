@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from walshlab import ensembles
-from walshlab.covering import SlopeField, _segments
+from walshlab.cli import _dense_scales
+from walshlab.covering import ParallelogramRows, SlopeField, _segments, densities
 from walshlab.ensembles import (
     DENSE_MAX_TRIES,
     cone_slope_field,
@@ -153,6 +154,17 @@ def test_parallelogram_ensemble_in_window():
         parallelogram_ensemble(np.random.default_rng(0), 4, 1, scale_range=(-6, -5))
 
 
+def assert_densities_measured_once(family, u, delta):
+    """The densities handed back are a fresh `densities` pass, bit for bit, all >= delta.
+
+    The fresh pass reads the members as `Parallelogram`s, not the table.
+    """
+    assert isinstance(family, ParallelogramRows)
+    assert family.densities.shape == (len(family),)
+    assert family.densities.tobytes() == densities(list(family), u).tobytes()
+    assert np.all(family.densities >= delta)
+
+
 def test_dense_parallelograms_meet_density():
     u = cone_slope_field(np.random.default_rng(9), 64, 0.5)
     rs = dense_parallelograms(np.random.default_rng(10), u, 0.5, 12)
@@ -175,12 +187,37 @@ def test_dense_rounds_match_one_candidate_at_a_time(n, delta, count, scale_range
     got = dense_parallelograms(rng, u, delta, count, scale_range)
     want = dense_one_at_a_time(ref, u, delta, count, scale_range)
     assert got == want
+    assert_densities_measured_once(got, u, delta)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert 0 < len(got) <= count
     if count > DENSE_MAX_TRIES:
         assert len(got) < DENSE_MAX_TRIES
     else:
         assert len(got) == count
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "cone"])
+@pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+@pytest.mark.parametrize("delta", [0.5, 0.9])
+@pytest.mark.parametrize("steep", [1.0, 30.0])  # 30: densities vary, rounds repeat
+def test_dense_densities_equal_a_fresh_measurement(kind, n, delta, steep):
+    # the cover trial's fields and family, as `cli._cover_trial` draws them,
+    # and the same fields with 30 times the slope gradient
+    varied = 0
+    for seed in range(2):
+        rng = np.random.default_rng(980 + seed)
+        if kind == "constant":
+            u = SlopeField.constant(n, float(rng.uniform(-0.5, 0.5)))
+        elif kind == "linear":
+            gx, gy, offset = (float(v) for v in rng.uniform(-0.3, 0.3, 3))
+            u = linear_slope_field(n, steep * gx, steep * gy, offset)
+        else:
+            u = cone_slope_field(rng, n, 0.3 * steep)
+        family = dense_parallelograms(rng, u, delta, 40, scale_range=_dense_scales(n))
+        assert len(family) == 40
+        assert_densities_measured_once(family, u, delta)
+        varied += np.unique(family.densities).size > 1
+    assert varied or steep == 1.0 or kind == "constant"
 
 
 def field_and_grid(kind, n, lipschitz, seed):
@@ -281,6 +318,7 @@ class TestCellReads:
         want = dense_parallelograms_grid(ref, oracle, delta, count, scale_range)
         assert got == want
         assert [float(r.slope).hex() for r in got] == [float(r.slope).hex() for r in want]
+        assert_densities_measured_once(got, u, delta)
         assert rng.bit_generator.state == ref.bit_generator.state
         if count > DENSE_MAX_TRIES:
             assert rounds == [DENSE_MAX_TRIES]
